@@ -16,18 +16,10 @@ fn bench_mining(c: &mut Criterion) {
     group.bench_function("naive", |b| {
         b.iter(|| naive::mine(&problem, &w.sequence))
     });
-    let serial = PipelineOptions::builder().parallel(false).build();
-    group.bench_function("pipeline_serial", |b| {
-        b.iter(|| mine_with(&problem, &w.sequence, &serial))
-    });
-    let candidate_level = PipelineOptions::builder().parallel_sweep(false).build();
-    group.bench_function("pipeline_parallel", |b| {
-        b.iter(|| mine_with(&problem, &w.sequence, &candidate_level))
-    });
-    group.bench_function("pipeline_parallel_sweep", |b| {
+    group.bench_function("pipeline", |b| {
         b.iter(|| mine_with(&problem, &w.sequence, &PipelineOptions::default()))
     });
-    let pairs = PipelineOptions::builder().pair_screening(true).parallel(false).build();
+    let pairs = PipelineOptions::builder().pair_screening(true).build();
     group.bench_function("pipeline_pair_screening", |b| {
         b.iter(|| mine_with(&problem, &w.sequence, &pairs))
     });

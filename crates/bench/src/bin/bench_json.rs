@@ -122,15 +122,13 @@ fn main() {
     let tag2 = build_tag(&cet2);
     let e6_grouped = measure_engines(&tag2, w2.sequence.events(), reps);
 
-    // Workload 3: discovery (the `mining` criterion bench, seed 7) across
-    // execution strategies, solutions asserted equal.
+    // Workload 3: discovery (the `mining` criterion bench, seed 7): naive
+    // vs the pipeline, solutions asserted equal.
     let w3 = planted_stock_workload(90, &[], 9, 7);
     let problem = DiscoveryProblem::new(w3.cet.structure().clone(), 0.6, w3.types.ibm_rise)
         .with_candidates(VarId(3), [w3.types.ibm_fall]);
     let mining_reps = if quick { 3 } else { 7 };
-    let serial_opts = PipelineOptions::builder().parallel(false).build();
-    let candidate_opts = PipelineOptions::builder().parallel_sweep(false).build();
-    let sweep_opts = PipelineOptions::default();
+    let pipeline_opts = PipelineOptions::default();
     let (naive_sols, _) = naive::mine(&problem, &w3.sequence);
     let (naive_sweep_sols, _) = naive::mine_with(
         &problem,
@@ -140,32 +138,14 @@ fn main() {
             ..Default::default()
         },
     );
-    let percand_opts = serial_opts.to_builder().multi_scan(false).build();
-    let (serial_sols, serial_stats) = mine_with(&problem, &w3.sequence, &serial_opts);
-    let (candidate_sols, candidate_stats) = mine_with(&problem, &w3.sequence, &candidate_opts);
-    let (sweep_sols, sweep_stats) = mine_with(&problem, &w3.sequence, &sweep_opts);
-    let (percand_sols, _) = mine_with(&problem, &w3.sequence, &percand_opts);
+    let (pipeline_sols, pipeline_stats) = mine_with(&problem, &w3.sequence, &pipeline_opts);
     assert_eq!(naive_sols, naive_sweep_sols, "naive sweep changed solutions");
-    assert_eq!(naive_sols, serial_sols, "pipeline diverged from naive");
-    assert_eq!(serial_sols, candidate_sols, "candidate parallelism changed solutions");
-    assert_eq!(serial_sols, sweep_sols, "sweep parallelism changed solutions");
-    assert_eq!(serial_sols, percand_sols, "shared scan changed solutions");
+    assert_eq!(naive_sols, pipeline_sols, "pipeline diverged from naive");
     let naive_ms = median_ms(mining_reps, || {
         std::hint::black_box(naive::mine(&problem, &w3.sequence));
     });
-    let pipeline_serial_ms = median_ms(mining_reps, || {
-        std::hint::black_box(mine_with(&problem, &w3.sequence, &serial_opts));
-    });
-    let pipeline_parallel_ms = median_ms(mining_reps, || {
-        std::hint::black_box(mine_with(&problem, &w3.sequence, &candidate_opts));
-    });
-    let pipeline_parallel_sweep_ms = median_ms(mining_reps, || {
-        std::hint::black_box(mine_with(&problem, &w3.sequence, &sweep_opts));
-    });
-    // The step-5 engine ablation on the same serial funnel: shared scan
-    // (the default) vs the per-candidate oracle.
-    let pipeline_serial_percand_ms = median_ms(mining_reps, || {
-        std::hint::black_box(mine_with(&problem, &w3.sequence, &percand_opts));
+    let pipeline_ms = median_ms(mining_reps, || {
+        std::hint::black_box(mine_with(&problem, &w3.sequence, &pipeline_opts));
     });
 
     // Workload 4: the streaming session. Replay of workload 1 through
@@ -504,19 +484,19 @@ fn main() {
     tgm_obs::reset();
     let mut scratch = MatcherScratch::new();
     let obs_scan = Matcher::new(&tag1).run_scratch(w1.sequence.events(), false, &mut scratch);
-    let (obs_sols, _) = mine_with(&problem, &w3.sequence, &sweep_opts);
+    let (obs_sols, _) = mine_with(&problem, &w3.sequence, &pipeline_opts);
     // One interrupted run per limit class so the limits.* counters land in
     // the record alongside the throughput numbers.
     let _ = mine_bounded(
         &problem,
         &w3.sequence,
-        &sweep_opts,
+        &pipeline_opts,
         &Limits::none().with_budget(0),
     );
     let _ = mine_bounded(
         &problem,
         &w3.sequence,
-        &sweep_opts,
+        &pipeline_opts,
         &Limits::none()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1)),
     );
@@ -525,7 +505,7 @@ fn main() {
     let _ = mine_bounded(
         &problem,
         &w3.sequence,
-        &sweep_opts,
+        &pipeline_opts,
         &Limits::none().with_cancel(cancelled),
     );
     let obs_report = Report::capture();
@@ -536,7 +516,7 @@ fn main() {
         Matcher::new(&tag1).run_scratch(w1.sequence.events(), false, &mut scratch),
         "instrumentation changed the scan"
     );
-    assert_eq!(obs_sols, sweep_sols, "instrumentation changed mining solutions");
+    assert_eq!(obs_sols, pipeline_sols, "instrumentation changed mining solutions");
 
     // Workload 7: live-telemetry overhead on the streaming session. A prefix
     // of the same LCG stream replayed through `MatchSession` in three
@@ -652,24 +632,9 @@ fn main() {
     let _ = writeln!(json, "    \"days\": 90,");
     let _ = writeln!(json, "    \"seed\": 7,");
     let _ = writeln!(json, "    \"naive_ms\": {naive_ms:.2},");
-    let _ = writeln!(json, "    \"pipeline_serial_ms\": {pipeline_serial_ms:.2},");
-    let _ = writeln!(json, "    \"pipeline_parallel_ms\": {pipeline_parallel_ms:.2},");
-    let _ = writeln!(
-        json,
-        "    \"pipeline_parallel_sweep_ms\": {pipeline_parallel_sweep_ms:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"pipeline_serial_percand_ms\": {pipeline_serial_percand_ms:.2},"
-    );
-    // Workers *actually used* by each step-5 path on this host (satellite
-    // of the 1-CPU finding: parallel ≈ serial when the host can't grant
-    // more than one core, however many workers are spawned).
-    let _ = writeln!(
-        json,
-        "    \"step5_workers\": {{ \"serial\": {}, \"candidate_parallel\": {}, \"sweep_parallel\": {} }}",
-        serial_stats.step5_workers, candidate_stats.step5_workers, sweep_stats.step5_workers
-    );
+    let _ = writeln!(json, "    \"pipeline_ms\": {pipeline_ms:.2},");
+    // Threads the step-5 scan actually ran on (bounded by `host_cpus`).
+    let _ = writeln!(json, "    \"step5_workers\": {}", pipeline_stats.step5_workers);
     json.push_str("  },\n");
     json.push_str("  \"multi_scan\": {\n");
     let _ = writeln!(json, "    \"events\": {multi_n},");
@@ -779,9 +744,10 @@ fn main() {
     for (i, (name, s)) in obs_report.spans.spans.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    \"{name}\": {{ \"count\": {}, \"total_ms\": {:.3} }}{}",
+            "    \"{name}\": {{ \"count\": {}, \"total_ms\": {:.3}, \"mean_ms\": {:.3} }}{}",
             s.count,
             s.total_ms(),
+            s.total_ms() / s.count.max(1) as f64,
             if i + 1 < n_spans { "," } else { "" }
         );
     }

@@ -34,31 +34,31 @@ pub fn run() {
     let configs: [(&str, PipelineOptions); 7] = [
         (
             "steps 1-5 (full pipeline)",
-            PipelineOptions::builder().parallel(false).build(),
+            PipelineOptions::default(),
         ),
         (
             "without candidate screening (step 4 off)",
-            PipelineOptions::builder().candidate_screening(false).parallel(false).build(),
+            PipelineOptions::builder().candidate_screening(false).build(),
         ),
         (
             "without reference pruning (step 3 off)",
-            PipelineOptions::builder().reference_pruning(false).parallel(false).build(),
+            PipelineOptions::builder().reference_pruning(false).build(),
         ),
         (
             "without sequence reduction (step 2 off)",
-            PipelineOptions::builder().sequence_reduction(false).parallel(false).build(),
+            PipelineOptions::builder().sequence_reduction(false).build(),
         ),
         (
             "full + pair screening (k = 2, windows)",
-            PipelineOptions::builder().pair_screening(true).parallel(false).build(),
+            PipelineOptions::builder().pair_screening(true).build(),
         ),
         (
             "full + induced chain screening (k <= 2, TAGs)",
-            PipelineOptions::builder().chain_screening_k(2).parallel(false).build(),
+            PipelineOptions::builder().chain_screening_k(2).build(),
         ),
         (
             "full + induced chain screening (k <= 3, TAGs)",
-            PipelineOptions::builder().chain_screening_k(3).parallel(false).build(),
+            PipelineOptions::builder().chain_screening_k(3).build(),
         ),
     ];
     for (label, opts) in configs {
@@ -156,8 +156,8 @@ fn weekend_noise_variant() {
     let seq = with_planted(&noise, &[events]);
 
     let problem = DiscoveryProblem::new(s, 0.4, alarm);
-    let full = PipelineOptions::builder().parallel(false).build();
-    let off = PipelineOptions::builder().sequence_reduction(false).reference_pruning(false).parallel(false).build();
+    let full = PipelineOptions::default();
+    let off = PipelineOptions::builder().sequence_reduction(false).reference_pruning(false).build();
     let ((sols_on, on), ms_on) = timed(|| mine_with(&problem, &seq, &full));
     let ((sols_off, off_stats), ms_off) = timed(|| mine_with(&problem, &seq, &off));
     assert_eq!(sols_on, sols_off);

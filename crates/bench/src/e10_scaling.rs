@@ -15,16 +15,12 @@ use crate::{print_table, timed};
 /// Runs E10 and prints its tables.
 pub fn run() {
     println!("\n## E10 — Discovery scaling: naive vs optimized pipeline");
-    let serial = PipelineOptions::builder().parallel(false).build();
-    // Candidate-level parallelism only vs the full default (which adds the
-    // anchored-sweep split when candidates alone can't fill the workers).
-    let parallel_candidate = PipelineOptions::builder().parallel_sweep(false).build();
-    let parallel_sweep = PipelineOptions::default();
+    let pipeline = PipelineOptions::default();
 
     // vs sequence length, with the shared resolution layer (tick columns +
-    // per-granularity cache) on and off for the serial pipeline — the off
-    // column resolves every tick per use, the pre-layer behavior.
-    let serial_off = PipelineOptions::builder().parallel(false).use_tick_columns(false).build();
+    // per-granularity cache) on and off — the off column resolves every
+    // tick per use, the pre-layer behavior.
+    let layer_off = PipelineOptions::builder().use_tick_columns(false).build();
     let mut rows = Vec::new();
     for days in [90i64, 180, 360, 720] {
         let w = daily_stock_workload(days, &[], 0.85, 11);
@@ -32,27 +28,19 @@ pub fn run() {
             DiscoveryProblem::new(w.cet.structure().clone(), 0.6, w.types.ibm_rise)
                 .with_candidates(VarId(3), [w.types.ibm_fall]);
         let ((nsols, _), nms) = timed(|| naive::mine(&problem, &w.sequence));
-        let ((psols, _), pms) = timed(|| mine_with(&problem, &w.sequence, &serial));
+        let ((psols, _), pms) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
         cache::set_enabled(false);
         let ((psols_off, _), pms_off) =
-            timed(|| mine_with(&problem, &w.sequence, &serial_off));
+            timed(|| mine_with(&problem, &w.sequence, &layer_off));
         cache::set_enabled(true);
-        let ((psols_par, _), pms_par) =
-            timed(|| mine_with(&problem, &w.sequence, &parallel_candidate));
-        let ((psols_sweep, _), pms_sweep) =
-            timed(|| mine_with(&problem, &w.sequence, &parallel_sweep));
         assert_eq!(nsols, psols);
         assert_eq!(psols, psols_off, "cache is semantics-preserving");
-        assert_eq!(psols, psols_par, "candidate parallelism is semantics-preserving");
-        assert_eq!(psols, psols_sweep, "sweep parallelism is semantics-preserving");
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
             format!("{nms:.0}"),
             format!("{pms:.0}"),
             format!("{pms_off:.0}"),
-            format!("{pms_par:.0}"),
-            format!("{pms_sweep:.0}"),
             format!("{:.1}x", nms / pms.max(0.001)),
         ]);
     }
@@ -64,8 +52,6 @@ pub fn run() {
             "naive ms",
             "pipeline ms",
             "pipeline ms (resolution layer off)",
-            "pipeline ms (parallel, candidate-level)",
-            "pipeline ms (parallel + sweep)",
             "speedup",
         ],
         &rows,
@@ -90,12 +76,12 @@ pub fn run() {
         sb.constrain(x1, x2, Tcg::new(0, 1, bmonth.clone()));
         let s = sb.build().unwrap();
         let problem = DiscoveryProblem::new(s, 0.3, w.types.ibm_rise);
-        let _ = mine_with(&problem, &w.sequence, &serial); // warm
-        let ((sols_on, _), ms_on) = timed(|| mine_with(&problem, &w.sequence, &serial));
+        let _ = mine_with(&problem, &w.sequence, &pipeline); // warm
+        let ((sols_on, _), ms_on) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
         cache::set_enabled(false);
-        let _ = mine_with(&problem, &w.sequence, &serial_off); // warm
+        let _ = mine_with(&problem, &w.sequence, &layer_off); // warm
         let ((sols_off, _), ms_off) =
-            timed(|| mine_with(&problem, &w.sequence, &serial_off));
+            timed(|| mine_with(&problem, &w.sequence, &layer_off));
         cache::set_enabled(true);
         assert_eq!(sols_on, sols_off, "resolution layer is semantics-preserving");
         rows.push(vec![
@@ -126,7 +112,7 @@ pub fn run() {
             DiscoveryProblem::new(w.cet.structure().clone(), 0.6, w.types.ibm_rise)
                 .with_candidates(VarId(3), [w.types.ibm_fall]);
         let ((nsols, nstats), nms) = timed(|| naive::mine(&problem, &w.sequence));
-        let ((psols, pstats), pms) = timed(|| mine_with(&problem, &w.sequence, &serial));
+        let ((psols, pstats), pms) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
         assert_eq!(nsols, psols);
         rows.push(vec![
             (2 + extra.len()).to_string(),

@@ -134,8 +134,8 @@ pub fn run() {
     // granularity-resolution layer (tick columns + per-granularity cache)
     // on vs off, with the process-wide hit/miss counters for each run.
     // Results are asserted identical.
-    let serial = PipelineOptions::builder().parallel(false).build();
-    let serial_off = serial.to_builder().use_tick_columns(false).build();
+    let layer_on = PipelineOptions::default();
+    let layer_off = layer_on.to_builder().use_tick_columns(false).build();
     let mut rows = Vec::new();
     for days in [180i64, 360] {
         let w = daily_stock_workload(days, &[], 0.85, 17);
@@ -146,7 +146,7 @@ pub fn run() {
         for on in [true, false] {
             cache::set_enabled(on);
             cache::reset_global_stats();
-            let opts = if on { &serial } else { &serial_off };
+            let opts = if on { &layer_on } else { &layer_off };
             let ((sols, _), ms) = timed(|| mine_with(&problem, &w.sequence, opts));
             let stats = cache::global_stats();
             sols_by_mode.push(sols);
@@ -204,13 +204,11 @@ pub fn run() {
         &rows,
     );
 
-    // (5) Parallel anchored sweep: discovery with the anchored support
-    // sweep split across workers (one scratch per worker) vs a single
-    // serial sweep, for the naive miner and the pipeline. Solutions and
-    // tag-run counts asserted identical — support is a sum of independent
+    // (5) Parallel anchored sweep: naive discovery with the anchored
+    // support sweep split across workers (one scratch per worker) vs a
+    // single serial sweep, next to the pipeline. Solutions and tag-run
+    // counts asserted identical — support is a sum of independent
     // per-reference boolean runs, so chunking cannot change it.
-    let candidate_only = PipelineOptions::builder().parallel_sweep(false).build();
-    let sweep_on = PipelineOptions::default();
     let mut rows = Vec::new();
     for days in [360i64, 720] {
         let w = daily_stock_workload(days, &[], 0.85, 23);
@@ -229,21 +227,17 @@ pub fn run() {
                 },
             )
         });
-        let ((p_cand, p_cand_stats), p_cand_ms) =
-            timed(|| mine_with(&problem, &w.sequence, &candidate_only));
-        let ((p_sweep, p_sweep_stats), p_sweep_ms) =
-            timed(|| mine_with(&problem, &w.sequence, &sweep_on));
+        let ((p_sols, _), p_ms) =
+            timed(|| mine_with(&problem, &w.sequence, &PipelineOptions::default()));
         assert_eq!(n_serial, n_sweep, "naive sweep changed solutions");
         assert_eq!(n_serial_stats.tag_runs, n_sweep_stats.tag_runs);
-        assert_eq!(p_cand, p_sweep, "pipeline sweep changed solutions");
-        assert_eq!(p_cand_stats.tag_runs, p_sweep_stats.tag_runs);
+        assert_eq!(n_serial, p_sols, "pipeline diverged from naive");
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
             format!("{n_serial_ms:.0}"),
             format!("{n_sweep_ms:.0}"),
-            format!("{p_cand_ms:.0}"),
-            format!("{p_sweep_ms:.0}"),
+            format!("{p_ms:.0}"),
             format!("{:.1}x", n_serial_ms / n_sweep_ms.max(0.001)),
         ]);
     }
@@ -254,8 +248,7 @@ pub fn run() {
             "events",
             "naive ms (serial sweep)",
             "naive ms (parallel sweep)",
-            "pipeline ms (candidate-level)",
-            "pipeline ms (+ sweep)",
+            "pipeline ms",
             "naive sweep speedup",
         ],
         &rows,

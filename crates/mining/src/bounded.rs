@@ -1,6 +1,6 @@
 //! Shared bounded-execution plumbing for the miners: the partial-result
-//! container returned by `mine_bounded`, the sweep-level error type, and
-//! the panic-containment wrapper for crossbeam workers.
+//! container returned by `mine_bounded`, the early-stop type, and the
+//! panic-containment wrapper for crossbeam workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -26,25 +26,25 @@ pub struct BoundedMining<S> {
     pub verdict: Verdict,
 }
 
-/// Why a (possibly parallel) support sweep stopped without a count.
-pub(crate) enum SweepError {
-    /// A limit tripped (deadline, cancellation); the candidate's support
-    /// count is incomplete and must be discarded.
+/// Why a support count (or a whole mining step) stopped without a result.
+pub(crate) enum Halt {
+    /// A limit tripped (deadline, cancellation); the count is incomplete
+    /// and must be discarded.
     Interrupted(Interrupt),
     /// A worker panicked; siblings have been cancelled via the shared
     /// token.
     Panicked(WorkerPanic),
 }
 
-impl From<Interrupt> for SweepError {
+impl From<Interrupt> for Halt {
     fn from(i: Interrupt) -> Self {
-        SweepError::Interrupted(i)
+        Halt::Interrupted(i)
     }
 }
 
-impl From<WorkerPanic> for SweepError {
+impl From<WorkerPanic> for Halt {
     fn from(p: WorkerPanic) -> Self {
-        SweepError::Panicked(p)
+        Halt::Panicked(p)
     }
 }
 

@@ -8,7 +8,7 @@ use tgm_obs::span::span_if;
 use tgm_obs::{metrics, Observable, ObsOptions, ObsValue};
 use tgm_tag::{build_tag, count_interrupt, MatchOptions, Matcher, MatcherScratch, Tag};
 
-use crate::bounded::{contain, BoundedMining, SweepError};
+use crate::bounded::{contain, BoundedMining, Halt};
 use crate::problem::{DiscoveryProblem, Solution};
 
 /// Instrumentation from a naive run.
@@ -174,7 +174,6 @@ fn mine_inner(
         let cet = ComplexEventType::new(problem.structure.clone(), phi.to_vec());
         let tag = build_tag(&cet);
         let support = if n_threads > 1 {
-            let mut chunks = 0usize;
             let swept = count_support_sweep(
                 &tag,
                 seq.events(),
@@ -183,18 +182,17 @@ fn mine_inner(
                 Some(&cols),
                 n_threads,
                 &mut stats.tag_runs,
-                &mut chunks,
                 opts.obs,
                 run_limits.as_ref(),
                 token.as_ref(),
             );
             match swept {
                 Ok(s) => s,
-                Err(SweepError::Interrupted(i)) => {
+                Err(Halt::Interrupted(i)) => {
                     verdict = i.into();
                     return false;
                 }
-                Err(SweepError::Panicked(wp)) => {
+                Err(Halt::Panicked(wp)) => {
                     worker_panic = Some(wp);
                     return false;
                 }
@@ -346,14 +344,13 @@ fn count_refs(
 /// `n_threads` workers (one scratch per worker): parallelism *inside* one
 /// candidate, for when there are fewer candidates than cores. Each
 /// reference occurrence is an independent anchored run, so the support sum
-/// is identical to the serial sweep in any chunking. `sweep_chunks` counts
-/// the chunks actually dispatched (0 for the serial fallback). A panic in
-/// one worker cancels `token` (stopping siblings at their next poll) and
-/// surfaces as [`SweepError::Panicked`]; the first panic wins over any
+/// is identical to the serial sweep in any chunking. A panic in one
+/// worker cancels `token` (stopping siblings at their next poll) and
+/// surfaces as [`Halt::Panicked`]; the first panic wins over any
 /// interrupt, since cancellation interrupts in siblings are a side effect
 /// of the panic itself.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn count_support_sweep(
+fn count_support_sweep(
     tag: &Tag,
     events: &[Event],
     refs: &[usize],
@@ -361,11 +358,10 @@ pub(crate) fn count_support_sweep(
     cols: Option<&TickColumns>,
     n_threads: usize,
     tag_runs: &mut usize,
-    sweep_chunks: &mut usize,
     obs: ObsOptions,
     limits: Option<&Limits>,
     token: Option<&CancelToken>,
-) -> Result<usize, SweepError> {
+) -> Result<usize, Halt> {
     let n_threads = n_threads.min(refs.len());
     if n_threads <= 1 {
         let counted = count_support(
@@ -379,7 +375,7 @@ pub(crate) fn count_support_sweep(
             obs,
             limits,
         );
-        return counted.map_err(SweepError::from);
+        return counted.map_err(Halt::from);
     }
     let matcher = anchored_matcher(tag, obs);
     let matcher = &matcher;
@@ -443,7 +439,6 @@ pub(crate) fn count_support_sweep(
     if obs.metrics_on() {
         metrics::counter_add("mining.sweep.chunks", joined.len() as u64);
     }
-    *sweep_chunks += joined.len();
     let mut support = 0;
     let mut first_interrupt: Option<Interrupt> = None;
     let mut first_panic: Option<WorkerPanic> = None;
@@ -464,10 +459,10 @@ pub(crate) fn count_support_sweep(
         }
     }
     if let Some(wp) = first_panic {
-        return Err(SweepError::Panicked(wp));
+        return Err(Halt::Panicked(wp));
     }
     if let Some(i) = first_interrupt {
-        return Err(SweepError::Interrupted(i));
+        return Err(Halt::Interrupted(i));
     }
     Ok(support)
 }

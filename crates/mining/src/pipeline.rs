@@ -17,28 +17,23 @@
 //!    variable *pairs* along chains (`k = 2`).
 //! 5. **Final scan** — enumerate the surviving assignments and run one
 //!    anchored TAG per (candidate, reference occurrence), with the scan
-//!    bounded by the derived windows and parallelized over candidates.
+//!    bounded by the derived windows. All candidates advance together in
+//!    one shared multi-TAG pass, split across the host's workers.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tgm_core::propagate::{propagate, propagate_bounded, PropagateOptions};
-use tgm_core::{ComplexEventType, Tcg, VarId};
+use tgm_core::propagate::{propagate, propagate_bounded, PropagateOptions, Propagated};
+use tgm_core::{EventStructure, Tcg, VarId};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
 use tgm_granularity::{Gran, Granularity as _};
-use tgm_limits::{fail, Interrupt, Limits, Verdict, WorkerPanic};
+use tgm_limits::{CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
 use tgm_obs::span::span_if;
-use tgm_obs::{metrics, FunnelStage, Observable, ObsOptions, ObsValue};
+use tgm_obs::{metrics, FunnelStage, ObsOptions, ObsValue, Observable};
 use tgm_stp::INF;
-use tgm_tag::count_interrupt;
-use tgm_tag::{build_tag, Tag};
+use tgm_tag::{count_interrupt, Tag};
 
-use tgm_tag::{MatcherScratch, MultiScratch};
-
-use crate::bounded::{contain, BoundedMining, SweepError};
-use crate::multi_scan::{
-    anchored_multi, multi_count_support, multi_count_support_sweep, TemplateCache,
-};
-use crate::naive::{count_support, count_support_sweep};
+use crate::bounded::{BoundedMining, Halt};
+use crate::multi_scan::{count_supports, ScanInput, TemplateCache};
 use crate::problem::{DiscoveryProblem, Solution};
 
 /// Ablation switches for the pipeline; all enabled by default (`k = 2`
@@ -69,24 +64,6 @@ pub struct PipelineOptions {
     pub chain_screening_k: usize,
     /// Step 5: bound each anchored scan by the derived window.
     pub window_limit: bool,
-    /// Step 5: parallelize over candidates with crossbeam.
-    pub parallel: bool,
-    /// Step 5, second level: when there are fewer surviving candidates
-    /// than cores (so candidate-level chunking would leave workers idle),
-    /// chunk the anchor start positions *within* each candidate's sweep
-    /// across workers instead. Requires [`parallel`](Self::parallel); the
-    /// support of a candidate is a sum over independent anchored runs, so
-    /// results are identical in any chunking.
-    pub parallel_sweep: bool,
-    /// Step 5: advance *all* surviving candidates together with one
-    /// shared-scan [`tgm_tag::MultiMatcher`] pass per reference occurrence
-    /// instead of one full matcher run per (candidate, reference) pair.
-    /// Candidate automata of one problem differ only in their event-type
-    /// labels, so they collapse into shared simulation lanes; scan cost
-    /// becomes sublinear in the candidate count. Off = the per-candidate
-    /// packed engine (the bit-identical differential oracle); solutions
-    /// and funnel stats are identical either way.
-    pub multi_scan: bool,
     /// Resolve every event's tick per structure granularity once up front
     /// ([`TickColumns`]) and share the columns across steps 2–5 and every
     /// anchored TAG run. Off = resolve per use (the shared-resolution-layer
@@ -109,9 +86,6 @@ impl Default for PipelineOptions {
             pair_screening: false,
             chain_screening_k: 0,
             window_limit: true,
-            parallel: true,
-            parallel_sweep: true,
-            multi_scan: true,
             use_tick_columns: true,
             obs: ObsOptions::default(),
         }
@@ -124,8 +98,8 @@ impl PipelineOptions {
     ///
     /// ```
     /// use tgm_mining::pipeline::PipelineOptions;
-    /// let o = PipelineOptions::builder().pair_screening(true).parallel(false).build();
-    /// assert!(o.pair_screening && !o.parallel && o.window_limit);
+    /// let o = PipelineOptions::builder().pair_screening(true).window_limit(false).build();
+    /// assert!(o.pair_screening && !o.window_limit && o.use_tick_columns);
     /// ```
     pub fn builder() -> PipelineOptionsBuilder {
         PipelineOptionsBuilder::default()
@@ -184,25 +158,6 @@ impl PipelineOptionsBuilder {
         self
     }
 
-    /// Sets candidate-level parallelism in step 5.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.0.parallel = on;
-        self
-    }
-
-    /// Sets sweep-level parallelism in step 5.
-    pub fn parallel_sweep(mut self, on: bool) -> Self {
-        self.0.parallel_sweep = on;
-        self
-    }
-
-    /// Sets the shared-scan multi-TAG engine in step 5 (off = the
-    /// per-candidate oracle).
-    pub fn multi_scan(mut self, on: bool) -> Self {
-        self.0.multi_scan = on;
-        self
-    }
-
     /// Sets shared tick-column resolution.
     pub fn use_tick_columns(mut self, on: bool) -> Self {
         self.0.use_tick_columns = on;
@@ -221,10 +176,9 @@ impl PipelineOptionsBuilder {
     }
 }
 
-/// Per-step instrumentation. Every field is populated on every execution
-/// path — serial, candidate-parallel and sweep-parallel step-5 runs
-/// report identically shaped stats (asserted by the obs differential
-/// tests), and [`funnel`](Self::funnel) renders the §5 pruning funnel.
+/// Per-step instrumentation. Every field but `step5_workers` is identical
+/// whatever the step-5 worker count, and [`funnel`](Self::funnel) renders
+/// the §5 pruning funnel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Whether step 1 refuted the structure outright.
@@ -252,12 +206,9 @@ pub struct PipelineStats {
     pub banned_tuples: usize,
     /// Type pairs banned by pair screening (step 4, k = 2 cheap form).
     pub banned_pairs: usize,
-    /// Worker threads the step-5 scan executed on (1 = serial; recorded
-    /// identically by all three execution paths).
+    /// Threads the step-5 scan ran on, the caller's included (0 when no
+    /// assignment was scanned).
     pub step5_workers: usize,
-    /// Anchor chunks dispatched by sweep-level parallelism inside step 5
-    /// (0 when candidate-level or serial execution was used).
-    pub sweep_chunks: usize,
     /// Solutions found.
     pub solutions: usize,
 }
@@ -327,7 +278,6 @@ impl Observable for PipelineStats {
         out.push(("banned_tuples", self.banned_tuples.into()));
         out.push(("banned_pairs", self.banned_pairs.into()));
         out.push(("step5_workers", self.step5_workers.into()));
-        out.push(("sweep_chunks", self.sweep_chunks.into()));
         out.push(("solutions", self.solutions.into()));
     }
 }
@@ -380,12 +330,12 @@ pub fn mine_with(
 ///
 /// The budget counts *step-5 candidate assignments scanned* and is
 /// deterministic: with budget `B`, exactly the first `B` surviving
-/// assignments (in enumeration order) are scanned on every execution
-/// path, serial or parallel. The deadline and cancel token are polled at
-/// every step boundary, between reference occurrences inside the
-/// screening loops, and inside every anchored TAG run. Solutions counted
-/// before an interrupt are returned with [`Verdict::Interrupted`]. A
-/// panic in a step-5 or sweep worker cancels its siblings via the shared
+/// assignments (in enumeration order) are scanned, whatever the worker
+/// count. The deadline and cancel token are polled at every step
+/// boundary, between reference occurrences inside the screening loops,
+/// and inside every anchored TAG run. Solutions counted before an
+/// interrupt are returned with [`Verdict::Interrupted`]. A panic in a
+/// step-5 or chain-screening worker cancels its siblings via the shared
 /// token and surfaces as [`WorkerPanic`].
 pub fn mine_bounded(
     problem: &DiscoveryProblem,
@@ -403,7 +353,20 @@ fn mine_core(
     limits: Option<&Limits>,
 ) -> Result<BoundedMining<PipelineStats>, WorkerPanic> {
     let _span = span_if(opts.obs.spans, "pipeline");
-    let result = mine_inner(problem, seq, opts, limits);
+    let mut stats = PipelineStats {
+        events_total: seq.len(),
+        ..PipelineStats::default()
+    };
+    let result = match mine_inner(problem, seq, opts, limits, &mut stats) {
+        Ok(found) => Ok(found),
+        Err(Halt::Interrupted(i)) => Ok((Vec::new(), i.into())),
+        Err(Halt::Panicked(wp)) => Err(wp),
+    }
+    .map(|(solutions, verdict)| BoundedMining {
+        solutions,
+        stats,
+        verdict,
+    });
     if opts.obs.metrics_on() {
         match &result {
             Ok(run) => {
@@ -415,7 +378,6 @@ fn mine_core(
                     stats.screening_tag_runs as u64,
                 );
                 metrics::counter_add("mining.pipeline.solutions", stats.solutions as u64);
-                metrics::counter_add("mining.pipeline.sweep_chunks", stats.sweep_chunks as u64);
                 if let Some(i) = run.verdict.interrupt() {
                     count_interrupt(i);
                 }
@@ -426,57 +388,151 @@ fn mine_core(
     result
 }
 
-/// The uninstrumented pipeline behind [`mine_with`] / [`mine_bounded`]
-/// (spans around each step still fire from inside, but run-level counters
-/// are emitted by the wrapper so early returns are covered too).
+/// Type pairs banned by pair screening: `(x, type of x, y, type of y)`.
+type BannedPairs = BTreeSet<(VarId, EventType, VarId, EventType)>;
+/// Tuples banned by chain screening, grouped by the chain they bind.
+type BannedTuples = Vec<(Vec<VarId>, BTreeSet<Vec<EventType>>)>;
+
+/// The span and failpoint site of the step-5 scan's workers.
+const STEP5_SITE: &str = "pipeline.step5.worker";
+/// The span and failpoint site of induced chain screening's workers.
+const CHAIN_SITE: &str = "pipeline.step4.chain_worker";
+
+/// What every step reads: the problem, the options and the run's limits.
+struct Ctx<'a> {
+    problem: &'a DiscoveryProblem,
+    opts: &'a PipelineOptions,
+    /// The caller's limits with a cancel token attached. Only step 5
+    /// reads the budget; its unit is step-5 candidates scanned.
+    limits: Option<&'a Limits>,
+    /// The same limits without the budget, for polls and inner engines.
+    run_limits: Option<&'a Limits>,
+    token: Option<&'a CancelToken>,
+    /// Reference occurrences in the input (the frequency denominator).
+    denominator: usize,
+    /// Worker threads a support count may use: what the host grants.
+    workers: usize,
+}
+
+impl Ctx<'_> {
+    fn check(&self) -> Result<(), Interrupt> {
+        self.run_limits.map_or(Ok(()), Limits::check)
+    }
+
+    /// Whether `support` reference occurrences exceed the confidence.
+    fn frequent(&self, support: usize) -> bool {
+        support as f64 / self.denominator as f64 > self.problem.min_confidence
+    }
+}
+
+/// The event list after step 2.
+struct Reduced {
+    events: Vec<Event>,
+    /// Per event, a bitmask of the variables it could bind.
+    masks: Vec<u64>,
+    /// Tick columns re-indexed to `events` (`None` when ablated).
+    cols: Option<TickColumns>,
+    /// Reference occurrences whose own mask has the root bit.
+    refs: Vec<usize>,
+}
+
+/// What propagation derives from the root to each variable: a window in
+/// seconds and the TCGs an event bound to the variable must satisfy.
+struct RootBounds {
+    windows: Vec<(i64, i64)>,
+    tcgs: Vec<Vec<Tcg>>,
+}
+
+impl RootBounds {
+    fn new(s: &EventStructure, p: &Propagated) -> Self {
+        let (windows, tcgs) = s
+            .vars()
+            .map(|v| {
+                if v == s.root() {
+                    return ((0, 0), Vec::new());
+                }
+                let window = match p.seconds_window(s.root(), v) {
+                    Some(r) => (r.lo.max(0), if r.hi >= INF { i64::MAX / 2 } else { r.hi }),
+                    None => (0, i64::MAX / 2),
+                };
+                (window, p.derived_tcgs(s.root(), v))
+            })
+            .unzip();
+        RootBounds { windows, tcgs }
+    }
+
+    fn max_window(&self) -> i64 {
+        self.windows.iter().map(|&(_, hi)| hi).max().unwrap_or(0)
+    }
+
+    /// The events of `red` that could bind `v` for a reference at `t0`:
+    /// inside `v`'s window, eligible for `v`, and satisfying every derived
+    /// root→`v` TCG.
+    fn bindable<'a>(
+        &'a self,
+        red: &'a Reduced,
+        v: VarId,
+        t0: i64,
+    ) -> impl Iterator<Item = &'a Event> + 'a {
+        let (lo, hi) = self.windows[v.index()];
+        let (wlo, whi) = (t0.saturating_add(lo), t0.saturating_add(hi));
+        let start = red.events.partition_point(|e| e.time < wlo);
+        let bit = 1u64 << v.index();
+        red.events[start..]
+            .iter()
+            .zip(&red.masks[start..])
+            .take_while(move |(e, _)| e.time <= whi)
+            .filter(move |&(e, &m)| {
+                m & bit != 0 && self.tcgs[v.index()].iter().all(|c| c.satisfied(t0, e.time))
+            })
+            .map(|(e, _)| e)
+    }
+}
+
+/// `∏ |candidates(X)|`, saturating: a wide structure over many occurring
+/// types can exceed `u64`.
+fn assignment_count(candidates: &[Vec<EventType>]) -> u64 {
+    candidates
+        .iter()
+        .map(|c| c.len() as u64)
+        .fold(1, u64::saturating_mul)
+}
+
+/// The pipeline behind [`mine_with`] / [`mine_bounded`], one call per §5
+/// step. Spans around each step fire from inside; run-level counters are
+/// emitted by the wrapper so early returns are covered too.
 fn mine_inner(
     problem: &DiscoveryProblem,
     seq: &EventSequence,
     opts: &PipelineOptions,
     limits: Option<&Limits>,
-) -> Result<BoundedMining<PipelineStats>, WorkerPanic> {
-    let mut stats = PipelineStats {
-        events_total: seq.len(),
-        ..PipelineStats::default()
-    };
-    let done = |solutions, stats, verdict| {
-        Ok(BoundedMining {
-            solutions,
-            stats,
-            verdict,
-        })
-    };
+    stats: &mut PipelineStats,
+) -> Result<(Vec<Solution>, Verdict), Halt> {
     let s = &problem.structure;
-    let n = s.len();
-    assert!(n <= 64, "pipeline supports at most 64 variables");
+    assert!(s.len() <= 64, "pipeline supports at most 64 variables");
     // A worker panic must be able to cancel its siblings even when the
-    // caller supplied no token, so attach one up front; inner engines get
-    // the budget stripped (the budget unit here is step-5 candidates, not
-    // frontier rows or propagation passes).
+    // caller supplied no token, so attach one up front.
     let mut eff = limits.cloned();
     let token = eff.as_mut().map(Limits::cancel_token);
     let run_limits = eff.as_ref().map(|l| l.clone().without_budget());
-    let limits = eff.as_ref();
-    let denominator = problem.reference_count(seq);
-    stats.refs_total = denominator;
-    if denominator == 0 {
-        return done(Vec::new(), stats, Verdict::Completed);
+    let ctx = Ctx {
+        problem,
+        opts,
+        limits: eff.as_ref(),
+        run_limits: run_limits.as_ref(),
+        token: token.as_ref(),
+        denominator: problem.reference_count(seq),
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    stats.refs_total = ctx.denominator;
+    if ctx.denominator == 0 {
+        return Ok((Vec::new(), Verdict::Completed));
     }
 
-    // Step 1: consistency screening.
-    let p = {
-        let _s = span_if(opts.obs.spans, "pipeline.step1.consistency");
-        match run_limits.as_ref() {
-            Some(l) => match propagate_bounded(s, &PropagateOptions::default(), l) {
-                Ok(p) => p,
-                Err(i) => return done(Vec::new(), stats, i.into()),
-            },
-            None => propagate(s),
-        }
-    };
+    let p = consistency(&ctx)?;
     if opts.consistency_screen && !p.is_consistent() {
         stats.refuted = true;
-        return done(Vec::new(), stats, Verdict::Completed);
+        return Ok((Vec::new(), Verdict::Completed));
     }
 
     let occurring = seq.types_present();
@@ -490,14 +546,77 @@ fn mine_inner(
             }
         })
         .collect();
-    stats.candidates_initial = candidates.iter().map(|c| c.len() as u64).product();
+    stats.candidates_initial = assignment_count(&candidates);
 
+    let red = reduce_sequence(&ctx, seq, &candidates)?;
+    stats.events_kept = red.events.len();
+
+    let bounds = RootBounds::new(s, &p);
+    let kept_refs = screen_references(&ctx, &red, &bounds, &mut candidates)?;
+    stats.refs_kept = kept_refs.len();
+    stats.candidates_after_var_screen = assignment_count(&candidates);
+    if candidates.iter().any(Vec::is_empty) || kept_refs.is_empty() {
+        return Ok((Vec::new(), Verdict::Completed));
+    }
+
+    let banned_pairs = if opts.pair_screening {
+        pair_screening(&ctx, &red, &bounds, &p, &kept_refs, &candidates)?
+    } else {
+        BannedPairs::new()
+    };
+    stats.banned_pairs = banned_pairs.len();
+
+    let input = ScanInput {
+        events: &red.events,
+        refs: &kept_refs,
+        window: opts.window_limit.then_some(bounds.max_window()),
+        cols: red.cols.as_ref(),
+    };
+    // Automaton shapes are memoized per structure: chain screening builds
+    // each induced substructure's automaton once (per-tuple candidates are
+    // symbol relabellings) and step 5 builds the main structure's once.
+    let mut templates = TemplateCache::default();
+    let banned_tuples = chain_screening(&ctx, &p, &input, &candidates, &mut templates, stats)?;
+    let (solutions, verdict) = final_scan(
+        &ctx,
+        &input,
+        &candidates,
+        &banned_pairs,
+        &banned_tuples,
+        &mut templates,
+        stats,
+    )?;
+    stats.solutions = solutions.len();
+    Ok((solutions, verdict))
+}
+
+/// Step 1: the sound propagation of §3.2, which refutes an inconsistent
+/// structure and derives the windows and TCGs steps 3–5 use.
+fn consistency(ctx: &Ctx<'_>) -> Result<Propagated, Interrupt> {
+    let _s = span_if(ctx.opts.obs.spans, "pipeline.step1.consistency");
+    let s = &ctx.problem.structure;
+    match ctx.run_limits {
+        Some(l) => propagate_bounded(s, &PropagateOptions::default(), l),
+        None => Ok(propagate(s)),
+    }
+}
+
+/// Step 2: sequence reduction. Drops the events that cannot bind any
+/// variable: wrong type for every candidate set, or not covered by a
+/// gapped granularity that constrains every variable they could bind.
+fn reduce_sequence(
+    ctx: &Ctx<'_>,
+    seq: &EventSequence,
+    candidates: &[Vec<EventType>],
+) -> Result<Reduced, Interrupt> {
+    let (problem, s) = (ctx.problem, &ctx.problem.structure);
     // Resolve every event's tick in every structure granularity once, in
     // parallel; steps 2-5 and the final anchored scans read these columns
     // instead of repeating calendar arithmetic per event per run. `None`
     // when ablating the shared resolution layer: every consumer falls back
     // to direct per-use resolution with identical results.
-    let full_cols = opts
+    let full_cols = ctx
+        .opts
         .use_tick_columns
         .then(|| TickColumns::build(seq.events(), &s.granularities()));
 
@@ -560,106 +679,63 @@ fn mine_inner(
         mask
     };
 
-    // Step 2: sequence reduction.
-    let (events, masks, kept_rows): (Vec<Event>, Vec<u64>, Vec<usize>) = {
-        let _s = span_if(opts.obs.spans, "pipeline.step2.sequence_reduction");
-        let mut evs = Vec::new();
-        let mut ms = Vec::new();
-        let mut rows = Vec::new();
+    let mut events = Vec::new();
+    let mut masks = Vec::new();
+    let mut rows = Vec::new();
+    {
+        let _s = span_if(ctx.opts.obs.spans, "pipeline.step2.sequence_reduction");
         for (row, e) in seq.events().iter().enumerate() {
             if row & 1023 == 0 {
-                if let Some(l) = limits {
-                    if let Err(i) = l.check() {
-                        return done(Vec::new(), stats, i.into());
-                    }
-                }
+                ctx.check()?;
             }
             let m = eligible(row, e);
-            if !opts.sequence_reduction || m != 0 {
-                evs.push(*e);
-                ms.push(m);
+            if !ctx.opts.sequence_reduction || m != 0 {
+                events.push(*e);
+                masks.push(m);
                 rows.push(row);
             }
         }
-        (evs, ms, rows)
-    };
-    stats.events_kept = events.len();
-    // Columns re-indexed to the reduced event list (no re-resolution).
-    let cols = full_cols.as_ref().map(|fc| fc.select(&kept_rows));
-
-    // Reference occurrences within the (possibly reduced) event list. A
-    // reference event whose own mask lacks the root bit can never match;
+    }
+    // A reference event whose own mask lacks the root bit can never match;
     // it stays in the denominator but is not scanned.
     let root_bit = 1u64 << s.root().index();
-    let refs: Vec<usize> = events
-        .iter()
-        .enumerate()
-        .filter(|(i, e)| e.ty == problem.reference_type && masks[*i] & root_bit != 0)
-        .map(|(i, _)| i)
+    let refs = (0..events.len())
+        .filter(|&i| events[i].ty == problem.reference_type && masks[i] & root_bit != 0)
         .collect();
+    Ok(Reduced {
+        events,
+        masks,
+        // Columns re-indexed to the reduced event list (no re-resolution).
+        cols: full_cols.map(|fc| fc.select(&rows)),
+        refs,
+    })
+}
 
-    // Derived windows (seconds) from the root to each variable.
-    let windows: Vec<(i64, i64)> = s
-        .vars()
-        .map(|v| {
-            if v == s.root() {
-                return (0, 0);
-            }
-            match p.seconds_window(s.root(), v) {
-                Some(r) => (r.lo.max(0), if r.hi >= INF { i64::MAX / 2 } else { r.hi }),
-                None => (0, i64::MAX / 2),
-            }
-        })
-        .collect();
-    let max_window = windows.iter().map(|&(_, hi)| hi).max().unwrap_or(0);
-
-    // Derived TCGs from the root to each variable (for step 4 screening).
-    let root_tcgs: Vec<Vec<Tcg>> = s
-        .vars()
-        .map(|v| {
-            if v == s.root() {
-                Vec::new()
-            } else {
-                p.derived_tcgs(s.root(), v)
-            }
-        })
-        .collect();
-
-    // Step 3 + 4 bookkeeping in one pass over references.
-    let _s34 = span_if(opts.obs.spans, "pipeline.step3_4.screening");
+/// Steps 3 and 4 (`k = 1`) in one pass over the references. Step 3 keeps a
+/// reference only if every variable's derived window holds a bindable
+/// event. Step 4 keeps a variable's candidate type only if it is bindable
+/// from more than the confidence share of *all* references. Returns the
+/// kept references.
+fn screen_references(
+    ctx: &Ctx<'_>,
+    red: &Reduced,
+    bounds: &RootBounds,
+    candidates: &mut [Vec<EventType>],
+) -> Result<Vec<usize>, Interrupt> {
+    let _s = span_if(ctx.opts.obs.spans, "pipeline.step3_4.screening");
+    let (opts, s) = (ctx.opts, &ctx.problem.structure);
     let mut kept_refs: Vec<usize> = Vec::new();
     let mut var_type_support: BTreeMap<(VarId, EventType), usize> = BTreeMap::new();
-    for &ridx in &refs {
-        if let Some(l) = limits {
-            if let Err(i) = l.check() {
-                return done(Vec::new(), stats, i.into());
-            }
-        }
-        let t0 = events[ridx].time;
+    for &ridx in &red.refs {
+        ctx.check()?;
+        let t0 = red.events[ridx].time;
         let mut ok = true;
         let mut seen_types: BTreeSet<(VarId, EventType)> = BTreeSet::new();
-        for v in s.vars() {
-            if v == s.root() {
-                continue;
-            }
-            let (lo, hi) = windows[v.index()];
-            let (wlo, whi) = (t0.saturating_add(lo), t0.saturating_add(hi));
-            let start = events.partition_point(|e| e.time < wlo);
-            let bit = 1u64 << v.index();
+        for v in s.vars().filter(|&v| v != s.root()) {
             let mut any = false;
-            for (e, &m) in events[start..].iter().zip(&masks[start..]) {
-                if e.time > whi {
-                    break;
-                }
-                if m & bit == 0 {
-                    continue;
-                }
-                // Step 4 screening requires the pair to satisfy every
-                // derived root->v TCG.
-                if root_tcgs[v.index()].iter().all(|c| c.satisfied(t0, e.time)) {
-                    any = true;
-                    seen_types.insert((v, e.ty));
-                }
+            for e in bounds.bindable(red, v, t0) {
+                any = true;
+                seen_types.insert((v, e.ty));
             }
             if !any {
                 ok = false;
@@ -677,199 +753,182 @@ fn mine_inner(
             }
         }
     }
-    stats.refs_kept = kept_refs.len();
-
-    // Step 4 (k = 1): prune candidate types below the confidence threshold.
     if opts.candidate_screening {
-        for v in s.vars() {
-            if v == s.root() {
-                continue;
-            }
-            candidates[v.index()].retain(|&ty| {
-                let support = var_type_support.get(&(v, ty)).copied().unwrap_or(0);
-                support as f64 / denominator as f64 > problem.min_confidence
-            });
+        for v in s.vars().filter(|&v| v != s.root()) {
+            candidates[v.index()]
+                .retain(|&ty| ctx.frequent(var_type_support.get(&(v, ty)).copied().unwrap_or(0)));
         }
     }
-    stats.candidates_after_var_screen =
-        candidates.iter().map(|c| c.len() as u64).product();
-    drop(_s34);
+    Ok(kept_refs)
+}
 
-    if candidates.iter().any(Vec::is_empty) || kept_refs.is_empty() {
-        return done(Vec::new(), stats, Verdict::Completed);
-    }
-
-    // Step 4 (k = 2): screen type pairs along root-to-leaf chains.
-    let mut banned_pairs: BTreeSet<(VarId, EventType, VarId, EventType)> = BTreeSet::new();
-    if opts.pair_screening {
-        let _s = span_if(opts.obs.spans, "pipeline.step4.pair_screening");
-        let chain_pairs: Vec<(VarId, VarId)> = s
-            .vars()
-            .flat_map(|x| {
-                s.vars()
-                    .filter(move |&y| {
-                        x != y && x != s.root() && y != s.root() && x < y
-                    })
-                    .map(move |y| (x, y))
-            })
-            .filter(|&(x, y)| s.has_path(x, y) || s.has_path(y, x))
-            .map(|(x, y)| if s.has_path(x, y) { (x, y) } else { (y, x) })
-            .collect();
-        for (x, y) in chain_pairs {
-            let xy_tcgs = p.derived_tcgs(x, y);
-            let mut pair_support: BTreeMap<(EventType, EventType), usize> = BTreeMap::new();
-            for &ridx in &kept_refs {
-                if let Some(l) = limits {
-                    if let Err(i) = l.check() {
-                        return done(Vec::new(), stats, i.into());
-                    }
-                }
-                let t0 = events[ridx].time;
-                let mut seen: BTreeSet<(EventType, EventType)> = BTreeSet::new();
-                let (xlo, xhi) = windows[x.index()];
-                let xstart = events.partition_point(|e| e.time < t0.saturating_add(xlo));
-                let xbit = 1u64 << x.index();
-                let ybit = 1u64 << y.index();
-                for (ex, &mx) in events[xstart..].iter().zip(&masks[xstart..]) {
-                    if ex.time > t0.saturating_add(xhi) {
-                        break;
-                    }
-                    if mx & xbit == 0
-                        || !root_tcgs[x.index()].iter().all(|c| c.satisfied(t0, ex.time))
-                    {
-                        continue;
-                    }
-                    let (ylo, yhi) = windows[y.index()];
-                    let ystart =
-                        events.partition_point(|e| e.time < t0.saturating_add(ylo));
-                    for (ey, &my) in events[ystart..].iter().zip(&masks[ystart..]) {
-                        if ey.time > t0.saturating_add(yhi) {
-                            break;
-                        }
-                        if my & ybit == 0
-                            || !root_tcgs[y.index()]
-                                .iter()
-                                .all(|c| c.satisfied(t0, ey.time))
-                            || !xy_tcgs.iter().all(|c| c.satisfied(ex.time, ey.time))
-                        {
-                            continue;
-                        }
+/// Step 4 (`k = 2`, cheap form): along every chain `x → y` of non-root
+/// variables, bans the type pairs bindable together from no more than the
+/// confidence share of references. Derived windows and TCGs only, no
+/// automata.
+fn pair_screening(
+    ctx: &Ctx<'_>,
+    red: &Reduced,
+    bounds: &RootBounds,
+    p: &Propagated,
+    kept_refs: &[usize],
+    candidates: &[Vec<EventType>],
+) -> Result<BannedPairs, Interrupt> {
+    let _s = span_if(ctx.opts.obs.spans, "pipeline.step4.pair_screening");
+    let s = &ctx.problem.structure;
+    let chain_pairs: Vec<(VarId, VarId)> = s
+        .vars()
+        .flat_map(|x| {
+            s.vars()
+                .filter(move |&y| x != y && x != s.root() && y != s.root() && x < y)
+                .map(move |y| (x, y))
+        })
+        .filter(|&(x, y)| s.has_path(x, y) || s.has_path(y, x))
+        .map(|(x, y)| if s.has_path(x, y) { (x, y) } else { (y, x) })
+        .collect();
+    let mut banned = BannedPairs::new();
+    for (x, y) in chain_pairs {
+        let xy_tcgs = p.derived_tcgs(x, y);
+        let mut pair_support: BTreeMap<(EventType, EventType), usize> = BTreeMap::new();
+        for &ridx in kept_refs {
+            ctx.check()?;
+            let t0 = red.events[ridx].time;
+            let mut seen: BTreeSet<(EventType, EventType)> = BTreeSet::new();
+            for ex in bounds.bindable(red, x, t0) {
+                for ey in bounds.bindable(red, y, t0) {
+                    if xy_tcgs.iter().all(|c| c.satisfied(ex.time, ey.time)) {
                         seen.insert((ex.ty, ey.ty));
                     }
                 }
-                for k in seen {
-                    *pair_support.entry(k).or_insert(0) += 1;
-                }
             }
-            for &ex_ty in &candidates[x.index()] {
-                for &ey_ty in &candidates[y.index()] {
-                    let sup = pair_support.get(&(ex_ty, ey_ty)).copied().unwrap_or(0);
-                    if sup as f64 / denominator as f64 <= problem.min_confidence {
-                        banned_pairs.insert((x, ex_ty, y, ey_ty));
-                    }
+            for k in seen {
+                *pair_support.entry(k).or_insert(0) += 1;
+            }
+        }
+        for &ex_ty in &candidates[x.index()] {
+            for &ey_ty in &candidates[y.index()] {
+                if !ctx.frequent(pair_support.get(&(ex_ty, ey_ty)).copied().unwrap_or(0)) {
+                    banned.insert((x, ex_ty, y, ey_ty));
                 }
             }
         }
     }
+    Ok(banned)
+}
 
-    // Step 4 (k >= 2, the paper's full form): induced discovery problems on
-    // root-anchored sub-chains, solved with anchored TAGs over the induced
-    // approximated sub-structure. A tuple whose frequency cannot exceed the
-    // threshold bans every candidate complex type containing it.
-    stats.banned_pairs = banned_pairs.len();
-
-    // Automaton shapes are memoized per structure: the screening loop
-    // below builds each induced substructure's automaton once (per-tuple
-    // candidates are symbol relabellings) and step 5 builds the main
-    // structure's once for all surviving assignments.
-    let mut templates = TemplateCache::new();
-    let mut banned_tuples: Vec<(Vec<VarId>, BTreeSet<Vec<EventType>>)> = Vec::new();
-    if opts.chain_screening_k >= 2 && !kept_refs.is_empty() {
-        let _s = span_if(opts.obs.spans, "pipeline.step4.chain_screening");
-        // One scratch reused across every screening tuple's sweep.
-        let mut screen_scratch = MatcherScratch::new();
-        // Enumerate root-to-sink paths, then in-order sub-sequences of
-        // non-root variables of each length k.
-        let paths = root_paths(s);
-        let mut done_chains: BTreeSet<Vec<VarId>> = BTreeSet::new();
-        for k in 2..=opts.chain_screening_k.min(n.saturating_sub(1)) {
-            for path in &paths {
-                let tail: Vec<VarId> =
-                    path.iter().copied().filter(|&v| v != s.root()).collect();
-                for combo in in_order_subsets(&tail, k) {
-                    if !done_chains.insert(combo.clone()) {
-                        continue;
+/// Step 4 (`k ≥ 2`, the paper's full form): induced discovery problems on
+/// root-anchored sub-chains, solved with anchored TAGs over the induced
+/// approximated sub-structure. A tuple whose frequency cannot exceed the
+/// threshold bans every candidate complex type containing it; tuples
+/// banned at smaller `k` are never reconsidered at larger `k`.
+fn chain_screening(
+    ctx: &Ctx<'_>,
+    p: &Propagated,
+    input: &ScanInput<'_>,
+    candidates: &[Vec<EventType>],
+    templates: &mut TemplateCache,
+    stats: &mut PipelineStats,
+) -> Result<BannedTuples, Halt> {
+    let mut banned_tuples = BannedTuples::new();
+    if ctx.opts.chain_screening_k < 2 {
+        return Ok(banned_tuples);
+    }
+    let _s = span_if(ctx.opts.obs.spans, "pipeline.step4.chain_screening");
+    let (problem, s) = (ctx.problem, &ctx.problem.structure);
+    // Enumerate root-to-sink paths, then in-order sub-sequences of
+    // non-root variables of each length k.
+    let paths = root_paths(s);
+    let mut done_chains: BTreeSet<Vec<VarId>> = BTreeSet::new();
+    for k in 2..=ctx.opts.chain_screening_k.min(s.len().saturating_sub(1)) {
+        for path in &paths {
+            let tail: Vec<VarId> = path.iter().copied().filter(|&v| v != s.root()).collect();
+            for combo in in_order_subsets(&tail, k) {
+                if !done_chains.insert(combo.clone()) {
+                    continue;
+                }
+                // Candidate tuples = product of surviving per-variable
+                // candidates, minus tuples containing a banned sub-tuple
+                // from an earlier round.
+                let mut tuples: Vec<Vec<EventType>> = Vec::new();
+                let mut tuple = vec![problem.reference_type; combo.len()];
+                enumerate_tuples(candidates, &combo, 0, &mut tuple, &mut |tpl| {
+                    if !tuple_contains_banned(&combo, tpl, &banned_tuples) {
+                        tuples.push(tpl.to_vec());
                     }
-                    let (sub, kept_vars) =
-                        tgm_core::substructure::induced_substructure(s, &p, &combo);
-                    // One automaton shape per substructure; each tuple is
-                    // an `Exact`-symbol relabelling of it.
-                    let sub_template = templates.get(&sub);
-                    // Candidate tuples = product of surviving per-variable
-                    // candidates, minus tuples containing a banned
-                    // sub-tuple from an earlier round.
-                    let mut local_banned: BTreeSet<Vec<EventType>> = BTreeSet::new();
-                    let mut tuple = vec![problem.reference_type; combo.len()];
-                    let mut interrupted: Option<Interrupt> = None;
-                    enumerate_tuples(&candidates, &combo, 0, &mut tuple, &mut |tpl| {
-                        if tuple_contains_banned(&combo, tpl, &banned_tuples) {
-                            return true;
-                        }
-                        // φ for the sub-structure, in kept_vars order.
-                        // Invariant: every non-root kept var came from
-                        // `combo`.
-                        #[allow(clippy::expect_used)]
+                });
+                // One automaton shape per substructure; each tuple is an
+                // `Exact`-symbol relabelling of it, φ in `kept_vars` order
+                // (every non-root kept variable comes from `combo`).
+                let (sub, kept_vars) = tgm_core::substructure::induced_substructure(s, p, &combo);
+                let template = templates.get(&sub);
+                let tags: Vec<Tag> = tuples
+                    .iter()
+                    .map(|tpl| {
                         let phi: Vec<EventType> = kept_vars
                             .iter()
-                            .map(|v| {
-                                if *v == s.root() {
-                                    problem.reference_type
-                                } else {
-                                    let idx = combo.iter().position(|c| c == v).expect("kept");
-                                    tpl[idx]
-                                }
+                            .map(|v| match combo.iter().position(|c| c == v) {
+                                Some(i) => tpl[i],
+                                None => problem.reference_type,
                             })
                             .collect();
-                        let tag = sub_template.instantiate(&phi);
-                        let support = match count_support(
-                            &tag,
-                            &events,
-                            &kept_refs,
-                            opts.window_limit.then_some(max_window),
-                            cols.as_ref(),
-                            &mut screen_scratch,
-                            &mut stats.screening_tag_runs,
-                            opts.obs,
-                            run_limits.as_ref(),
-                        ) {
-                            Ok(support) => support,
-                            Err(i) => {
-                                interrupted = Some(i);
-                                return false;
-                            }
-                        };
-                        if (support as f64 / denominator as f64) <= problem.min_confidence {
-                            local_banned.insert(tpl.to_vec());
-                        }
-                        true
-                    });
-                    stats.banned_tuples += local_banned.len();
-                    if let Some(i) = interrupted {
-                        return done(Vec::new(), stats, i.into());
-                    }
-                    if !local_banned.is_empty() {
-                        banned_tuples.push((combo, local_banned));
-                    }
+                        template.instantiate(&phi)
+                    })
+                    .collect();
+                let counted = count_supports(
+                    CHAIN_SITE,
+                    &tags,
+                    input,
+                    ctx.workers,
+                    ctx.opts.obs,
+                    ctx.run_limits,
+                    ctx.token,
+                )?;
+                stats.screening_tag_runs += counted.tag_runs;
+                if let Some(i) = counted.interrupt {
+                    return Err(i.into());
+                }
+                let banned: BTreeSet<Vec<EventType>> = tuples
+                    .into_iter()
+                    .zip(counted.support)
+                    .filter(|&(_, support)| !ctx.frequent(support))
+                    .map(|(tpl, _)| tpl)
+                    .collect();
+                stats.banned_tuples += banned.len();
+                if !banned.is_empty() {
+                    banned_tuples.push((combo, banned));
                 }
             }
         }
     }
+    Ok(banned_tuples)
+}
 
-    // Step 5: final anchored TAG scan over surviving assignments.
-    let _s5 = span_if(opts.obs.spans, "pipeline.step5.scan");
+/// Step 5: the final anchored TAG scan over every surviving assignment, all
+/// candidates advancing together in [`count_supports`]. With budget `B`,
+/// exactly the first `B` assignments in enumeration order are scanned,
+/// whatever the worker count; a candidate whose count an interrupt cut
+/// short yields no solution.
+fn final_scan(
+    ctx: &Ctx<'_>,
+    input: &ScanInput<'_>,
+    candidates: &[Vec<EventType>],
+    banned_pairs: &BannedPairs,
+    banned_tuples: &BannedTuples,
+    templates: &mut TemplateCache,
+    stats: &mut PipelineStats,
+) -> Result<(Vec<Solution>, Verdict), WorkerPanic> {
+    let _s5 = span_if(ctx.opts.obs.spans, "pipeline.step5.scan");
+    let (problem, s) = (ctx.problem, &ctx.problem.structure);
     let mut assignments: Vec<Vec<EventType>> = Vec::new();
-    let mut cur = vec![problem.reference_type; n];
-    collect_assignments(&candidates, s.root(), 0, &mut cur, &banned_pairs, &mut assignments);
+    let mut cur = vec![problem.reference_type; s.len()];
+    collect_assignments(
+        candidates,
+        s.root(),
+        0,
+        &mut cur,
+        banned_pairs,
+        &mut assignments,
+    );
     assignments.retain(|phi| {
         problem.assignment_admissible(phi)
             && banned_tuples.iter().all(|(vars, banned)| {
@@ -879,412 +938,56 @@ fn mine_inner(
     });
     stats.candidates_scanned = assignments.len() as u64;
 
-    let window = opts.window_limit.then_some(max_window);
-    let solution_of = |phi: &[EventType], support: usize| -> Option<Solution> {
-        let frequency = support as f64 / denominator as f64;
-        (frequency > problem.min_confidence).then(|| Solution {
-            assignment: phi.to_vec(),
-            frequency,
-            support,
-        })
-    };
-    let run_limits_ref = run_limits.as_ref();
-    let token_ref = token.as_ref();
-    let scan = |phi: &[EventType],
-                scratch: &mut MatcherScratch,
-                tag_runs: &mut usize|
-     -> Result<Option<Solution>, Interrupt> {
-        let cet = ComplexEventType::new(s.clone(), phi.to_vec());
-        let tag = build_tag(&cet);
-        let support = count_support(
-            &tag,
-            &events,
-            &kept_refs,
-            window,
-            cols.as_ref(),
-            scratch,
-            tag_runs,
-            opts.obs,
-            run_limits_ref,
-        )?;
-        Ok(solution_of(phi, support))
-    };
-
-    // At least two workers when parallelism was requested: the option must
-    // exercise the parallel path (and its panic containment) even on
-    // single-core hosts, where `available_parallelism` is 1.
-    let n_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .max(2);
-    let mut solutions: Vec<Solution>;
-    let mut tag_runs = 0usize;
     let mut verdict = Verdict::Completed;
-    if opts.multi_scan {
-        // Shared-scan step 5: the structure's automaton shape is built
-        // once, instantiated per assignment, and every candidate advances
-        // together in one multi pass per reference occurrence. Path
-        // selection, worker counts, the step-5 failpoint, and the budget
-        // unit (candidates scanned, a deterministic enumeration-order
-        // prefix) all mirror the per-candidate paths below.
-        let template = templates.get(s);
-        let tags: Vec<Tag> = assignments
-            .iter()
-            .map(|phi| template.instantiate(phi))
-            .collect();
-        let mut allowed = assignments.len();
-        if let Some(l) = limits {
-            for idx in 0..assignments.len() {
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    allowed = idx;
-                    break;
-                }
-            }
-        }
-        let scanned = &tags[..allowed];
-        let mut supports = vec![0usize; allowed];
-        // Whether each candidate's count completed: an interrupt abandons
-        // the (ref-major) pass that was counting it, so its partial sum
-        // must not produce a solution.
-        let mut counted = vec![true; allowed];
-        if opts.parallel
-            && opts.parallel_sweep
-            && assignments.len() < n_threads
-            && kept_refs.len() > 1
-        {
-            // Fewer candidates than cores: chunk the anchor start
-            // positions across workers, each chunk advancing the whole
-            // candidate set.
-            stats.step5_workers = n_threads.min(kept_refs.len());
-            let mm = anchored_multi(scanned, opts.obs);
-            match multi_count_support_sweep(
-                &mm,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                n_threads,
-                &mut tag_runs,
-                &mut stats.sweep_chunks,
-                opts.obs,
-                run_limits_ref,
-                token_ref,
-                &mut supports,
-            ) {
-                Ok(()) => {}
-                Err(SweepError::Interrupted(i)) => {
-                    verdict = i.into();
-                    counted.fill(false);
-                }
-                Err(SweepError::Panicked(wp)) => return Err(wp),
-            }
-        } else if opts.parallel && assignments.len() > 1 {
-            let n_workers = n_threads.min(assignments.len());
-            stats.step5_workers = n_workers;
-            let chunk_len = assignments.len().div_ceil(n_workers);
-            let chunks: Vec<&[Tag]> = scanned.chunks(chunk_len).collect();
-            let worker_spans = opts.obs.spans;
-            let obs = opts.obs;
-            let events_ref = &events;
-            let kept_refs_ref = &kept_refs;
-            let cols_ref = cols.as_ref();
-            const SITE: &str = "pipeline.step5.worker";
-            let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-                if let Some(t) = token_ref {
-                    t.cancel();
-                }
-                WorkerPanic {
-                    site: SITE,
-                    message: tgm_limits::panic_message(payload),
-                }
-            };
-            type MultiWorkerResult =
-                Result<Result<(Vec<usize>, usize), Interrupt>, WorkerPanic>;
-            // Workers are fresh threads with an empty scope stack: hand
-            // them the caller's scoped metric domain so their emissions
-            // (and any contained-panic flush) land where the caller's
-            // would.
-            let worker_scope = tgm_obs::scope::current();
-            let joined: Vec<MultiWorkerResult> = crossbeam::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        let worker_scope = worker_scope.clone();
-                        scope.spawn(move |_| {
-                            let _obs_scope = worker_scope.enter();
-                            contain(SITE, token_ref, || {
-                                fail::point(SITE, limits);
-                                // Per-worker timing; flushed on span drop.
-                                let _s = span_if(worker_spans, SITE);
-                                let mm = anchored_multi(chunk, obs);
-                                let mut scratch = MultiScratch::new();
-                                let mut local = vec![0usize; chunk.len()];
-                                let mut runs = 0usize;
-                                multi_count_support(
-                                    &mm,
-                                    events_ref,
-                                    kept_refs_ref,
-                                    window,
-                                    cols_ref,
-                                    &mut scratch,
-                                    &mut runs,
-                                    run_limits_ref,
-                                    &mut local,
-                                )
-                                .map(|()| (local, runs))
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                    .collect()
-            })
-            .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-            let mut first_panic: Option<WorkerPanic> = None;
-            let mut first_interrupt: Option<Interrupt> = None;
-            // Join order is chunk order, so chunk `ci` covers candidates
-            // `[ci * chunk_len, ci * chunk_len + len)` of the prefix.
-            for (ci, r) in joined.into_iter().enumerate() {
-                let offset = ci * chunk_len;
-                let len = chunk_len.min(allowed - offset);
-                match r {
-                    Ok(Ok((local, runs))) => {
-                        supports[offset..offset + len].copy_from_slice(&local);
-                        tag_runs += runs;
-                    }
-                    Ok(Err(i)) => {
-                        counted[offset..offset + len].fill(false);
-                        first_interrupt.get_or_insert(i);
-                    }
-                    Err(wp) => {
-                        counted[offset..offset + len].fill(false);
-                        if first_panic.is_none() {
-                            first_panic = Some(wp);
-                        }
-                    }
-                }
-            }
-            // The first panic wins over any interrupt: cancellation
-            // interrupts in sibling workers are a side effect of the
-            // panic itself.
-            if let Some(wp) = first_panic {
-                return Err(wp);
-            }
-            if let Some(i) = first_interrupt {
+    let mut allowed = assignments.len();
+    if let Some(l) = ctx.limits {
+        for idx in 0..assignments.len() {
+            if let Err(i) = l.check_with_used(idx as u64 + 1) {
                 verdict = i.into();
-            }
-        } else {
-            stats.step5_workers = 1;
-            let mm = anchored_multi(scanned, opts.obs);
-            let mut scratch = MultiScratch::new();
-            match multi_count_support(
-                &mm,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                &mut scratch,
-                &mut tag_runs,
-                run_limits_ref,
-                &mut supports,
-            ) {
-                Ok(()) => {}
-                Err(i) => {
-                    verdict = i.into();
-                    counted.fill(false);
-                }
-            }
-        }
-        solutions = assignments[..allowed]
-            .iter()
-            .zip(&supports)
-            .zip(&counted)
-            .filter(|&(_, &ok)| ok)
-            .filter_map(|((phi, &sup), _)| solution_of(phi, sup))
-            .collect();
-    } else if opts.parallel
-        && opts.parallel_sweep
-        && assignments.len() < n_threads
-        && kept_refs.len() > 1
-    {
-        // Fewer candidates than cores: candidate-level chunking would idle
-        // most workers, so parallelize *inside* each candidate by chunking
-        // its anchor start positions instead.
-        stats.step5_workers = n_threads.min(kept_refs.len());
-        solutions = Vec::new();
-        for (idx, phi) in assignments.iter().enumerate() {
-            if let Some(l) = limits {
-                // Budget unit: step-5 candidates scanned.
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    break;
-                }
-            }
-            let cet = ComplexEventType::new(s.clone(), phi.to_vec());
-            let tag = build_tag(&cet);
-            let support = match count_support_sweep(
-                &tag,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                n_threads,
-                &mut tag_runs,
-                &mut stats.sweep_chunks,
-                opts.obs,
-                run_limits_ref,
-                token_ref,
-            ) {
-                Ok(support) => support,
-                Err(SweepError::Interrupted(i)) => {
-                    verdict = i.into();
-                    break;
-                }
-                Err(SweepError::Panicked(wp)) => return Err(wp),
-            };
-            if let Some(sol) = solution_of(phi, support) {
-                solutions.push(sol);
-            }
-        }
-    } else if opts.parallel && assignments.len() > 1 {
-        let n_threads = n_threads.min(assignments.len());
-        stats.step5_workers = n_threads;
-        let chunk_len = assignments.len().div_ceil(n_threads);
-        let chunks: Vec<(usize, &[Vec<EventType>])> = assignments
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk_len, c))
-            .collect();
-        let scan = &scan;
-        let worker_spans = opts.obs.spans;
-        const SITE: &str = "pipeline.step5.worker";
-        let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-            if let Some(t) = token_ref {
-                t.cancel();
-            }
-            WorkerPanic {
-                site: SITE,
-                message: tgm_limits::panic_message(payload),
-            }
-        };
-        type WorkerResult = Result<(Vec<Solution>, usize, Option<Interrupt>), WorkerPanic>;
-        // Workers are fresh threads with an empty scope stack: hand them
-        // the caller's scoped metric domain so their emissions (and any
-        // contained-panic flush) land where the caller's would.
-        let worker_scope = tgm_obs::scope::current();
-        let joined: Vec<WorkerResult> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    let worker_scope = worker_scope.clone();
-                    scope.spawn(move |_| {
-                        let _obs_scope = worker_scope.enter();
-                        contain(SITE, token_ref, || {
-                            fail::point(SITE, limits);
-                            // Per-worker timing; flushed when the span drops.
-                            let _s = span_if(worker_spans, SITE);
-                            let mut local = Vec::new();
-                            // One scratch per worker, reused across its chunk.
-                            let mut scratch = MatcherScratch::new();
-                            let mut runs = 0usize;
-                            let mut interrupted: Option<Interrupt> = None;
-                            for (k, phi) in chunk.iter().enumerate() {
-                                if let Some(l) = limits {
-                                    // Budget against the *global* candidate
-                                    // index: the set of scanned assignments
-                                    // stays identical to the serial path.
-                                    let used = (offset + k) as u64 + 1;
-                                    if let Err(i) = l.check_with_used(used) {
-                                        interrupted = Some(i);
-                                        break;
-                                    }
-                                }
-                                match scan(phi, &mut scratch, &mut runs) {
-                                    Ok(Some(sol)) => local.push(sol),
-                                    Ok(None) => {}
-                                    Err(i) => {
-                                        interrupted = Some(i);
-                                        break;
-                                    }
-                                }
-                            }
-                            (local, runs, interrupted)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                .collect()
-        })
-        .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-        solutions = Vec::new();
-        let mut first_panic: Option<WorkerPanic> = None;
-        let mut first_interrupt: Option<Interrupt> = None;
-        for r in joined {
-            match r {
-                Ok((local, runs, interrupted)) => {
-                    solutions.extend(local);
-                    tag_runs += runs;
-                    if let Some(i) = interrupted {
-                        first_interrupt.get_or_insert(i);
-                    }
-                }
-                Err(wp) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(wp);
-                    }
-                }
-            }
-        }
-        // The first panic wins over any interrupt: cancellation interrupts
-        // in sibling workers are a side effect of the panic itself.
-        if let Some(wp) = first_panic {
-            return Err(wp);
-        }
-        if let Some(i) = first_interrupt {
-            verdict = i.into();
-        }
-    } else {
-        stats.step5_workers = 1;
-        solutions = Vec::new();
-        let mut scratch = MatcherScratch::new();
-        for (idx, phi) in assignments.iter().enumerate() {
-            if let Some(l) = limits {
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    break;
-                }
-            }
-            match scan(phi, &mut scratch, &mut tag_runs) {
-                Ok(Some(sol)) => solutions.push(sol),
-                Ok(None) => {}
-                Err(i) => {
-                    verdict = i.into();
-                    break;
-                }
+                allowed = idx;
+                break;
             }
         }
     }
-    stats.tag_runs = tag_runs;
+    let template = templates.get(s);
+    let tags: Vec<Tag> = assignments[..allowed]
+        .iter()
+        .map(|phi| template.instantiate(phi))
+        .collect();
+    let counted = count_supports(
+        STEP5_SITE,
+        &tags,
+        input,
+        ctx.workers,
+        ctx.opts.obs,
+        ctx.run_limits,
+        ctx.token,
+    )?;
+    stats.tag_runs = counted.tag_runs;
+    stats.step5_workers = counted.workers;
+    if let Some(i) = counted.interrupt {
+        verdict = i.into();
+    }
+    let mut solutions: Vec<Solution> = assignments
+        .into_iter()
+        .zip(counted.support)
+        .zip(counted.counted)
+        .filter(|&((_, support), counted)| counted && ctx.frequent(support))
+        .map(|((assignment, support), _)| Solution {
+            assignment,
+            frequency: support as f64 / ctx.denominator as f64,
+            support,
+        })
+        .collect();
     solutions.sort_by(|a, b| a.assignment.cmp(&b.assignment));
-    stats.solutions = solutions.len();
-    done(solutions, stats, verdict)
+    Ok((solutions, verdict))
 }
 
 /// All root-to-sink variable paths of the structure.
-fn root_paths(s: &tgm_core::EventStructure) -> Vec<Vec<VarId>> {
+fn root_paths(s: &EventStructure) -> Vec<Vec<VarId>> {
     let mut out = Vec::new();
     let mut stack = vec![s.root()];
-    fn dfs(
-        s: &tgm_core::EventStructure,
-        stack: &mut Vec<VarId>,
-        out: &mut Vec<Vec<VarId>>,
-    ) {
+    fn dfs(s: &EventStructure, stack: &mut Vec<VarId>, out: &mut Vec<Vec<VarId>>) {
         // Invariant: the stack always holds at least the root.
         #[allow(clippy::expect_used)]
         let v = *stack.last().expect("non-empty");
@@ -1307,7 +1010,13 @@ fn root_paths(s: &tgm_core::EventStructure) -> Vec<Vec<VarId>> {
 fn in_order_subsets(items: &[VarId], k: usize) -> Vec<Vec<VarId>> {
     let mut out = Vec::new();
     let mut cur = Vec::with_capacity(k);
-    fn rec(items: &[VarId], k: usize, start: usize, cur: &mut Vec<VarId>, out: &mut Vec<Vec<VarId>>) {
+    fn rec(
+        items: &[VarId],
+        k: usize,
+        start: usize,
+        cur: &mut Vec<VarId>,
+        out: &mut Vec<Vec<VarId>>,
+    ) {
         if cur.len() == k {
             out.push(cur.clone());
             return;
@@ -1322,25 +1031,21 @@ fn in_order_subsets(items: &[VarId], k: usize) -> Vec<Vec<VarId>> {
     out
 }
 
-/// Enumerates candidate type tuples for the given variables; `f` returns
-/// `false` to stop the enumeration early.
+/// Enumerates candidate type tuples for the given variables.
 fn enumerate_tuples(
     candidates: &[Vec<EventType>],
     vars: &[VarId],
     depth: usize,
     tuple: &mut Vec<EventType>,
-    f: &mut impl FnMut(&[EventType]) -> bool,
-) -> bool {
+    f: &mut impl FnMut(&[EventType]),
+) {
     if depth == vars.len() {
         return f(tuple);
     }
     for &ty in &candidates[vars[depth].index()] {
         tuple[depth] = ty;
-        if !enumerate_tuples(candidates, vars, depth + 1, tuple, f) {
-            return false;
-        }
+        enumerate_tuples(candidates, vars, depth + 1, tuple, f);
     }
-    true
 }
 
 /// Whether the tuple (over `vars`) contains a previously banned sub-tuple.
@@ -1374,7 +1079,7 @@ fn collect_assignments(
     root: VarId,
     var: usize,
     cur: &mut Vec<EventType>,
-    banned: &BTreeSet<(VarId, EventType, VarId, EventType)>,
+    banned: &BannedPairs,
     out: &mut Vec<Vec<EventType>>,
 ) {
     if var == candidates.len() {
@@ -1411,23 +1116,6 @@ mod tests {
     use crate::naive;
 
     const DAY: i64 = 86_400;
-
-    fn no_opt() -> PipelineOptions {
-        PipelineOptions {
-            consistency_screen: false,
-            sequence_reduction: false,
-            reference_pruning: false,
-            candidate_screening: false,
-            pair_screening: false,
-            chain_screening_k: 0,
-            window_limit: false,
-            parallel: false,
-            parallel_sweep: false,
-            use_tick_columns: false,
-            multi_scan: false,
-            obs: ObsOptions::default(),
-        }
-    }
 
     /// Builds a workload where A is the reference and B follows the next
     /// day with frequency 3/4; C is noise.
@@ -1469,8 +1157,8 @@ mod tests {
     #[test]
     fn all_ablations_agree() {
         let (_reg, seq, p) = world();
-        let (reference, _) = mine_with(&p, &seq, &no_opt());
-        for bits in 0..512u32 {
+        let (reference, _) = naive::mine(&p, &seq);
+        for bits in 0..256u32 {
             let opts = PipelineOptions {
                 consistency_screen: bits & 1 != 0,
                 sequence_reduction: bits & 2 != 0,
@@ -1479,10 +1167,7 @@ mod tests {
                 pair_screening: bits & 16 != 0,
                 chain_screening_k: if bits & 64 != 0 { 2 } else { 0 },
                 window_limit: bits & 32 != 0,
-                parallel: false,
-                parallel_sweep: false,
                 use_tick_columns: bits & 128 != 0,
-                multi_scan: bits & 256 != 0,
                 obs: ObsOptions::default(),
             };
             let (sols, _) = mine_with(&p, &seq, &opts);
@@ -1575,7 +1260,6 @@ mod tests {
         ]);
         let with_pairs = PipelineOptions {
             pair_screening: true,
-            parallel: false,
             ..PipelineOptions::default()
         };
         let (sols_pairs, _) = mine_with(&p, &seq, &with_pairs);
@@ -1585,37 +1269,27 @@ mod tests {
         assert_eq!(sols_pairs[0].assignment, vec![a, b1, c1]);
     }
 
+    /// A 21-variable chain over 10 occurring types has 10^20 candidate
+    /// assignments, more than `u64` holds: the funnel saturates instead of
+    /// overflowing. The types lie 400 days apart, so steps 3–4 prune
+    /// everything before any automaton is built.
     #[test]
-    fn parallel_and_serial_agree() {
-        let (_reg, seq, p) = world();
-        let serial = PipelineOptions {
-            parallel: false,
-            ..PipelineOptions::default()
-        };
-        let (s1, _) = mine_with(&p, &seq, &serial);
-        let (s2, _) = mine(&p, &seq);
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn parallel_sweep_agrees_and_preserves_run_count() {
-        let (_reg, seq, p) = world();
-        let serial = PipelineOptions {
-            parallel: false,
-            ..PipelineOptions::default()
-        };
-        let candidate_level = PipelineOptions {
-            parallel_sweep: false,
-            ..PipelineOptions::default()
-        };
-        let sweep_level = PipelineOptions::default();
-        let (s0, st0) = mine_with(&p, &seq, &serial);
-        let (s1, st1) = mine_with(&p, &seq, &candidate_level);
-        let (s2, st2) = mine_with(&p, &seq, &sweep_level);
-        assert_eq!(s0, s1);
-        assert_eq!(s0, s2);
-        // Chunking never changes how many anchored runs are performed.
-        assert_eq!(st0.tag_runs, st1.tag_runs);
-        assert_eq!(st0.tag_runs, st2.tag_runs);
+    fn candidate_count_saturates_on_wide_structures() {
+        let cal = Calendar::standard();
+        let mut sb = StructureBuilder::new();
+        let vars: Vec<_> = (0..21).map(|i| sb.var(format!("X{i}"))).collect();
+        for w in vars.windows(2) {
+            sb.constrain(w[0], w[1], Tcg::new(1, 2, cal.get("day").unwrap()));
+        }
+        let s = sb.build().unwrap();
+        let seq = EventSequence::from_events(
+            (0..10u32)
+                .map(|k| Event::new(EventType(k), 400 * DAY * i64::from(k)))
+                .collect(),
+        );
+        let (sols, stats) = mine(&DiscoveryProblem::new(s, 0.5, EventType(0)), &seq);
+        assert_eq!(stats.candidates_initial, u64::MAX);
+        assert!(sols.is_empty());
+        assert_eq!(stats.tag_runs, 0);
     }
 }

@@ -143,10 +143,7 @@ mod tests {
         let s = b.build().unwrap();
 
         let week = cal.get("week").unwrap();
-        let opts = PipelineOptions {
-            parallel: false,
-            ..PipelineOptions::default()
-        };
+        let opts = PipelineOptions::default();
         let (ref_ty, sols, stats) = mine_with_reference(
             s,
             0.5,
@@ -185,10 +182,7 @@ mod tests {
         let x1 = b.var("response");
         b.constrain(x0, x1, Tcg::new(0, 2, cal.get("hour").unwrap()));
         let s = b.build().unwrap();
-        let opts = PipelineOptions {
-            parallel: false,
-            ..PipelineOptions::default()
-        };
+        let opts = PipelineOptions::default();
         let (_, sols, stats) = mine_with_reference(
             s,
             0.9,

@@ -106,7 +106,7 @@ proptest! {
         let seq = EventSequence::from_events(events);
         let problem = DiscoveryProblem::new(s, confidence, EventType(0));
 
-        let layer_on = pipeline::PipelineOptions::builder().parallel(false).build();
+        let layer_on = pipeline::PipelineOptions::default();
         let layer_off = layer_on.to_builder().use_tick_columns(false).build();
 
         periodic::set_enabled(false);
@@ -169,7 +169,7 @@ fn grouped_workload_identical_across_resolution_modes() {
     };
     let seq = EventSequence::from_events(events);
     let problem = DiscoveryProblem::new(s, 0.5, EventType(0));
-    let opts = pipeline::PipelineOptions::builder().parallel(false).build();
+    let opts = pipeline::PipelineOptions::default();
 
     let modes = [(false, false), (true, false), (true, true), (false, true)];
     let mut stats = Vec::new();

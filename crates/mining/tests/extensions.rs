@@ -12,10 +12,6 @@ use tgm_mining::{naive, pipeline, DiscoveryProblem, TypeConstraint};
 const DAY: i64 = 86_400;
 const HOUR: i64 = 3_600;
 
-fn serial_opts() -> PipelineOptions {
-    PipelineOptions::builder().parallel(false).build()
-}
-
 /// A world where both (A, B, B) and (A, B, C) chains are frequent.
 fn chain_world() -> (TypeRegistry, EventSequence, DiscoveryProblem) {
     let mut reg = TypeRegistry::new();
@@ -46,12 +42,12 @@ fn chain_world() -> (TypeRegistry, EventSequence, DiscoveryProblem) {
 fn same_type_constraint_restricts_solutions() {
     let (reg, seq, p) = chain_world();
     let b = reg.get("B").unwrap();
-    let (unconstrained, _) = pipeline::mine_with(&p, &seq, &serial_opts());
+    let (unconstrained, _) = pipeline::mine_with(&p, &seq, &PipelineOptions::default());
     assert!(unconstrained.len() >= 2);
     let p_same = p
         .clone()
         .with_type_constraint(TypeConstraint::Same(vec![VarId(1), VarId(2)]));
-    let (same_sols, _) = pipeline::mine_with(&p_same, &seq, &serial_opts());
+    let (same_sols, _) = pipeline::mine_with(&p_same, &seq, &PipelineOptions::default());
     assert!(!same_sols.is_empty());
     for sol in &same_sols {
         assert_eq!(sol.assignment[1], sol.assignment[2]);
@@ -68,7 +64,7 @@ fn distinct_type_constraint_restricts_solutions() {
     let p_distinct = p
         .clone()
         .with_type_constraint(TypeConstraint::Distinct(vec![VarId(1), VarId(2)]));
-    let (sols, _) = pipeline::mine_with(&p_distinct, &seq, &serial_opts());
+    let (sols, _) = pipeline::mine_with(&p_distinct, &seq, &PipelineOptions::default());
     for sol in &sols {
         assert_ne!(sol.assignment[1], sol.assignment[2]);
     }
@@ -83,7 +79,7 @@ fn constraints_compose() {
     let p_both = p
         .with_type_constraint(TypeConstraint::Same(vec![VarId(1), VarId(2)]))
         .with_type_constraint(TypeConstraint::Distinct(vec![VarId(1), VarId(2)]));
-    let (sols, _) = pipeline::mine_with(&p_both, &seq, &serial_opts());
+    let (sols, _) = pipeline::mine_with(&p_both, &seq, &PipelineOptions::default());
     assert!(sols.is_empty());
 }
 
@@ -126,7 +122,7 @@ fn repetitive_pattern_discovery_via_unrolling() {
 
     // References: the first spike of a potential 3-day run.
     let problem = DiscoveryProblem::new(s3, 0.25, spike);
-    let (sols, stats) = pipeline::mine_with(&problem, &seq, &serial_opts());
+    let (sols, stats) = pipeline::mine_with(&problem, &seq, &PipelineOptions::default());
     let (naive_sols, _) = naive::mine(&problem, &seq);
     assert_eq!(sols, naive_sols);
     let full = sols
@@ -149,7 +145,7 @@ fn screening_stays_sound_under_type_constraints() {
         p.min_confidence = conf;
         let p = p.with_type_constraint(TypeConstraint::Same(vec![VarId(1), VarId(2)]));
         let (a, _) = naive::mine(&p, &seq);
-        let (b, _) = pipeline::mine_with(&p, &seq, &serial_opts());
+        let (b, _) = pipeline::mine_with(&p, &seq, &PipelineOptions::default());
         assert_eq!(a, b, "mismatch at confidence {conf}");
     }
 }

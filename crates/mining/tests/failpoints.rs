@@ -67,7 +67,7 @@ fn step5_worker_panic_is_contained_and_cancels_siblings() {
     );
     let token = CancelToken::new();
     let limits = Limits::none().with_cancel(token.clone());
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
     let err = pipeline::mine_bounded(&problem, &seq, &opts, &limits)
         .expect_err("the injected panic must surface as a typed error");
     assert_eq!(err.site, "pipeline.step5.worker");
@@ -109,7 +109,7 @@ fn worker_panic_increments_obs_counter() {
     );
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
     let result = pipeline::mine_bounded(&problem, &seq, &opts, &Limits::none());
     let report = tgm_obs::Report::capture();
     tgm_obs::set_enabled(false);
@@ -130,7 +130,7 @@ fn unbounded_entry_point_reraises_worker_panic() {
         "pipeline.step5.worker",
         fail::Action::PanicOnce("injected".into()),
     );
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pipeline::mine_with(&problem, &seq, &opts)
     }));
@@ -150,7 +150,7 @@ fn bounded_failures_carry_flight_recorder_dumps() {
     let _armed = Armed::lock();
     let (problem, seq) = fixture();
     tgm_obs::set_enabled(true);
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
 
     // Contained worker panic: the dump carries both the panic marker and
     // the tagged partial-span flush from the containment site.
@@ -243,7 +243,7 @@ fn injected_delay_trips_the_deadline() {
         fail::Action::Delay(Duration::from_millis(30)),
     );
     let limits = Limits::none().with_timeout(Duration::from_millis(5));
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
     let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
 }
@@ -253,7 +253,7 @@ fn injected_cancellation_surfaces_as_cancelled() {
     let _armed = Armed::lock();
     let (problem, seq) = fixture();
     fail::set("pipeline.step5.worker", fail::Action::Cancel);
-    let opts = pipeline::PipelineOptions::builder().parallel(true).parallel_sweep(false).build();
+    let opts = pipeline::PipelineOptions::default();
     let run = pipeline::mine_bounded(&problem, &seq, &opts, &Limits::none()).unwrap();
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled));
 }

@@ -1,9 +1,7 @@
 //! Bounded-mining differential tests: `mine_bounded` with [`Limits::none`]
-//! is bit-identical to `mine_with` on every step-5 execution path; tight
-//! budgets stop at the same candidate on every path (the budget counts
-//! globally-indexed step-5 assignments); and expired deadlines or
-//! cancelled tokens return typed partial results instead of panicking or
-//! hanging.
+//! is bit-identical to `mine_with`; tight budgets scan exactly the budgeted
+//! prefix of step-5 assignments; and expired deadlines or cancelled tokens
+//! return typed partial results instead of panicking or hanging.
 
 use std::time::{Duration, Instant};
 
@@ -36,27 +34,16 @@ fn fixture() -> (DiscoveryProblem, EventSequence) {
     )
 }
 
-/// The three step-5 execution paths: serial, candidate-parallel, and
-/// parallel with per-candidate sweep chunking.
-fn step5_paths() -> Vec<pipeline::PipelineOptions> {
-    [(false, false), (true, false), (true, true)]
-        .into_iter()
-        .map(|(parallel, parallel_sweep)| pipeline::PipelineOptions::builder().parallel(parallel).parallel_sweep(parallel_sweep).build())
-        .collect()
-}
-
 #[test]
-fn pipeline_none_limits_bit_identical_all_paths() {
+fn pipeline_none_limits_bit_identical() {
     let (problem, seq) = fixture();
-    let none = Limits::none();
-    for opts in step5_paths() {
-        let (free_sols, free_stats) = pipeline::mine_with(&problem, &seq, &opts);
-        let run = pipeline::mine_bounded(&problem, &seq, &opts, &none)
-            .expect("no failpoints, no worker panic");
-        assert_eq!(run.verdict, Verdict::Completed);
-        assert_eq!(run.solutions, free_sols, "{opts:?}");
-        assert_eq!(run.stats, free_stats, "{opts:?}");
-    }
+    let opts = pipeline::PipelineOptions::default();
+    let (free_sols, free_stats) = pipeline::mine_with(&problem, &seq, &opts);
+    let run = pipeline::mine_bounded(&problem, &seq, &opts, &Limits::none())
+        .expect("no failpoints, no worker panic");
+    assert_eq!(run.verdict, Verdict::Completed);
+    assert_eq!(run.solutions, free_sols);
+    assert_eq!(run.stats, free_stats);
 }
 
 #[test]
@@ -77,23 +64,17 @@ fn naive_none_limits_bit_identical() {
 }
 
 #[test]
-fn pipeline_budget_deterministic_across_paths() {
+fn pipeline_budget_deterministic() {
     let (problem, seq) = fixture();
+    let opts = pipeline::PipelineOptions::default();
     // Find how many assignments a full run scans, then cut the budget.
-    let full = pipeline::mine_bounded(
-        &problem,
-        &seq,
-        &pipeline::PipelineOptions::default(),
-        &Limits::none(),
-    )
-    .unwrap();
-    let scanned = full.stats.candidates_scanned as u64;
+    let full = pipeline::mine_bounded(&problem, &seq, &opts, &Limits::none()).unwrap();
+    let scanned = full.stats.candidates_scanned;
     assert!(scanned > 2, "fixture must scan enough candidates to cut");
     for budget in [1, scanned / 2, scanned - 1] {
         let limits = Limits::none().with_budget(budget);
-        let runs: Vec<_> = step5_paths()
-            .iter()
-            .map(|opts| pipeline::mine_bounded(&problem, &seq, opts, &limits).unwrap())
+        let runs: Vec<_> = (0..2)
+            .map(|_| pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap())
             .collect();
         for run in &runs {
             assert_eq!(
@@ -101,12 +82,34 @@ fn pipeline_budget_deterministic_across_paths() {
                 Verdict::Interrupted(Interrupt::BudgetExhausted),
                 "budget={budget}"
             );
+            // Exactly the budgeted prefix ran, every kept reference each.
+            assert_eq!(
+                run.stats.tag_runs,
+                budget as usize * full.stats.refs_kept,
+                "budget={budget}"
+            );
+            assert!(run.solutions.iter().all(|s| full.solutions.contains(s)));
         }
-        // Identical prefix of the assignment enumeration on every path.
-        for run in &runs[1..] {
-            assert_eq!(run.solutions, runs[0].solutions, "budget={budget}");
-            assert_eq!(run.stats.tag_runs, runs[0].stats.tag_runs, "budget={budget}");
-        }
+        assert_eq!(runs[0].solutions, runs[1].solutions, "budget={budget}");
+        assert_eq!(runs[0].stats, runs[1].stats, "budget={budget}");
+    }
+}
+
+/// `step5_workers` counts the threads that actually ran: a budget that
+/// admits one assignment leaves no work to share.
+#[test]
+fn step5_workers_bounded_by_the_budgeted_prefix() {
+    let (problem, seq) = fixture();
+    let opts = pipeline::PipelineOptions::default();
+    for budget in [0u64, 1, 2] {
+        let limits = Limits::none().with_budget(budget);
+        let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
+        let allowed = budget.min(run.stats.candidates_scanned) as usize;
+        assert!(
+            run.stats.step5_workers <= allowed.max(1),
+            "budget={budget}: {} workers for {allowed} assignments",
+            run.stats.step5_workers
+        );
     }
 }
 
@@ -127,15 +130,10 @@ fn naive_budget_deterministic() {
 fn expired_deadline_returns_partial_not_panic() {
     let (problem, seq) = fixture();
     let limits = Limits::none().with_deadline(Instant::now() - Duration::from_secs(1));
-    for opts in step5_paths() {
-        let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
-        assert_eq!(
-            run.verdict,
-            Verdict::Interrupted(Interrupt::DeadlineExceeded),
-            "{opts:?}"
-        );
-        assert!(run.solutions.is_empty(), "nothing can finish past the deadline");
-    }
+    let opts = pipeline::PipelineOptions::default();
+    let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
+    assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
+    assert!(run.solutions.is_empty(), "nothing can finish past the deadline");
     let run = naive::mine_bounded(&problem, &seq, &naive::NaiveOptions::default(), &limits)
         .unwrap();
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
@@ -147,10 +145,9 @@ fn cancellation_stops_all_paths() {
     let token = CancelToken::new();
     token.cancel();
     let limits = Limits::none().with_cancel(token);
-    for opts in step5_paths() {
-        let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
-        assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled), "{opts:?}");
-    }
+    let opts = pipeline::PipelineOptions::default();
+    let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
+    assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled));
     let run = naive::mine_bounded(
         &problem,
         &seq,

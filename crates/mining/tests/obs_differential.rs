@@ -1,8 +1,6 @@
 //! Differential tests for mining observability: enabling the process-wide
 //! obs toggle (or flipping the per-run `ObsOptions` knobs) must not change
-//! solutions or stats, for the naive miner and for every step-5 execution
-//! path of the pipeline (serial, candidate-parallel, sweep-parallel) —
-//! and each path must populate identically shaped `PipelineStats`.
+//! solutions or stats, for the naive miner and for the pipeline.
 
 use parking_lot::Mutex;
 use tgm_core::{StructureBuilder, Tcg};
@@ -48,69 +46,31 @@ fn world() -> (EventSequence, DiscoveryProblem) {
     (seq, DiscoveryProblem::new(s, 0.4, a))
 }
 
-/// The three step-5 execution paths, everything else at defaults.
-fn step5_modes(obs: ObsOptions) -> Vec<(&'static str, PipelineOptions)> {
-    let base = PipelineOptions::builder().obs(obs).build();
-    vec![
-        (
-            "serial",
-            base.to_builder().parallel(false).parallel_sweep(false).build(),
-        ),
-        (
-            "candidate-parallel",
-            base.to_builder().parallel(true).parallel_sweep(false).build(),
-        ),
-        (
-            "sweep-parallel",
-            base.to_builder().parallel(true).parallel_sweep(true).build(),
-        ),
-        // The retained per-candidate oracle engine; its stats must agree
-        // with the shared-scan serial path field-for-field.
-        (
-            "serial-percand",
-            base.to_builder()
-                .parallel(false)
-                .parallel_sweep(false)
-                .multi_scan(false)
-                .build(),
-        ),
-    ]
-}
-
-fn run_all(obs: ObsOptions) -> Vec<(&'static str, Vec<Solution>, PipelineStats)> {
+fn run(obs: ObsOptions) -> (Vec<Solution>, PipelineStats) {
     let (seq, p) = world();
-    step5_modes(obs)
-        .into_iter()
-        .map(|(name, opts)| {
-            let (sols, stats) = pipeline::mine_with(&p, &seq, &opts);
-            (name, sols, stats)
-        })
-        .collect()
+    pipeline::mine_with(&p, &seq, &PipelineOptions::builder().obs(obs).build())
 }
 
 #[test]
 fn pipeline_results_identical_with_obs_on_and_off() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let baseline = run_all(ObsOptions::default());
+    let baseline = run(ObsOptions::default());
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let observed = run_all(ObsOptions::default());
+    let observed = run(ObsOptions::default());
     let metrics = tgm_obs::metrics::snapshot();
     let spans = tgm_obs::span::snapshot();
     tgm_obs::set_enabled(false);
 
     assert_eq!(baseline, observed, "observability changed a mining result");
     // Instrumentation really fired: run counters, the §5 per-step spans,
-    // and engine-level counters flowing up from the anchored sweeps — the
-    // shared-scan counters from the default paths, the matcher counters
-    // from the per-candidate oracle mode.
-    assert_eq!(metrics.counter("mining.pipeline.runs"), 4);
+    // and the shared-scan counters flowing up from the anchored runs.
+    assert_eq!(metrics.counter("mining.pipeline.runs"), 1);
     assert!(metrics.counter("mining.pipeline.tag_runs") > 0);
     assert!(metrics.counter("tag.multi.runs") > 0);
     assert!(metrics.counter("tag.multi.candidates") > 0);
-    assert!(metrics.counter("tag.matcher.runs") > 0);
     for name in [
         "pipeline",
         "pipeline.step1.consistency",
@@ -123,38 +83,15 @@ fn pipeline_results_identical_with_obs_on_and_off() {
     tgm_obs::reset();
 }
 
-/// Serial, candidate-parallel and sweep-parallel step-5 paths report
-/// identically shaped stats: every field agrees except the fields that
-/// legitimately describe the execution mode itself.
-#[test]
-fn step5_paths_populate_stats_identically() {
-    let _guard = TEST_LOCK.lock();
-    tgm_obs::set_enabled(false);
-    let all = run_all(ObsOptions::default());
-    let (_, base_sols, base) = &all[0];
-    assert_eq!(base.step5_workers, 1);
-    assert_eq!(base.sweep_chunks, 0);
-    for (name, sols, stats) in &all[1..] {
-        assert_eq!(sols, base_sols, "{name} changed solutions");
-        assert!(stats.step5_workers >= 1, "{name} left step5_workers unset");
-        let normalized = PipelineStats {
-            step5_workers: base.step5_workers,
-            sweep_chunks: base.sweep_chunks,
-            ..*stats
-        };
-        assert_eq!(&normalized, base, "{name} stats diverged");
-    }
-}
-
-/// Every step-5 path run inside a recorder-equipped scoped metric domain
-/// (with an exporter pulling frames between paths) produces bit-identical
-/// solutions and stats; worker threads inherit the scope, so nothing
-/// leaks into the default registry.
+/// A pipeline run inside a recorder-equipped scoped metric domain (with an
+/// exporter pulling a frame) produces bit-identical solutions and stats;
+/// step-5 workers inherit the scope, so nothing leaks into the default
+/// registry.
 #[test]
 fn scoped_pipeline_results_identical_and_contained() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let baseline = run_all(ObsOptions::default());
+    let baseline = run(ObsOptions::default());
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
@@ -162,7 +99,7 @@ fn scoped_pipeline_results_identical_and_contained() {
     let mut exporter = tgm_obs::Exporter::new(scope.clone());
     let (observed, frame) = {
         let _in = scope.enter();
-        let out = run_all(ObsOptions::default());
+        let out = run(ObsOptions::default());
         (out, exporter.frame())
     };
     let default_metrics = tgm_obs::metrics::snapshot();
@@ -171,8 +108,8 @@ fn scoped_pipeline_results_identical_and_contained() {
 
     assert_eq!(baseline, observed, "scoped observability changed a result");
     // The scope saw the whole funnel — including counters emitted from
-    // crossbeam workers, which enter the caller's scope at spawn.
-    assert_eq!(frame.delta.metrics.counter("mining.pipeline.runs"), 4);
+    // step-5 workers, which enter the caller's scope at spawn.
+    assert_eq!(frame.delta.metrics.counter("mining.pipeline.runs"), 1);
     assert!(frame.delta.metrics.counter("mining.pipeline.tag_runs") > 0);
     assert!(frame.delta.metrics.counter("tag.multi.runs") > 0);
     assert!(frame.delta.spans.get("pipeline").is_some());
@@ -220,11 +157,11 @@ fn naive_results_identical_with_obs_on_and_off() {
 fn silent_knob_suppresses_pipeline_emission() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let baseline = run_all(ObsOptions::default());
+    let baseline = run(ObsOptions::default());
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let quiet = run_all(ObsOptions::silent());
+    let quiet = run(ObsOptions::silent());
     let metrics = tgm_obs::metrics::snapshot();
     let spans = tgm_obs::span::snapshot();
     tgm_obs::set_enabled(false);
@@ -235,28 +172,4 @@ fn silent_knob_suppresses_pipeline_emission() {
     assert_eq!(metrics.counter("tag.multi.runs"), 0);
     assert!(spans.get("pipeline").is_none());
     tgm_obs::reset();
-}
-
-/// Step-5 engine differential: for every execution path, the shared-scan
-/// engine and the per-candidate oracle produce identical solutions and
-/// identical funnel stats. Only `sweep_chunks` is normalized: the oracle
-/// dispatches one sweep per candidate while the shared scan dispatches one
-/// sweep total, so their chunk tallies legitimately differ.
-#[test]
-fn multi_scan_matches_per_candidate_oracle_on_every_path() {
-    let _guard = TEST_LOCK.lock();
-    tgm_obs::set_enabled(false);
-    let (seq, p) = world();
-    for (name, opts) in step5_modes(ObsOptions::default()) {
-        let percand = opts.to_builder().multi_scan(false).build();
-        let multi = opts.to_builder().multi_scan(true).build();
-        let (s0, st0) = pipeline::mine_with(&p, &seq, &percand);
-        let (s1, st1) = pipeline::mine_with(&p, &seq, &multi);
-        assert_eq!(s0, s1, "{name}: engines disagree on solutions");
-        let normalized = PipelineStats {
-            sweep_chunks: st0.sweep_chunks,
-            ..st1
-        };
-        assert_eq!(st0, normalized, "{name}: engines disagree on stats");
-    }
 }

@@ -50,7 +50,7 @@ proptest! {
         let problem = DiscoveryProblem::new(s, confidence, EventType(0));
 
         let (naive_sols, _) = naive::mine(&problem, &seq);
-        let opts = pipeline::PipelineOptions::builder().pair_screening(pair_screen).chain_screening_k(chain_k).parallel(false).build();
+        let opts = pipeline::PipelineOptions::builder().pair_screening(pair_screen).chain_screening_k(chain_k).build();
         let (pipe_sols, stats) = pipeline::mine_with(&problem, &seq, &opts);
         prop_assert_eq!(
             &naive_sols, &pipe_sols,
@@ -143,7 +143,7 @@ fn chain_screening_bans_infrequent_tuples() {
         .with_candidates(tgm_core::VarId(1), [a, c])
         .with_candidates(tgm_core::VarId(2), [bt]);
 
-    let with_chain = pipeline::PipelineOptions::builder().chain_screening_k(2).parallel(false).build();
+    let with_chain = pipeline::PipelineOptions::builder().chain_screening_k(2).build();
     let (sols_chain, stats_chain) = pipeline::mine_with(&problem, &seq, &with_chain);
     let (sols_naive, _) = naive::mine(&problem, &seq);
     assert_eq!(sols_chain, sols_naive);
@@ -152,7 +152,7 @@ fn chain_screening_bans_infrequent_tuples() {
     // The (C, B) tuple was banned before the final scan.
     assert!(stats_chain.banned_tuples >= 1, "stats: {stats_chain:?}");
     assert!(stats_chain.screening_tag_runs > 0);
-    let plain = pipeline::PipelineOptions::builder().parallel(false).build();
+    let plain = pipeline::PipelineOptions::default();
     let (_, stats_plain) = pipeline::mine_with(&problem, &seq, &plain);
     assert!(
         stats_chain.candidates_scanned < stats_plain.candidates_scanned,
