@@ -1,14 +1,14 @@
 //! Criterion bench for E6: TAG matching over event streams (Theorem 4),
 //! including the engine ablation (reference per-`Config` engine vs the
-//! packed scratch engine) on both the Example 1 workload and the
-//! grouped-granularity chain.
+//! lane engine with a reused scratch) on both the Example 1 workload and
+//! the grouped-granularity chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tgm_bench::workloads::planted_stock_workload;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::TickColumns;
 use tgm_granularity::{cache, Calendar};
-use tgm_tag::{build_tag, Matcher, MatcherScratch};
+use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("tag_matching");
@@ -23,7 +23,8 @@ fn bench_matching(c: &mut Criterion) {
             |b, _| {
                 let m = Matcher::new(&tag);
                 let mut scratch = MatcherScratch::new();
-                b.iter(|| m.run_scratch(events, false, &mut scratch).accepted)
+                let mut ctx = RunCtx::new(&mut scratch);
+                b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted)
             },
         );
         group.bench_with_input(
@@ -41,7 +42,8 @@ fn bench_matching(c: &mut Criterion) {
                 cache::set_enabled(false);
                 let m = Matcher::new(&tag);
                 let mut scratch = MatcherScratch::new();
-                b.iter(|| m.run_scratch(events, false, &mut scratch).accepted);
+                let mut ctx = RunCtx::new(&mut scratch);
+                b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted);
                 cache::set_enabled(true);
             },
         );
@@ -54,10 +56,11 @@ fn bench_matching(c: &mut Criterion) {
                 let cols = TickColumns::build(events, &grans);
                 let m = Matcher::new(&tag);
                 let mut scratch = MatcherScratch::new();
-                b.iter(|| {
-                    m.run_columns_scratch(events, &cols, 0, false, &mut scratch)
-                        .accepted
-                })
+                let mut ctx = RunCtx {
+                    cols: Some((&cols, 0)),
+                    ..RunCtx::new(&mut scratch)
+                };
+                b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted)
             },
         );
     }
@@ -83,12 +86,13 @@ fn bench_matching(c: &mut Criterion) {
         let events = w.sequence.events();
         group.throughput(Throughput::Elements(events.len() as u64));
         group.bench_with_input(
-            BenchmarkId::new("packed_scratch", events.len()),
+            BenchmarkId::new("lane_scratch", events.len()),
             &events.len(),
             |b, _| {
                 let m = Matcher::new(&tag);
                 let mut scratch = MatcherScratch::new();
-                b.iter(|| m.run_scratch(events, false, &mut scratch).accepted)
+                let mut ctx = RunCtx::new(&mut scratch);
+                b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted)
             },
         );
         group.bench_with_input(

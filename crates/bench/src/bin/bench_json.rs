@@ -32,8 +32,8 @@ use tgm_serve::proto::{ErrorKind, Response};
 use tgm_serve::{ServerConfig, ServerCore};
 use tgm_events::Event;
 use tgm_tag::{
-    build_tag, MatchOptions, MatchSession, Matcher, MatcherScratch, MultiMatcher, MultiScratch,
-    Tag, TagTemplate,
+    build_tag, MatchOptions, MatchSession, Matcher, MatcherScratch, MultiMatcher, RunCtx, Tag,
+    TagTemplate,
 };
 
 /// Resident set size in bytes from `/proc/self/statm` (0 off Linux).
@@ -55,6 +55,8 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 struct EnginePair {
     events: usize,
     reference_ns_per_event: f64,
+    /// The lane engine (recorded under its historical
+    /// `packed_ns_per_event` key).
     packed_ns_per_event: f64,
 }
 
@@ -64,21 +66,23 @@ impl EnginePair {
     }
 }
 
-/// Medians for one workload: the reference engine vs the packed scratch
-/// engine on a full (non-early-exit) run, with `RunStats` asserted equal.
+/// Medians for one workload: the reference engine vs the lane engine with
+/// a reused scratch on a full (non-early-exit) run, with `RunStats`
+/// asserted equal.
 fn measure_engines(tag: &Tag, events: &[tgm_events::Event], reps: usize) -> EnginePair {
     let m = Matcher::new(tag);
     let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx::new(&mut scratch);
     assert_eq!(
         m.run_reference(events, false),
-        m.run_scratch(events, false, &mut scratch),
+        m.run_in(events, false, &mut ctx).stats,
         "engines must produce bit-identical RunStats"
     );
     let reference_ms = median_ms(reps, || {
         std::hint::black_box(m.run_reference(events, false));
     });
     let packed_ms = median_ms(reps, || {
-        std::hint::black_box(m.run_scratch(events, false, &mut scratch));
+        std::hint::black_box(m.run_in(events, false, &mut ctx).stats);
     });
     let per_event = 1e6 / events.len() as f64; // ms -> ns/event
     EnginePair {
@@ -199,9 +203,9 @@ fn main() {
 
     // Workload 5: the multi-TAG shared scan. Up to 64 sibling candidates of
     // one 2-variable chain template (φ pairs over an 8-type pool) scanned
-    // over a synthetic stream — the shared engine in one pass vs the packed
-    // per-candidate engine in a loop, `RunStats` asserted bit-identical at
-    // every set size.
+    // over a synthetic stream — the shared scan in one pass vs a loop of
+    // one-member lanes (`Matcher::run_in`), `RunStats` asserted
+    // bit-identical at every set size.
     let multi_template = {
         let mut sb = StructureBuilder::new();
         let x0 = sb.var("X0");
@@ -236,24 +240,28 @@ fn main() {
     for &n in &[1usize, 8, 32, 64] {
         let tags = &multi_tags[..n];
         let mm = MultiMatcher::with_options(tags.iter().collect(), multi_opts);
-        let mut mscratch = MultiScratch::new();
+        let mut mscratch = MatcherScratch::new();
+        let mut mctx = RunCtx::new(&mut mscratch);
         let mut pscratch = MatcherScratch::new();
-        let shared = mm.run_scratch(&multi_events, false, &mut mscratch);
+        let mut pctx = RunCtx::new(&mut pscratch);
+        let shared = mm.run_in(&multi_events, false, &mut mctx).stats;
         let solo: Vec<_> = tags
             .iter()
             .map(|t| {
-                Matcher::with_options(t, multi_opts).run_scratch(&multi_events, false, &mut pscratch)
+                Matcher::with_options(t, multi_opts)
+                    .run_in(&multi_events, false, &mut pctx)
+                    .stats
             })
             .collect();
         assert_eq!(solo, shared, "shared scan diverged at {n} candidates");
         let multi_ms = median_ms(reps, || {
-            std::hint::black_box(mm.run_scratch(&multi_events, false, &mut mscratch));
+            std::hint::black_box(mm.run_in(&multi_events, false, &mut mctx).stats);
         });
         let percand_ms = median_ms(reps, || {
             for t in tags {
                 std::hint::black_box(
                     Matcher::with_options(t, multi_opts)
-                        .run_scratch(&multi_events, false, &mut pscratch),
+                        .run_in(&multi_events, false, &mut pctx).stats,
                 );
             }
         });
@@ -483,7 +491,8 @@ fn main() {
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
     let mut scratch = MatcherScratch::new();
-    let obs_scan = Matcher::new(&tag1).run_scratch(w1.sequence.events(), false, &mut scratch);
+    let mut ctx = RunCtx::new(&mut scratch);
+    let obs_scan = Matcher::new(&tag1).run_in(w1.sequence.events(), false, &mut ctx).stats;
     let (obs_sols, _) = mine_with(&problem, &w3.sequence, &pipeline_opts);
     // One interrupted run per limit class so the limits.* counters land in
     // the record alongside the throughput numbers.
@@ -513,7 +522,7 @@ fn main() {
     tgm_obs::reset();
     assert_eq!(
         obs_scan,
-        Matcher::new(&tag1).run_scratch(w1.sequence.events(), false, &mut scratch),
+        Matcher::new(&tag1).run_in(w1.sequence.events(), false, &mut ctx).stats,
         "instrumentation changed the scan"
     );
     assert_eq!(obs_sols, pipeline_sols, "instrumentation changed mining solutions");

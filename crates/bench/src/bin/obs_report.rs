@@ -28,7 +28,7 @@ use tgm_limits::{CancelToken, Limits};
 use tgm_mining::pipeline::{mine_bounded, mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
 use tgm_obs::Report;
-use tgm_tag::{build_tag, Matcher, MatcherScratch};
+use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 /// The §5 funnel steps the report must carry, in order.
 const FUNNEL_STEPS: [&str; 5] = [
@@ -317,11 +317,12 @@ fn main() {
     let events = w.sequence.events();
     let m = Matcher::new(&tag);
     let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx::new(&mut scratch);
     tgm_obs::set_enabled(false);
-    let base_stats = m.run_scratch(events, false, &mut scratch);
+    let base_stats = m.run_in(events, false, &mut ctx).stats;
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let obs_stats = m.run_scratch(events, false, &mut scratch);
+    let obs_stats = m.run_in(events, false, &mut ctx).stats;
     assert_eq!(base_stats, obs_stats, "observability changed matcher results");
     // Two layers of noise rejection: within a round, off/on samples are
     // interleaved (so host clock drift hits both modes equally) and each
@@ -339,13 +340,13 @@ fn main() {
         let (mut off, mut on, mut scoped) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
             tgm_obs::set_enabled(false);
-            let t = timed(|| std::hint::black_box(m.run_scratch(events, false, &mut scratch))).1;
+            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
             off = off.min(t);
             tgm_obs::set_enabled(true);
-            let t = timed(|| std::hint::black_box(m.run_scratch(events, false, &mut scratch))).1;
+            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
             on = on.min(t);
             let _in = scoped_domain.enter();
-            let t = timed(|| std::hint::black_box(m.run_scratch(events, false, &mut scratch))).1;
+            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
             scoped = scoped.min(t);
         }
         estimates.push((off, on, scoped));

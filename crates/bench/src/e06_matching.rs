@@ -6,7 +6,7 @@
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{EventSequence, TypeRegistry};
 use tgm_granularity::{cache, Calendar};
-use tgm_tag::{build_tag, Matcher, MatcherScratch};
+use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 use crate::workloads::planted_stock_workload;
 use crate::{print_table, timed};
@@ -29,7 +29,12 @@ pub fn run() {
         let grans: Vec<_> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
         cache::set_enabled(true);
         let (cols, cols_ms) = timed(|| tgm_events::TickColumns::build(events, &grans));
-        let (stats_cols, run_ms) = timed(|| m.run_columns(events, &cols, 0, false));
+        let mut scratch = MatcherScratch::new();
+        let mut ctx = RunCtx {
+            cols: Some((&cols, 0)),
+            ..RunCtx::new(&mut scratch)
+        };
+        let (stats_cols, run_ms) = timed(|| m.run_in(events, false, &mut ctx).stats);
         let cols_total_ms = cols_ms + run_ms;
         let (_, _) = timed(|| m.run(events, false)); // warm the cache
         let (stats, ms) = timed(|| m.run(events, false));
@@ -96,9 +101,9 @@ pub fn run() {
     );
 
     // (1c) Engine ablation: the reference per-`Config` engine (one heap
-    // vector per configuration, HashSet dedup) vs the packed scratch
-    // engine (flat pooled rows, in-place dedup), with a fresh scratch per
-    // run and with one reused scratch. RunStats are asserted bit-identical.
+    // vector per configuration, HashSet dedup) vs the lane engine (flat
+    // pooled rows, in-place dedup), with a fresh scratch per run and with
+    // one reused scratch. RunStats are asserted bit-identical.
     let mut rows = Vec::new();
     for days in [30i64, 120, 480] {
         let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
@@ -108,8 +113,9 @@ pub fn run() {
         let (stats_ref, ms_ref) = timed(|| m.run_reference(events, false));
         let (stats_fresh, ms_fresh) = timed(|| m.run(events, false));
         let mut scratch = MatcherScratch::new();
-        let _ = m.run_scratch(events, false, &mut scratch); // warm capacity
-        let (stats_reused, ms_reused) = timed(|| m.run_scratch(events, false, &mut scratch));
+        let mut ctx = RunCtx::new(&mut scratch);
+        let _ = m.run_in(events, false, &mut ctx).stats; // warm capacity
+        let (stats_reused, ms_reused) = timed(|| m.run_in(events, false, &mut ctx).stats);
         assert_eq!(stats_ref, stats_fresh, "engines are bit-identical");
         assert_eq!(stats_ref, stats_reused, "scratch reuse is bit-identical");
         rows.push(vec![
@@ -121,12 +127,12 @@ pub fn run() {
         ]);
     }
     print_table(
-        "Engine ablation: reference vs packed engine (Example 1 TAG)",
+        "Engine ablation: reference vs lane engine (Example 1 TAG)",
         &[
             "events",
             "ms (reference)",
-            "ms (packed, fresh scratch)",
-            "ms (packed, reused scratch)",
+            "ms (lane, fresh scratch)",
+            "ms (lane, reused scratch)",
             "engine speedup",
         ],
         &rows,

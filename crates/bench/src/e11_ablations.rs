@@ -1,7 +1,7 @@
 //! E11 — ablations of this implementation's own design choices (DESIGN.md
 //! §3): clock-reading saturation in the matcher, minimal (min-flow) vs
 //! greedy chain covers in the TAG construction, the shared
-//! granularity-resolution cache, the packed zero-allocation matcher engine
+//! granularity-resolution cache, the zero-allocation lane matcher engine
 //! vs the reference per-`Config` engine, the parallel anchored-sweep
 //! split in discovery, and the observability layer's overhead (§3.13).
 
@@ -16,7 +16,7 @@ use tgm_mining::DiscoveryProblem;
 use tgm_obs::{Observable, Report};
 use tgm_tag::{
     build_tag, build_tag_with_cover, greedy_chain_cover, minimal_chain_cover, MatchOptions,
-    Matcher, MatcherScratch,
+    Matcher, MatcherScratch, RunCtx,
 };
 
 use crate::workloads::{daily_stock_workload, planted_stock_workload};
@@ -175,32 +175,33 @@ pub fn run() {
     );
 
     // (4) Matcher engine: the reference per-`Config` engine (heap vector
-    // per configuration, HashSet dedup) vs the packed scratch engine (flat
+    // per configuration, HashSet dedup) vs the lane engine (flat
     // pooled rows, generation-stamped in-place dedup). RunStats asserted
     // bit-identical; the engine is what every higher layer (miner, stream
     // matcher) runs on.
     let mut rows = Vec::new();
     let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx::new(&mut scratch);
     for days in [90i64, 270] {
         let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
         let tag = build_tag(&w.cet);
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
         let (s_ref, ms_ref) = timed(|| m.run_reference(events, false));
-        let _ = m.run_scratch(events, false, &mut scratch); // warm capacity
-        let (s_packed, ms_packed) = timed(|| m.run_scratch(events, false, &mut scratch));
-        assert_eq!(s_ref, s_packed, "engines are bit-identical");
+        let _ = m.run_in(events, false, &mut ctx).stats; // warm capacity
+        let (s_lane, ms_lane) = timed(|| m.run_in(events, false, &mut ctx).stats);
+        assert_eq!(s_ref, s_lane, "engines are bit-identical");
         rows.push(vec![
             events.len().to_string(),
             format!("{ms_ref:.1}"),
-            format!("{ms_packed:.1}"),
-            s_packed.peak_configs.to_string(),
-            format!("{:.1}x", ms_ref / ms_packed.max(0.001)),
+            format!("{ms_lane:.1}"),
+            s_lane.peak_configs.to_string(),
+            format!("{:.1}x", ms_ref / ms_lane.max(0.001)),
         ]);
     }
     print_table(
-        "Matcher engine: reference per-Config vs packed scratch (Example 1 TAG)",
-        &["events", "reference ms", "packed ms", "peak frontier", "engine speedup"],
+        "Matcher engine: reference per-Config vs lane engine (Example 1 TAG)",
+        &["events", "reference ms", "lane ms", "peak frontier", "engine speedup"],
         &rows,
     );
 
@@ -264,11 +265,12 @@ pub fn run() {
     let events = w.sequence.events();
     let m = Matcher::new(&tag);
     let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx::new(&mut scratch);
     tgm_obs::set_enabled(false);
-    let base_stats = m.run_scratch(events, false, &mut scratch);
+    let base_stats = m.run_in(events, false, &mut ctx).stats;
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let obs_stats = m.run_scratch(events, false, &mut scratch);
+    let obs_stats = m.run_in(events, false, &mut ctx).stats;
     assert_eq!(base_stats, obs_stats, "observability changed matcher results");
     // Within a round, off/on samples are interleaved (host clock drift
     // hits both modes equally) and each mode takes its min-of-N; across
@@ -281,10 +283,10 @@ pub fn run() {
         let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..OBS_REPS {
             tgm_obs::set_enabled(false);
-            let t = timed(|| std::hint::black_box(m.run_scratch(events, false, &mut scratch))).1;
+            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
             off = off.min(t);
             tgm_obs::set_enabled(true);
-            let t = timed(|| std::hint::black_box(m.run_scratch(events, false, &mut scratch))).1;
+            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
             on = on.min(t);
         }
         estimates.push((off, on));

@@ -18,7 +18,7 @@ use tgm_events::{Event, TickColumns};
 use tgm_limits::{fail, CancelToken, Interrupt, Limits, WorkerPanic};
 use tgm_obs::span::span_if;
 use tgm_obs::ObsOptions;
-use tgm_tag::{MatchOptions, MultiMatcher, MultiScratch, Tag, TagTemplate};
+use tgm_tag::{MatchOptions, MatcherScratch, MultiMatcher, RunCtx, Tag, TagTemplate};
 
 use crate::bounded::contain;
 
@@ -93,7 +93,7 @@ fn multi_count_support(
     mm: &MultiMatcher<'_>,
     input: &ScanInput<'_>,
     refs: &[usize],
-    scratch: &mut MultiScratch,
+    scratch: &mut MatcherScratch,
     tag_runs: &mut usize,
     limits: Option<&Limits>,
     supports: &mut [usize],
@@ -112,25 +112,16 @@ fn multi_count_support(
             None => &events[idx..],
         };
         *tag_runs += mm.len();
-        let stats = match (input.cols, limits) {
-            (Some(cols), Some(l)) => {
-                let run = mm.run_columns_bounded(slice, cols, idx, true, scratch, l);
-                if let Some(i) = run.verdict.interrupt() {
-                    return Err(i);
-                }
-                run.stats
-            }
-            (Some(cols), None) => mm.run_columns_scratch(slice, cols, idx, true, scratch),
-            (None, Some(l)) => {
-                let run = mm.run_bounded(slice, true, scratch, l);
-                if let Some(i) = run.verdict.interrupt() {
-                    return Err(i);
-                }
-                run.stats
-            }
-            (None, None) => mm.run_scratch(slice, true, scratch),
+        let mut ctx = RunCtx {
+            scratch: &mut *scratch,
+            cols: input.cols.map(|cols| (cols, idx)),
+            limits,
         };
-        for (c, s) in stats.iter().enumerate() {
+        let run = mm.run_in(slice, true, &mut ctx);
+        if let Some(i) = run.verdict.interrupt() {
+            return Err(i);
+        }
+        for (c, s) in run.stats.iter().enumerate() {
             if s.accepted {
                 supports[c] += 1;
             }
@@ -228,7 +219,7 @@ pub(crate) fn count_supports(
                 &mm,
                 input,
                 refs,
-                &mut MultiScratch::new(),
+                &mut MatcherScratch::new(),
                 &mut runs,
                 limits,
                 &mut local,
@@ -302,7 +293,6 @@ mod tests {
     use tgm_core::{StructureBuilder, Tcg};
     use tgm_events::EventType;
     use tgm_granularity::Calendar;
-    use tgm_tag::MatcherScratch;
 
     use super::*;
     use crate::naive::count_support;

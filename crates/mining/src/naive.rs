@@ -6,7 +6,7 @@ use tgm_events::{Event, EventSequence, EventType, TickColumns};
 use tgm_limits::{fail, CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
 use tgm_obs::span::span_if;
 use tgm_obs::{metrics, Observable, ObsOptions, ObsValue};
-use tgm_tag::{build_tag, count_interrupt, MatchOptions, Matcher, MatcherScratch, Tag};
+use tgm_tag::{build_tag, count_interrupt, MatchOptions, Matcher, MatcherScratch, RunCtx, Tag};
 
 use crate::bounded::{contain, BoundedMining, Halt};
 use crate::problem::{DiscoveryProblem, Solution};
@@ -325,15 +325,12 @@ fn count_refs(
             None => &events[idx..],
         };
         *tag_runs += 1;
-        let hit = match (cols, limits) {
-            (Some(cols), Some(l)) => {
-                matcher.matches_within_columns_bounded(slice, cols, idx, scratch, l)?
-            }
-            (Some(cols), None) => matcher.matches_within_columns_scratch(slice, cols, idx, scratch),
-            (None, Some(l)) => matcher.matches_within_bounded(slice, scratch, l)?,
-            (None, None) => matcher.matches_within_scratch(slice, scratch),
+        let mut ctx = RunCtx {
+            scratch: &mut *scratch,
+            cols: cols.map(|cols| (cols, idx)),
+            limits,
         };
-        if hit {
+        if matcher.run_in(slice, true, &mut ctx).acceptance()? {
             support += 1;
         }
     }

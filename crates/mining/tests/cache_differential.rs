@@ -12,7 +12,7 @@ use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
 use tgm_granularity::{cache, periodic, Calendar, Gran};
 use tgm_mining::{naive, pipeline, DiscoveryProblem};
-use tgm_tag::{build_tag, Matcher};
+use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 const DAY: i64 = 86_400;
 
@@ -64,7 +64,12 @@ proptest! {
         let clock_grans: Vec<Gran> =
             tag.clocks().iter().map(|(_, g)| g.clone()).collect();
         let cols = TickColumns::build(seq.events(), &clock_grans);
-        let with_cols = m.run_columns(seq.events(), &cols, 0, false);
+        let mut scratch = MatcherScratch::new();
+        let mut ctx = RunCtx {
+            cols: Some((&cols, 0)),
+            ..RunCtx::new(&mut scratch)
+        };
+        let with_cols = m.run_in(seq.events(), false, &mut ctx).stats;
         cache::set_enabled(false);
         let off = m.run(seq.events(), false);
         periodic::set_enabled(true);

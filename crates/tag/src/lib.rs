@@ -58,9 +58,9 @@ pub use chains::{greedy_chain_cover, is_valid_cover, minimal_chain_cover, Chain}
 pub use constraint::{ClockConstraint, ClockId};
 pub use construct::{build_tag, build_tag_for_structure, build_tag_with_cover, TagTemplate};
 pub use matcher::{
-    BoundedRun, MatchOptions, MatchOptionsBuilder, Matcher, MatcherScratch, RunStats,
+    BoundedRun, MatchOptions, MatchOptionsBuilder, Matcher, MatcherScratch, RunCtx, RunStats,
 };
-pub use multi::{MultiMatcher, MultiRun, MultiScratch};
+pub use multi::{MultiMatcher, MultiRun};
 pub use session::{Completion, MatchSession, Push, SessionState, SessionStats};
 
 #[doc(hidden)]

@@ -7,21 +7,31 @@
 //! reading at an event with timestamp `t` is `⌈t⌉μ − reset`, undefined when
 //! either side is undefined (see the crate docs for the gap semantics).
 //!
-//! # Engine representation
+//! # One engine
 //!
-//! The production engine is *allocation-free in steady state*: a frontier
-//! is one flat `i64` buffer of packed reset rows (stride = number of
-//! clocks, `i64::MIN` encoding an undefined reset) plus one packed
-//! state/started word per configuration, and deduplication hashes the
-//! packed rows in place against an open-addressing index table — no
-//! per-configuration heap objects, no clones into a hash set. All per-run
-//! buffers live in a [`MatcherScratch`] that callers can reuse across
-//! runs, so the anchored per-occurrence sweeps of the §5 miner perform no
-//! allocation after the first run warms the capacity. The pre-existing
-//! per-`Config` engine is retained as `*_reference` methods for
-//! differential testing and the E11 ablation.
+//! A [`Matcher`] compiles its TAG into a one-member *lane* of the lane
+//! engine in [`multi`](crate::MultiMatcher) — the only forward simulation
+//! in the crate. [`run`](Matcher::run), [`run_in`](Matcher::run_in),
+//! [`accepts`](Matcher::accepts) and
+//! [`matches_within`](Matcher::matches_within) replay their input through a
+//! [`MatchSession`](crate::MatchSession) holding that lane, so a batch run
+//! *is* a replayed stream; [`MultiMatcher`](crate::MultiMatcher) advances
+//! many lanes with the same per-event step. A frontier is one flat `i64`
+//! buffer of packed reset rows (stride = number of clocks, `i64::MIN`
+//! encoding an undefined reset) plus one packed state/started word per
+//! configuration, deduplicated in place by [`dedup_tail`] — no
+//! per-configuration heap objects. Every buffer lives in a
+//! [`MatcherScratch`] passed through a [`RunCtx`], so repeated runs
+//! allocate nothing once the scratch is warm.
+//!
+//! [`find_occurrence`](Matcher::find_occurrence) keeps its own search over
+//! a back-pointer arena (the only caller that needs provenance), built on
+//! the same deduplication helper. The per-`Config` engine of the
+//! `*_reference` methods is independent of all of this: it is the
+//! differential oracle and the E6/E11 engine ablation.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use tgm_events::{Event, TickColumns};
 use tgm_granularity::{Granularity, Second, Tick};
@@ -29,8 +39,10 @@ use tgm_limits::{Interrupt, Limits, Verdict};
 use tgm_obs::metrics::{self, Histogram};
 use tgm_obs::{Observable, ObsOptions, ObsValue};
 
-use crate::automaton::{StateId, Tag};
+use crate::automaton::{StateId, Tag, Transition};
 use crate::constraint::ClockId;
+use crate::multi::{Lane, LaneScratch};
+use crate::session::MatchSession;
 
 /// Matching options.
 ///
@@ -171,6 +183,18 @@ pub struct BoundedRun {
     pub verdict: Verdict,
 }
 
+impl BoundedRun {
+    /// The answer of an early-exit (prefix acceptance) run: `Err` when the
+    /// run was interrupted before an acceptance was established; an
+    /// acceptance reached first still counts.
+    pub fn acceptance(&self) -> Result<bool, Interrupt> {
+        match self.verdict.interrupt() {
+            Some(i) if !self.stats.accepted => Err(i),
+            _ => Ok(self.stats.accepted),
+        }
+    }
+}
+
 /// Short class name of an interrupt, used to tag flight-recorder events.
 #[doc(hidden)]
 pub fn interrupt_class(i: Interrupt) -> &'static str {
@@ -250,6 +274,35 @@ pub(crate) fn saturate_reset(cur: i64, cap: i64) -> i64 {
         .max(NONE_TICK + 1)
 }
 
+/// Saturates packed clock resets whose readings exceed their clock's cap:
+/// the canonical representative keeps the reading exactly one past the
+/// cap. Clocks undefined at `ticks` (or never reset) are left alone.
+///
+/// All arithmetic is saturating: near-`i64` extremes a reading past
+/// every guard constant stays past every guard constant, and the
+/// representative is clamped away from the [`NONE_TICK`] encoding
+/// (mirrored exactly in the reference engine's `canonicalize`).
+#[inline]
+pub(crate) fn saturate_row(row: &mut [i64], ticks: &[i64], caps: &[i64]) {
+    for (x, r) in row.iter_mut().enumerate() {
+        let cur = ticks[x];
+        if cur != NONE_TICK && *r != NONE_TICK && cur.saturating_sub(*r) > caps[x] {
+            *r = saturate_reset(cur, caps[x]);
+        }
+    }
+}
+
+/// Whether `tr`'s guard holds for a configuration with reset row `row` at
+/// an event with tick row `ticks` (an undefined reading fails its atom).
+#[inline]
+pub(crate) fn guard_holds(tr: &Transition, ticks: &[i64], row: &[i64]) -> bool {
+    let value = |x: ClockId| -> Option<i64> {
+        let (cur, res) = (ticks[x.index()], row[x.index()]);
+        (cur != NONE_TICK && res != NONE_TICK).then(|| cur.saturating_sub(res))
+    };
+    tr.guard.eval(&value) == Some(true)
+}
+
 #[inline]
 pub(crate) fn pack_meta(state: StateId, started: bool) -> u64 {
     ((state.index() as u64) << 1) | u64::from(started)
@@ -267,7 +320,7 @@ pub(crate) fn meta_started(m: u64) -> bool {
 
 /// FxHash-style mix over a packed configuration (meta word + reset row).
 #[inline]
-pub(crate) fn hash_row(meta: u64, row: &[i64]) -> u64 {
+fn hash_row(meta: u64, row: &[i64]) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut h = (meta ^ 0xA076_1D64_78BD_642F).wrapping_mul(K);
     for &w in row {
@@ -285,7 +338,9 @@ const EMPTY_SLOT: u64 = u64::MAX;
 /// O(1) by bumping the generation, so one table serves every event of
 /// every run without re-zeroing (the standard timestamped-hash-table
 /// trick). Keys live in the caller's row pool — the table only compares
-/// via callbacks, so nothing is ever cloned.
+/// via callbacks, so nothing is ever cloned. Starts empty: the first
+/// insert allocates.
+#[derive(Default)]
 pub(crate) struct DedupTable {
     slots: Vec<u64>,
     gen: u32,
@@ -293,14 +348,6 @@ pub(crate) struct DedupTable {
 }
 
 impl DedupTable {
-    fn new() -> Self {
-        DedupTable {
-            slots: vec![EMPTY_SLOT; 16],
-            gen: 0,
-            len: 0,
-        }
-    }
-
     /// Invalidates every entry in O(1) (generation bump).
     pub(crate) fn reset(&mut self) {
         self.len = 0;
@@ -324,17 +371,17 @@ impl DedupTable {
 
     /// Inserts `idx` under `hash` unless an equal entry exists; `eq(j)`
     /// compares against previously inserted index `j`, `hash_of(j)`
-    /// re-hashes it (used only when the table grows). Returns whether the
-    /// entry is new.
-    pub(crate) fn insert(
+    /// re-hashes it (used only when the table grows). Returns the equal
+    /// entry, or `None` when `idx` was inserted.
+    fn insert(
         &mut self,
         hash: u64,
         idx: u32,
-        mut eq: impl FnMut(u32) -> bool,
-        mut hash_of: impl FnMut(u32) -> u64,
-    ) -> bool {
+        eq: impl Fn(u32) -> bool,
+        hash_of: impl Fn(u32) -> u64,
+    ) -> Option<u32> {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow(&mut hash_of);
+            self.grow(&hash_of);
         }
         let mask = self.slots.len() - 1;
         let mut i = (hash as usize) & mask;
@@ -343,21 +390,17 @@ impl DedupTable {
                 None => {
                     self.slots[i] = ((self.gen as u64) << 32) | u64::from(idx);
                     self.len += 1;
-                    return true;
+                    return None;
                 }
-                Some(j) => {
-                    if eq(j) {
-                        return false;
-                    }
-                    i = (i + 1) & mask;
-                }
+                Some(j) if eq(j) => return Some(j),
+                Some(_) => i = (i + 1) & mask,
             }
         }
     }
 
     /// Doubles capacity, re-inserting the current generation's entries.
     /// Allocates only while growing past the historical maximum.
-    fn grow(&mut self, hash_of: &mut impl FnMut(u32) -> u64) {
+    fn grow(&mut self, hash_of: &impl Fn(u32) -> u64) {
         let new_cap = (self.slots.len() * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
         let mask = new_cap - 1;
@@ -373,6 +416,38 @@ impl DedupTable {
     }
 }
 
+/// Deduplicates the reset row the caller staged at the tail of `rows`
+/// (its last `n` words) under meta word `m`, against the rows `table`
+/// holds from this generation. A new row is kept (`m` is pushed to `meta`)
+/// and `None` returned; a duplicate is un-staged and the index of the
+/// equal row returned. Every frontier build — seeding, advancing,
+/// eviction, the lane engine and the provenance arena — goes through
+/// here. Requires `rows.len() == (meta.len() + 1) * n`.
+pub(crate) fn dedup_tail(
+    table: &mut DedupTable,
+    meta: &mut Vec<u64>,
+    rows: &mut Vec<i64>,
+    n: usize,
+    m: u64,
+) -> Option<usize> {
+    let idx = meta.len();
+    debug_assert_eq!(rows.len(), (idx + 1) * n);
+    let (done, staged) = rows.split_at(idx * n);
+    let fm: &[u64] = meta;
+    let row = |j: u32| &done[j as usize * n..(j as usize + 1) * n];
+    let hit = table.insert(
+        hash_row(m, staged),
+        idx as u32,
+        |j| fm[j as usize] == m && row(j) == staged,
+        |j| hash_row(fm[j as usize], row(j)),
+    );
+    match hit {
+        None => meta.push(m),
+        Some(_) => rows.truncate(idx * n),
+    }
+    hit.map(|j| j as usize)
+}
+
 /// Provenance of one arena configuration in
 /// [`find_occurrence`](Matcher::find_occurrence): parent index, consuming
 /// event, and whether the consuming transition was a pattern transition.
@@ -382,12 +457,12 @@ struct Prov {
     pattern: bool,
 }
 
-/// Reusable buffers for matcher runs.
+/// Reusable buffers for matcher runs — the one scratch type of the crate.
 ///
-/// One scratch holds every per-run buffer of the packed engine: the
-/// current and next frontier (packed meta words + flat reset rows), the
-/// deduplication table, the current event's resolved tick row, and the
-/// back-pointer arena of [`Matcher::find_occurrence`]. Repeated runs —
+/// It holds one buffer set per lane of the lane engine (a [`Matcher`] or
+/// [`MatchSession`](crate::MatchSession) uses the first; a
+/// [`MultiMatcher`](crate::MultiMatcher) one per lane) and the
+/// back-pointer arena of [`Matcher::find_occurrence_in`]. Repeated runs —
 /// in particular the miner's one-anchored-run-per-reference-occurrence
 /// sweeps — reuse the grown capacity and allocate nothing.
 ///
@@ -396,17 +471,7 @@ struct Prov {
 /// in sequence.
 #[derive(Default)]
 pub struct MatcherScratch {
-    /// Current frontier: packed state/started per configuration.
-    pub(crate) meta: Vec<u64>,
-    /// Current frontier reset rows, stride = number of clocks.
-    pub(crate) rows: Vec<i64>,
-    pub(crate) next_meta: Vec<u64>,
-    pub(crate) next_rows: Vec<i64>,
-    pub(crate) table: DedupTable,
-    /// Packed covering ticks of the current event, one per clock.
-    pub(crate) ticks: Vec<i64>,
-    /// Per-clock column index for column-reading runs.
-    pub(crate) clock_cols: Vec<Option<usize>>,
+    pub(crate) lanes: Vec<LaneScratch>,
     // `find_occurrence` arena (configurations with provenance).
     arena_meta: Vec<u64>,
     arena_rows: Vec<i64>,
@@ -415,35 +480,79 @@ pub struct MatcherScratch {
     nx_idx: Vec<u32>,
 }
 
-impl Default for DedupTable {
-    fn default() -> Self {
-        DedupTable::new()
-    }
-}
-
 impl MatcherScratch {
     /// An empty scratch; buffers grow on first use and are kept across
     /// runs.
     pub fn new() -> Self {
         MatcherScratch::default()
     }
+
+    /// The buffers of the first `k` lanes, growing the lane list if needed.
+    pub(crate) fn lanes(&mut self, k: usize) -> &mut [LaneScratch] {
+        if self.lanes.len() < k {
+            self.lanes.resize_with(k, LaneScratch::default);
+        }
+        &mut self.lanes[..k]
+    }
+}
+
+/// The context of one `_in` run ([`Matcher::run_in`],
+/// [`Matcher::find_occurrence_in`],
+/// [`MultiMatcher::run_in`](crate::MultiMatcher::run_in)): the reused
+/// scratch plus the optional inputs.
+pub struct RunCtx<'c> {
+    /// Buffers reused across runs.
+    pub scratch: &'c mut MatcherScratch,
+    /// Pre-resolved covering ticks: the run's events are the rows
+    /// `offset..offset + events.len()` of the slice the columns were built
+    /// over. Clocks whose granularity has no column fall back to direct
+    /// resolution, so results never depend on the column set.
+    pub cols: Option<(&'c TickColumns, usize)>,
+    /// Cancellation and the deadline are polled before each event; the
+    /// budget caps frontier rows (the Theorem 4 space measure). With
+    /// [`Limits::none`] a run is bit-identical to an unbounded one.
+    pub limits: Option<&'c Limits>,
+}
+
+impl<'c> RunCtx<'c> {
+    /// A context over `scratch`: direct tick resolution, no limits.
+    pub fn new(scratch: &'c mut MatcherScratch) -> Self {
+        RunCtx {
+            scratch,
+            cols: None,
+            limits: None,
+        }
+    }
+
+    /// Panics unless the columns cover `len` events from the offset.
+    pub(crate) fn check_columns(&self, len: usize) {
+        if let Some((cols, offset)) = self.cols {
+            assert!(
+                offset + len <= cols.len(),
+                "event slice [{offset}, {}) exceeds the {} column rows",
+                offset + len,
+                cols.len()
+            );
+        }
+    }
 }
 
 /// A reusable matcher for one TAG.
 ///
-/// Cloning is cheap (the guard-constant table is shared), which is how the
-/// batch entry points hand the engine to a per-run [`MatchSession`]
-/// without allocating.
+/// Cloning is cheap (the compiled lane is shared), which is how the batch
+/// entry points hand the engine to a per-run
+/// [`MatchSession`](crate::MatchSession) without allocating.
 #[derive(Clone)]
 pub struct Matcher<'a> {
     pub(crate) tag: &'a Tag,
     pub(crate) opts: MatchOptions,
-    /// Per clock, the largest constant it is compared against in any guard.
-    /// Clock readings beyond this are indistinguishable from each other now
-    /// and forever (readings only grow between resets), so configurations
-    /// are canonicalized by saturating such resets — this is what keeps the
+    /// The TAG compiled as a one-member lane. Its `max_consts` holds, per
+    /// clock, the largest constant the clock is compared against in any
+    /// guard: readings beyond it are indistinguishable now and forever
+    /// (readings only grow between resets), so configurations are
+    /// canonicalized by saturating such resets — this is what keeps the
     /// frontier bounded by `(|V|·K)^p` instead of `|σ|` (Theorem 4).
-    max_consts: std::sync::Arc<[i64]>,
+    pub(crate) lane: Arc<Lane>,
 }
 
 impl<'a> Matcher<'a> {
@@ -455,14 +564,10 @@ impl<'a> Matcher<'a> {
     /// A matcher with explicit options.
     pub fn with_options(tag: &'a Tag, opts: MatchOptions) -> Self {
         ensure_interrupt_observer();
-        let mut max_consts = vec![0i64; tag.clocks.len()];
-        for tr in tag.transitions() {
-            collect_guard_consts(&tr.guard, &mut max_consts);
-        }
         Matcher {
             tag,
             opts,
-            max_consts: max_consts.into(),
+            lane: Arc::new(Lane::single(tag, opts)),
         }
     }
 
@@ -481,204 +586,105 @@ impl<'a> Matcher<'a> {
 
     /// Full run with instrumentation. `early_exit` stops at the first
     /// accepting configuration. Allocates a fresh scratch; hot callers
-    /// should use [`run_scratch`](Self::run_scratch).
+    /// should use [`run_in`](Self::run_in).
     pub fn run(&self, events: &[Event], early_exit: bool) -> RunStats {
-        self.run_scratch(events, early_exit, &mut MatcherScratch::new())
-    }
-
-    /// [`run`](Self::run) with caller-provided scratch buffers: repeated
-    /// runs reuse capacity and perform no steady-state allocation.
-    pub fn run_scratch(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-    ) -> RunStats {
-        self.run_direct_core(events, early_exit, scratch, None).stats
-    }
-
-    /// [`run_scratch`](Self::run_scratch) under [`Limits`]: the run polls
-    /// cancellation and the deadline between events and caps the frontier
-    /// pool at the row budget, returning partial [`RunStats`] plus a
-    /// [`Verdict`] instead of running away. With [`Limits::none`] the
-    /// result is bit-identical to [`run_scratch`](Self::run_scratch).
-    pub fn run_bounded(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        limits: &Limits,
-    ) -> BoundedRun {
-        self.run_direct_core(events, early_exit, scratch, Some(limits))
-    }
-
-    fn run_direct_core(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        self.run_scratch_core(
-            events,
-            early_exit,
-            scratch,
-            |_, e, out| {
-                for (x, slot) in out.iter_mut().enumerate() {
-                    *slot = pack_tick(self.clock_tick(ClockId(x), e.time));
-                }
-            },
-            limits,
-        )
-    }
-
-    /// [`matches_within`](Self::matches_within) with caller-provided
-    /// scratch.
-    pub fn matches_within_scratch(&self, events: &[Event], scratch: &mut MatcherScratch) -> bool {
-        self.run_scratch(events, true, scratch).accepted
-    }
-
-    /// [`matches_within_scratch`](Self::matches_within_scratch) under
-    /// [`Limits`]: `Err` when the run was interrupted before an answer
-    /// was established.
-    pub fn matches_within_bounded(
-        &self,
-        events: &[Event],
-        scratch: &mut MatcherScratch,
-        limits: &Limits,
-    ) -> Result<bool, Interrupt> {
-        let run = self.run_bounded(events, true, scratch, limits);
-        match run.verdict.interrupt() {
-            // An early-exit acceptance established before the interrupt
-            // still counts.
-            Some(i) if !run.stats.accepted => Err(i),
-            _ => Ok(run.stats.accepted),
-        }
-    }
-
-    /// Like [`run`](Self::run), but clock updates read pre-resolved
-    /// [`TickColumns`] instead of resolving each event's covering tick per
-    /// clock: the reading at event `i` is `⌈tᵢ⌉μ − reset` with `⌈tᵢ⌉μ`
-    /// looked up at row `offset + i`.
-    ///
-    /// `events` must be the row range `offset..offset + events.len()` of
-    /// the slice the columns were built over. Clocks whose granularity has
-    /// no column fall back to direct resolution, so results are identical
-    /// to [`run`](Self::run) for any column set.
-    pub fn run_columns(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-    ) -> RunStats {
-        self.run_columns_scratch(events, cols, offset, early_exit, &mut MatcherScratch::new())
-    }
-
-    /// [`run_columns`](Self::run_columns) with caller-provided scratch.
-    /// The per-event tick row is filled in place — no per-event allocation.
-    pub fn run_columns_scratch(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-    ) -> RunStats {
-        self.run_columns_core(events, cols, offset, early_exit, scratch, None)
+        self.run_in(events, early_exit, &mut RunCtx::new(&mut MatcherScratch::new()))
             .stats
     }
 
-    /// [`run_columns_scratch`](Self::run_columns_scratch) under
-    /// [`Limits`]; see [`run_bounded`](Self::run_bounded) for the
-    /// semantics.
-    pub fn run_columns_bounded(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        limits: &Limits,
-    ) -> BoundedRun {
-        self.run_columns_core(events, cols, offset, early_exit, scratch, Some(limits))
-    }
-
-    fn run_columns_core(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        assert!(
-            offset + events.len() <= cols.len(),
-            "event slice [{offset}, {}) exceeds the {} column rows",
-            offset + events.len(),
-            cols.len()
-        );
-        let mut ccols = std::mem::take(&mut scratch.clock_cols);
-        ccols.clear();
-        ccols.extend(self.tag.clocks.iter().map(|(_, g)| cols.index_of(g)));
-        let run = self.run_scratch_core(
-            events,
-            early_exit,
-            scratch,
-            |i, e, out| {
-                for (x, c) in ccols.iter().enumerate() {
-                    out[x] = match c {
-                        Some(c) => pack_tick(cols.tick(*c, offset + i)),
-                        None => pack_tick(self.clock_tick(ClockId(x), e.time)),
-                    };
-                }
-            },
-            limits,
-        );
-        scratch.clock_cols = ccols;
+    /// [`run`](Self::run) in a [`RunCtx`]: the scratch is reused (no
+    /// steady-state allocation), clock ticks are read from the context's
+    /// columns when present, and the context's [`Limits`] are polled
+    /// between events, returning partial [`RunStats`] plus a [`Verdict`]
+    /// instead of running away.
+    ///
+    /// The run replays `events` through a
+    /// [`MatchSession`](crate::MatchSession), wrapped in the
+    /// `tag.matcher.run` span and `tag.matcher.*` metrics (a per-event
+    /// frontier histogram accumulated locally and merged once per run).
+    /// Nothing is emitted (and no clock is read) while observability is
+    /// disabled, and emission never feeds back into results.
+    pub fn run_in(&self, events: &[Event], early_exit: bool, ctx: &mut RunCtx<'_>) -> BoundedRun {
+        let _span = tgm_obs::span::span_if(self.opts.obs.spans, "tag.matcher.run");
+        let hist = self.opts.obs.metrics_on().then(Histogram::new);
+        let (run, hist) = self.replay(events, early_exit, ctx, hist);
+        if let Some(hist) = &hist {
+            let stats = run.stats;
+            metrics::counter_add("tag.matcher.runs", 1);
+            metrics::counter_add("tag.matcher.events", stats.events as u64);
+            metrics::counter_add("tag.matcher.expansions", stats.expansions);
+            metrics::counter_add("tag.matcher.dedup_hits", stats.dedup_hits);
+            metrics::counter_add("tag.matcher.accepted", u64::from(stats.accepted));
+            metrics::histogram_merge("tag.matcher.frontier", hist);
+            metrics::histogram_record("tag.matcher.peak_frontier", stats.peak_configs as u64);
+            // Pool high-water mark: grown capacity of the packed row
+            // buffers this run left behind in the scratch.
+            let pool = ctx.scratch.lanes.first();
+            let pool = pool.map_or(0, |ls| ls.rows.capacity() + ls.next_rows.capacity());
+            metrics::histogram_record("tag.matcher.pool_rows_high_water", pool as u64);
+            if let Some(i) = run.verdict.interrupt() {
+                count_interrupt(i);
+            }
+        }
         run
     }
 
-    /// Column-reading variant of [`matches_within`](Self::matches_within).
-    pub fn matches_within_columns(
+    /// The simulation behind [`run_in`](Self::run_in): construct a session
+    /// (donating the context's scratch), push every event, read the
+    /// verdict back out. `hist`, when present, collects the post-advance
+    /// frontier size at every event.
+    fn replay(
         &self,
         events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-    ) -> bool {
-        self.run_columns(events, cols, offset, true).accepted
-    }
-
-    /// [`matches_within_columns`](Self::matches_within_columns) with
-    /// caller-provided scratch.
-    pub fn matches_within_columns_scratch(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        scratch: &mut MatcherScratch,
-    ) -> bool {
-        self.run_columns_scratch(events, cols, offset, true, scratch)
-            .accepted
-    }
-
-    /// [`matches_within_columns_scratch`](Self::matches_within_columns_scratch)
-    /// under [`Limits`]: `Err` when the run was interrupted before an
-    /// answer was established.
-    pub fn matches_within_columns_bounded(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        scratch: &mut MatcherScratch,
-        limits: &Limits,
-    ) -> Result<bool, Interrupt> {
-        let run = self.run_columns_bounded(events, cols, offset, true, scratch, limits);
-        match run.verdict.interrupt() {
-            Some(i) if !run.stats.accepted => Err(i),
-            _ => Ok(run.stats.accepted),
+        early_exit: bool,
+        ctx: &mut RunCtx<'_>,
+        hist: Option<Histogram>,
+    ) -> (BoundedRun, Option<Histogram>) {
+        let done = |accepted| BoundedRun {
+            stats: RunStats {
+                accepted,
+                ..RunStats::default()
+            },
+            verdict: Verdict::Completed,
+        };
+        // Empty input: accepted iff a start state is accepting.
+        if events.is_empty() {
+            return (done(self.lane.start_accepting), hist);
         }
+        tgm_limits::fail::point("tag.matcher.run", ctx.limits);
+        // Early exit before any event is consumed: the seeded frontier is
+        // exactly the start states, so length-0 prefix acceptance is a
+        // start-state scan.
+        if early_exit && self.lane.start_accepting {
+            return (done(true), hist);
+        }
+        ctx.check_columns(events.len());
+        let scratch = std::mem::take(&mut *ctx.scratch);
+        let mut session = MatchSession::for_batch(self, scratch, ctx.limits.cloned(), hist);
+        if let Some((cols, _)) = ctx.cols {
+            session.bind_batch_columns(cols);
+        }
+        let mut run = None;
+        for (i, e) in events.iter().enumerate() {
+            let row = ctx.cols.map(|(cols, offset)| (cols, offset + i));
+            // Acceptance wins over a same-event budget trip.
+            if session.advance(e, row).completed() && early_exit {
+                let mut stats = session.raw_stats();
+                stats.accepted = true;
+                run = Some(BoundedRun {
+                    stats,
+                    verdict: Verdict::Completed,
+                });
+                break;
+            }
+            if session.interrupted().is_some() || session.is_dead() {
+                break;
+            }
+        }
+        let run = run.unwrap_or_else(|| session.outcome());
+        let (scratch, hist) = session.into_parts();
+        *ctx.scratch = scratch;
+        (run, hist)
     }
 
     /// Finds one occurrence and returns the indices (into `events`) of the
@@ -689,44 +695,24 @@ impl<'a> Matcher<'a> {
     /// the configuration graph, so it uses memory proportional to the
     /// number of distinct configurations created.
     pub fn find_occurrence(&self, events: &[Event]) -> Option<Vec<usize>> {
-        self.find_occurrence_scratch(events, &mut MatcherScratch::new())
-    }
-
-    /// [`find_occurrence`](Self::find_occurrence) with caller-provided
-    /// scratch: the configuration arena, frontier index lists and tick row
-    /// all reuse capacity across calls, and rejected (duplicate)
-    /// configurations are deduplicated in place without cloning.
-    pub fn find_occurrence_scratch(
-        &self,
-        events: &[Event],
-        scratch: &mut MatcherScratch,
-    ) -> Option<Vec<usize>> {
         // The Err arm is unreachable without limits.
-        self.find_occurrence_core(events, scratch, None)
+        self.find_occurrence_in(events, &mut RunCtx::new(&mut MatcherScratch::new()))
             .unwrap_or_default()
     }
 
-    /// [`find_occurrence_scratch`](Self::find_occurrence_scratch) under
-    /// [`Limits`]: the search polls cancellation and the deadline between
-    /// events and caps the back-pointer arena at the row budget. `Err`
-    /// when interrupted before the search concluded.
-    pub fn find_occurrence_bounded(
+    /// [`find_occurrence`](Self::find_occurrence) in a [`RunCtx`]: the
+    /// configuration arena, frontier index lists and tick row reuse the
+    /// scratch's capacity, ticks come from the context's columns when
+    /// present, and the context's [`Limits`] are polled between events
+    /// with the row budget capping the back-pointer arena. `Err` when
+    /// interrupted before the search concluded.
+    pub fn find_occurrence_in(
         &self,
         events: &[Event],
-        scratch: &mut MatcherScratch,
-        limits: &Limits,
-    ) -> Result<Option<Vec<usize>>, Interrupt> {
-        self.find_occurrence_core(events, scratch, Some(limits))
-    }
-
-    fn find_occurrence_core(
-        &self,
-        events: &[Event],
-        scratch: &mut MatcherScratch,
-        limits: Option<&Limits>,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<Option<Vec<usize>>, Interrupt> {
         let _span = tgm_obs::span::span_if(self.opts.obs.spans, "tag.matcher.find_occurrence");
-        let out = self.find_occurrence_loop(events, scratch, limits);
+        let out = self.find_occurrence_loop(events, ctx);
         if self.opts.obs.metrics_on() {
             metrics::counter_add("tag.matcher.find_occurrence_runs", 1);
             metrics::counter_add(
@@ -737,7 +723,7 @@ impl<'a> Matcher<'a> {
             // pays over plain acceptance runs.
             metrics::histogram_record(
                 "tag.matcher.find_arena_configs",
-                scratch.arena_meta.len() as u64,
+                ctx.scratch.arena_meta.len() as u64,
             );
             if let Err(i) = &out {
                 count_interrupt(*i);
@@ -747,63 +733,53 @@ impl<'a> Matcher<'a> {
     }
 
     /// The uninstrumented search behind
-    /// [`find_occurrence_scratch`](Self::find_occurrence_scratch).
+    /// [`find_occurrence_in`](Self::find_occurrence_in).
     fn find_occurrence_loop(
         &self,
         events: &[Event],
-        scratch: &mut MatcherScratch,
-        limits: Option<&Limits>,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<Option<Vec<usize>>, Interrupt> {
         if events.is_empty() {
             return Ok(None);
         }
+        ctx.check_columns(events.len());
         let n = self.tag.clocks.len();
+        let caps = self.opts.saturate.then_some(&self.lane.max_consts[..]);
+        let (cols, limits) = (ctx.cols, ctx.limits);
+        let row_of = |i: usize| cols.map(|(cols, offset)| (cols, offset + i));
         let MatcherScratch {
-            table,
-            ticks,
+            lanes,
             arena_meta,
             arena_rows,
             arena_prov,
             fr_idx,
             nx_idx,
-            ..
-        } = scratch;
-        ticks.clear();
-        ticks.resize(n, NONE_TICK);
+        } = &mut *ctx.scratch;
+        if lanes.is_empty() {
+            lanes.push(LaneScratch::default());
+        }
+        let ls = &mut lanes[0];
         arena_meta.clear();
         arena_rows.clear();
         arena_prov.clear();
         fr_idx.clear();
-        nx_idx.clear();
+        if let Some((cols, _)) = cols {
+            ls.bind_columns(self.tag, cols);
+        }
 
         // Initial configurations: clocks read 0 at the first instant.
-        self.fill_ticks_direct(events[0].time, ticks);
-        table.reset();
+        ls.fill_ticks(self.tag, &events[0], row_of(0));
+        ls.table.reset();
         for &s in self.tag.start_states() {
-            let m = pack_meta(s, false);
             let idx = arena_meta.len() as u32;
-            arena_rows.extend_from_slice(ticks);
-            let (done, staged) = arena_rows.split_at_mut(idx as usize * n);
-            let staged: &[i64] = &staged[..n];
-            let done: &[i64] = done;
-            let h = hash_row(m, staged);
-            let am: &[u64] = arena_meta;
-            let is_new = table.insert(
-                h,
-                idx,
-                |j| am[j as usize] == m && &done[j as usize * n..(j as usize + 1) * n] == staged,
-                |j| hash_row(am[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-            );
-            if is_new {
-                arena_meta.push(m);
+            arena_rows.extend_from_slice(&ls.ticks);
+            if dedup_tail(&mut ls.table, arena_meta, arena_rows, n, pack_meta(s, false)).is_none() {
                 arena_prov.push(Prov {
                     parent: u32::MAX,
                     event: u32::MAX,
                     pattern: false,
                 });
                 fr_idx.push(idx);
-            } else {
-                arena_rows.truncate(idx as usize * n);
             }
         }
 
@@ -811,36 +787,23 @@ impl<'a> Matcher<'a> {
             if let Some(l) = limits {
                 l.check()?;
             }
-            self.fill_ticks_direct(e.time, ticks);
+            ls.fill_ticks(self.tag, e, row_of(eidx));
+            let ticks = &ls.ticks;
             if self.opts.strict_updates && ticks.contains(&NONE_TICK) {
                 return Ok(None);
             }
             nx_idx.clear();
-            table.reset();
+            ls.table.reset();
             for &node in fr_idx.iter() {
                 let m = arena_meta[node as usize];
                 let (state, started) = (meta_state(m), meta_started(m));
                 let row_start = node as usize * n;
                 for tr in self.tag.transitions_from(state) {
-                    if !tr.symbol.matches(e.ty) {
-                        continue;
-                    }
-                    if self.opts.anchored && !started && tr.is_skip {
-                        continue;
-                    }
+                    if !tr.symbol.matches(e.ty)
+                        || (self.opts.anchored && !started && tr.is_skip)
+                        || !guard_holds(tr, ticks, &arena_rows[row_start..row_start + n])
                     {
-                        let row = &arena_rows[row_start..row_start + n];
-                        let value = |x: ClockId| -> Option<i64> {
-                            let (cur, res) = (ticks[x.index()], row[x.index()]);
-                            if cur != NONE_TICK && res != NONE_TICK {
-                                Some(cur.saturating_sub(res))
-                            } else {
-                                None
-                            }
-                        };
-                        if tr.guard.eval(&value) != Some(true) {
-                            continue;
-                        }
+                        continue;
                     }
                     if self.tag.is_accepting(tr.to) && !tr.is_skip {
                         // Backtrack through pattern transitions.
@@ -861,36 +824,21 @@ impl<'a> Matcher<'a> {
                     // reference engine's per-event dedup scope).
                     let idx = arena_meta.len() as u32;
                     arena_rows.extend_from_within(row_start..row_start + n);
-                    let (done, staged) = arena_rows.split_at_mut(idx as usize * n);
-                    let staged = &mut staged[..n];
+                    let staged = &mut arena_rows[idx as usize * n..];
                     for &x in &tr.resets {
                         staged[x.index()] = ticks[x.index()];
                     }
-                    self.canonicalize_packed(staged, ticks);
+                    if let Some(caps) = caps {
+                        saturate_row(staged, ticks, caps);
+                    }
                     let nm = pack_meta(tr.to, started || !tr.is_skip);
-                    let staged: &[i64] = staged;
-                    let done: &[i64] = done;
-                    let h = hash_row(nm, staged);
-                    let am: &[u64] = arena_meta;
-                    let is_new = table.insert(
-                        h,
-                        idx,
-                        |j| {
-                            am[j as usize] == nm
-                                && &done[j as usize * n..(j as usize + 1) * n] == staged
-                        },
-                        |j| hash_row(am[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-                    );
-                    if is_new {
-                        arena_meta.push(nm);
+                    if dedup_tail(&mut ls.table, arena_meta, arena_rows, n, nm).is_none() {
                         arena_prov.push(Prov {
                             parent: node,
                             event: eidx as u32,
                             pattern: !tr.is_skip,
                         });
                         nx_idx.push(idx);
-                    } else {
-                        arena_rows.truncate(idx as usize * n);
                     }
                 }
             }
@@ -912,313 +860,6 @@ impl<'a> Matcher<'a> {
     pub(crate) fn clock_tick(&self, x: ClockId, t: Second) -> Option<Tick> {
         self.tag.clocks[x.index()].1.covering_tick(t)
     }
-
-    /// Resolves every clock's covering tick at instant `t` into the packed
-    /// row `out`.
-    pub(crate) fn fill_ticks_direct(&self, t: Second, out: &mut [i64]) {
-        for (x, slot) in out.iter_mut().enumerate() {
-            *slot = pack_tick(self.clock_tick(ClockId(x), t));
-        }
-    }
-
-    /// Saturates packed clock resets whose readings exceed every guard
-    /// constant: the canonical representative keeps the reading exactly one
-    /// past the largest comparison constant.
-    ///
-    /// All arithmetic is saturating: near-`i64` extremes a reading past
-    /// every guard constant stays past every guard constant, and the
-    /// representative is clamped away from the [`NONE_TICK`] encoding
-    /// (mirrored exactly in the reference engine's
-    /// [`canonicalize`](Self::canonicalize)).
-    pub(crate) fn canonicalize_packed(&self, row: &mut [i64], ticks: &[i64]) {
-        if !self.opts.saturate {
-            return;
-        }
-        for (x, r) in row.iter_mut().enumerate() {
-            let cur = ticks[x];
-            if cur != NONE_TICK && *r != NONE_TICK {
-                let cap = self.max_consts[x];
-                if cur.saturating_sub(*r) > cap {
-                    *r = saturate_reset(cur, cap);
-                }
-            }
-        }
-    }
-
-    /// Seeds the packed frontier with the start states, all clocks reset to
-    /// the given tick row.
-    pub(crate) fn seed_frontier_packed(
-        &self,
-        meta: &mut Vec<u64>,
-        rows: &mut Vec<i64>,
-        table: &mut DedupTable,
-        ticks: &[i64],
-    ) {
-        let n = self.tag.clocks.len();
-        meta.clear();
-        rows.clear();
-        table.reset();
-        for &s in self.tag.start_states() {
-            let m = pack_meta(s, false);
-            let idx = meta.len() as u32;
-            rows.extend_from_slice(ticks);
-            let (done, staged) = rows.split_at_mut(idx as usize * n);
-            let staged: &[i64] = &staged[..n];
-            let done: &[i64] = done;
-            let h = hash_row(m, staged);
-            let fm: &[u64] = meta;
-            let is_new = table.insert(
-                h,
-                idx,
-                |j| fm[j as usize] == m && &done[j as usize * n..(j as usize + 1) * n] == staged,
-                |j| hash_row(fm[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-            );
-            if is_new {
-                meta.push(m);
-            } else {
-                rows.truncate(idx as usize * n);
-            }
-        }
-    }
-
-    /// Advances the packed frontier by one event given its packed tick row.
-    /// Writes the next frontier into `next_meta`/`next_rows` and returns
-    /// whether any *newly created* configuration is accepting.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn advance_packed(
-        &self,
-        meta: &[u64],
-        rows: &[i64],
-        next_meta: &mut Vec<u64>,
-        next_rows: &mut Vec<i64>,
-        table: &mut DedupTable,
-        ticks: &[i64],
-        e: &Event,
-        stats: &mut RunStats,
-    ) -> bool {
-        stats.events += 1;
-        next_meta.clear();
-        next_rows.clear();
-        let n = self.tag.clocks.len();
-        let strict_dead = self.opts.strict_updates && ticks.contains(&NONE_TICK);
-        let mut reached_accepting = false;
-        if !strict_dead {
-            table.reset();
-            for (ci, &m) in meta.iter().enumerate() {
-                let (state, started) = (meta_state(m), meta_started(m));
-                let row = &rows[ci * n..ci * n + n];
-                for tr in self.tag.transitions_from(state) {
-                    if !tr.symbol.matches(e.ty) {
-                        continue;
-                    }
-                    if self.opts.anchored && !started && tr.is_skip {
-                        continue;
-                    }
-                    let value = |x: ClockId| -> Option<i64> {
-                        let (cur, res) = (ticks[x.index()], row[x.index()]);
-                        if cur != NONE_TICK && res != NONE_TICK {
-                            Some(cur.saturating_sub(res))
-                        } else {
-                            None
-                        }
-                    };
-                    if tr.guard.eval(&value) != Some(true) {
-                        continue;
-                    }
-                    stats.expansions += 1;
-                    // Stage the successor row at the pool tail, dedup in
-                    // place, and un-stage (truncate) duplicates.
-                    let idx = next_meta.len() as u32;
-                    next_rows.extend_from_slice(row);
-                    let (done, staged) = next_rows.split_at_mut(idx as usize * n);
-                    let staged = &mut staged[..n];
-                    for &x in &tr.resets {
-                        staged[x.index()] = ticks[x.index()];
-                    }
-                    self.canonicalize_packed(staged, ticks);
-                    let nm = pack_meta(tr.to, started || !tr.is_skip);
-                    if self.tag.is_accepting(tr.to) && !tr.is_skip {
-                        reached_accepting = true;
-                    }
-                    let staged: &[i64] = staged;
-                    let done: &[i64] = done;
-                    let h = hash_row(nm, staged);
-                    let fm: &[u64] = next_meta;
-                    let is_new = table.insert(
-                        h,
-                        idx,
-                        |j| {
-                            fm[j as usize] == nm
-                                && &done[j as usize * n..(j as usize + 1) * n] == staged
-                        },
-                        |j| hash_row(fm[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-                    );
-                    if is_new {
-                        next_meta.push(nm);
-                    } else {
-                        stats.dedup_hits += 1;
-                        next_rows.truncate(idx as usize * n);
-                    }
-                }
-            }
-        }
-        stats.peak_configs = stats.peak_configs.max(next_meta.len());
-        reached_accepting
-    }
-
-    /// The packed NFA simulation, parameterized over how each event's tick
-    /// row is filled (`fill_ticks(index, event, row)` — direct resolution
-    /// or column lookup). Wraps the loop with observability: one span, a
-    /// per-event frontier-size histogram accumulated locally and merged
-    /// into the global registry once per run, and run-level counters.
-    /// Nothing is emitted (and no clock is read) while observability is
-    /// disabled, and emission never feeds back into results.
-    fn run_scratch_core(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        fill_ticks: impl FnMut(usize, &Event, &mut [i64]),
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        let _span = tgm_obs::span::span_if(self.opts.obs.spans, "tag.matcher.run");
-        let mut frontier_hist = self.opts.obs.metrics_on().then(Histogram::new);
-        let run = self.run_scratch_loop(
-            events,
-            early_exit,
-            scratch,
-            fill_ticks,
-            &mut frontier_hist,
-            limits,
-        );
-        let stats = run.stats;
-        if let Some(hist) = &frontier_hist {
-            metrics::counter_add("tag.matcher.runs", 1);
-            metrics::counter_add("tag.matcher.events", stats.events as u64);
-            metrics::counter_add("tag.matcher.expansions", stats.expansions);
-            metrics::counter_add("tag.matcher.dedup_hits", stats.dedup_hits);
-            metrics::counter_add("tag.matcher.accepted", u64::from(stats.accepted));
-            metrics::histogram_merge("tag.matcher.frontier", hist);
-            metrics::histogram_record("tag.matcher.peak_frontier", stats.peak_configs as u64);
-            // Pool high-water mark: grown capacity of the packed row
-            // buffers this run left behind in the scratch.
-            metrics::histogram_record(
-                "tag.matcher.pool_rows_high_water",
-                (scratch.rows.capacity() + scratch.next_rows.capacity()) as u64,
-            );
-            if let Some(i) = run.verdict.interrupt() {
-                count_interrupt(i);
-            }
-        }
-        run
-    }
-
-    /// The simulation loop behind
-    /// [`run_scratch_core`](Self::run_scratch_core) — since the
-    /// [`MatchSession`](crate::MatchSession) redesign, a thin wrapper over
-    /// a session: construct (donating the caller's scratch), push every
-    /// event, read the verdict back out. There is exactly one engine;
-    /// batch runs are replayed streams. `frontier_hist`, when present,
-    /// collects the post-advance frontier size at every event.
-    fn run_scratch_loop(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MatcherScratch,
-        mut fill_ticks: impl FnMut(usize, &Event, &mut [i64]),
-        frontier_hist: &mut Option<Histogram>,
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        // Empty input: accepted iff a start state is accepting.
-        if events.is_empty() {
-            let stats = RunStats {
-                accepted: self.start_accepting(),
-                ..RunStats::default()
-            };
-            return BoundedRun {
-                stats,
-                verdict: Verdict::Completed,
-            };
-        }
-        tgm_limits::fail::point("tag.matcher.run", limits);
-
-        // Early exit before any event is consumed: the seeded frontier is
-        // exactly the start states, so length-0 prefix acceptance is a
-        // start-state scan.
-        if early_exit && self.start_accepting() {
-            let stats = RunStats {
-                accepted: true,
-                ..RunStats::default()
-            };
-            return BoundedRun {
-                stats,
-                verdict: Verdict::Completed,
-            };
-        }
-
-        let mut session = crate::session::MatchSession::for_batch(
-            self.clone(),
-            std::mem::take(scratch),
-            limits.cloned(),
-            frontier_hist.take(),
-        );
-        let mut outcome = None;
-        for (i, e) in events.iter().enumerate() {
-            match session.push_with(e, |ticks| fill_ticks(i, e, ticks)) {
-                crate::session::Push::Interrupted(int) => {
-                    outcome = Some(BoundedRun {
-                        stats: session.raw_stats(),
-                        verdict: int.into(),
-                    });
-                    break;
-                }
-                // Unreachable: the loop breaks as soon as the session dies.
-                crate::session::Push::Dead => break,
-                crate::session::Push::Advanced { completed } => {
-                    // Acceptance wins over a same-event budget trip.
-                    if early_exit && completed {
-                        let mut stats = session.raw_stats();
-                        stats.accepted = true;
-                        outcome = Some(BoundedRun {
-                            stats,
-                            verdict: Verdict::Completed,
-                        });
-                        break;
-                    }
-                    if let Some(int) = session.interrupted() {
-                        outcome = Some(BoundedRun {
-                            stats: session.raw_stats(),
-                            verdict: int.into(),
-                        });
-                        break;
-                    }
-                    if session.is_dead() {
-                        break;
-                    }
-                }
-            }
-        }
-        let run = outcome.unwrap_or_else(|| {
-            let mut stats = session.raw_stats();
-            stats.accepted = session.frontier_accepting();
-            BoundedRun {
-                stats,
-                verdict: Verdict::Completed,
-            }
-        });
-        let (recovered, hist) = session.into_parts();
-        *scratch = recovered;
-        *frontier_hist = hist;
-        run
-    }
-
-    /// Whether some start state is accepting (length-0 prefix acceptance).
-    pub(crate) fn start_accepting(&self) -> bool {
-        self.tag
-            .start_states()
-            .iter()
-            .any(|&s| self.tag.is_accepting(s))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1235,16 +876,14 @@ struct Config {
 }
 
 impl<'a> Matcher<'a> {
-    /// Option-based variant of
-    /// [`canonicalize_packed`](Self::canonicalize_packed) for the reference
-    /// engine.
+    /// Option-based variant of `saturate_row` for the reference engine.
     fn canonicalize(&self, resets: &mut [Option<Tick>], cur_ticks: &[Option<Tick>]) {
         if !self.opts.saturate {
             return;
         }
         for (x, r) in resets.iter_mut().enumerate() {
             if let (Some(cur), Some(res)) = (cur_ticks[x], *r) {
-                let cap = self.max_consts[x];
+                let cap = self.lane.max_consts[x];
                 if cur.saturating_sub(res) > cap {
                     *r = Some(saturate_reset(cur, cap));
                 }
@@ -1254,7 +893,7 @@ impl<'a> Matcher<'a> {
 
     /// The pre-packed-engine [`run`](Self::run): one `Vec<Option<Tick>>`
     /// per configuration, frontier deduplicated by cloning into a
-    /// `HashSet`. Produces bit-identical [`RunStats`] to the packed engine
+    /// `HashSet`. Produces bit-identical [`RunStats`] to the lane engine
     /// (asserted by differential tests); exists for those tests and for the
     /// E11 engine ablation.
     pub fn run_reference(&self, events: &[Event], early_exit: bool) -> RunStats {
@@ -1263,7 +902,7 @@ impl<'a> Matcher<'a> {
 
     /// [`run_reference`](Self::run_reference) under [`Limits`]: polls and
     /// budget-caps at exactly the same points as
-    /// [`run_bounded`](Self::run_bounded), so bounded runs of the two
+    /// [`run_in`](Self::run_in) under limits, so bounded runs of the two
     /// engines interrupt identically (differentially tested).
     pub fn run_reference_bounded(
         &self,
@@ -1363,7 +1002,7 @@ impl<'a> Matcher<'a> {
 
     /// The pre-packed-engine
     /// [`find_occurrence`](Self::find_occurrence), kept to pin witness
-    /// indices: the packed arena must return exactly the same occurrence.
+    /// indices: the provenance arena must return exactly the same occurrence.
     pub fn find_occurrence_reference(&self, events: &[Event]) -> Option<Vec<usize>> {
         if events.is_empty() {
             return None;
@@ -1577,7 +1216,7 @@ impl<'a> Matcher<'a> {
         }
 
         for (i, e) in events.iter().enumerate() {
-            // Same poll points as the packed engine's run_scratch_loop.
+            // Same poll points as the lane engine's replay.
             if let Some(l) = limits {
                 if let Err(int) = l.check() {
                     return BoundedRun {
@@ -1768,23 +1407,25 @@ mod tests {
             vec![ev(7, 2 * DAY), ev(0, 2 * DAY + 1), ev(1, 3 * DAY)], // noise
             vec![ev(0, 0), ev(0, 2 * DAY), ev(1, 3 * DAY)],        // nondet
         ];
+        let mut scratch = MatcherScratch::new();
+        let mut run_cols = |slice: &[Event], cols: &TickColumns, start: usize, early: bool| {
+            let mut ctx = RunCtx {
+                cols: Some((cols, start)),
+                ..RunCtx::new(&mut scratch)
+            };
+            m.run_in(slice, early, &mut ctx).stats
+        };
         for events in &seqs {
             let cols = TickColumns::build(events, &grans);
             for start in 0..events.len() {
                 let slice = &events[start..];
-                let direct = m.run(slice, false);
-                let columns = m.run_columns(slice, &cols, start, false);
-                assert_eq!(direct.accepted, columns.accepted, "start {start}");
-                assert_eq!(direct.expansions, columns.expansions, "start {start}");
-                assert_eq!(
-                    m.matches_within(slice),
-                    m.matches_within_columns(slice, &cols, start)
-                );
+                assert_eq!(m.run(slice, false), run_cols(slice, &cols, start, false));
+                assert_eq!(m.run(slice, true), run_cols(slice, &cols, start, true));
             }
         }
         // Clocks without a column fall back to direct resolution.
         let empty_cols = TickColumns::build(&seqs[0], &[]);
-        assert!(m.run_columns(&seqs[0], &empty_cols, 0, false).accepted);
+        assert!(run_cols(&seqs[0], &empty_cols, 0, false).accepted);
     }
 
     #[test]
@@ -1811,7 +1452,7 @@ mod tests {
         ];
         for seq in &seqs {
             let fresh = m.run(seq, false);
-            let reused = m.run_scratch(seq, false, &mut scratch);
+            let reused = m.run_in(seq, false, &mut RunCtx::new(&mut scratch)).stats;
             assert_eq!(fresh, reused);
         }
         // The same scratch serves a different TAG (different clock count).
@@ -1835,13 +1476,13 @@ mod tests {
         let seq = [ev(0, 2 * DAY), ev(1, 3 * DAY)];
         assert_eq!(
             m2.run(&seq, false),
-            m2.run_scratch(&seq, false, &mut scratch)
+            m2.run_in(&seq, false, &mut RunCtx::new(&mut scratch)).stats
         );
     }
 
     #[test]
     fn find_occurrence_witness_pinned() {
-        // Regression: packed arena must report exactly the same witness
+        // Regression: the provenance arena must report exactly the same witness
         // indices as the reference engine, with noise interleaved and a
         // nondeterministic earlier A that cannot complete.
         let tag = next_day_tag();
@@ -1862,11 +1503,9 @@ mod tests {
         assert_eq!(m.find_occurrence_reference(&seq2), None);
         // Scratch reuse returns the same witness.
         let mut scratch = MatcherScratch::new();
-        assert_eq!(
-            m.find_occurrence_scratch(&seq, &mut scratch),
-            Some(vec![1, 3])
-        );
-        assert_eq!(m.find_occurrence_scratch(&seq2, &mut scratch), None);
+        let mut ctx = RunCtx::new(&mut scratch);
+        assert_eq!(m.find_occurrence_in(&seq, &mut ctx), Ok(Some(vec![1, 3])));
+        assert_eq!(m.find_occurrence_in(&seq2, &mut ctx), Ok(None));
     }
 
     /// All eight `MatchOptions` combinations.

@@ -1,24 +1,29 @@
-//! Multi-TAG shared-scan engine: advance many candidate TAGs together in
-//! one pass over the event sequence.
+//! The lane engine — the crate's one forward simulation of Theorem 4 —
+//! and the multi-TAG shared scan built on it.
+//!
+//! A *lane* is a compiled set of up to 64 structurally identical TAGs
+//! advanced by a single NFA simulation. A [`Matcher`](crate::Matcher) and
+//! a [`MatchSession`](crate::MatchSession) run a one-member lane; a
+//! [`MultiMatcher`] compiles a candidate set into many lanes and advances
+//! them together in one pass over the event sequence, with the same
+//! per-event [`step`](Lane::step).
 //!
 //! The §5 miner's step 5 runs one anchored matcher per candidate × per
 //! reference occurrence — thousands of full scans whose automata differ
 //! *only* in the event types labelling their `Exact` transitions, because
 //! every candidate is built from the same event structure with a different
-//! `φ`. This module compiles such a candidate set into one shared scan
-//! plan:
+//! `φ`. The multi scan shares that work:
 //!
 //! * **Skeleton lanes.** Tags are grouped by *skeleton* — everything except
 //!   the `Exact` symbol payloads (clocks, states, guards, resets, skip
-//!   structure). Structurally identical automata collapse into one *lane*
-//!   of up to 64 members, advanced by a single NFA simulation.
-//! * **Shared packed arena.** A lane's frontier is the packed
-//!   `(meta, reset-row)` pool of [`Matcher`](crate::Matcher) plus one
-//!   *member-set* word per row: the set of candidates whose private
-//!   frontier contains that configuration. Candidates sharing a prefix
-//!   (e.g. everything before their distinguishing symbol fires) share the
-//!   physical row — the trie factoring happens implicitly through
-//!   deduplication keyed on `(meta, row)` only, merging member sets by OR.
+//!   structure). Structurally identical automata collapse into one lane.
+//! * **Shared packed arena.** A lane's frontier is a packed
+//!   `(meta, reset-row)` pool plus one *member-set* word per row: the set
+//!   of candidates whose private frontier contains that configuration.
+//!   Candidates sharing a prefix (e.g. everything before their
+//!   distinguishing symbol fires) share the physical row — the trie
+//!   factoring happens implicitly through deduplication keyed on
+//!   `(meta, row)` only, merging member sets by OR.
 //! * **Alphabet gating.** Per lane, a type → transition-mask table tells
 //!   which members' `Exact` transitions an event can fire. Events outside
 //!   the lane's alphabet take a skip-only path, and when the event's tick
@@ -26,28 +31,29 @@
 //!   one pure skip loop), the frontier is provably unchanged and the whole
 //!   loop is skipped — only per-member expansion counters advance.
 //!
-//! Per-member [`RunStats`] are recovered exactly: every count the
-//! per-candidate engine produces is order-independent within an event
-//! (expansions = guard-passing firings, dedup hits = repeat arrivals at a
-//! configuration already holding the member's bit, frontier sizes = live
-//! per-member row counts), so the shared scan is bit-identical to running
-//! [`Matcher::run_scratch`](crate::Matcher::run_scratch) per candidate —
-//! property-tested in `tests/multi_tag_differential.rs`, with the
-//! per-candidate engine kept as the differential oracle.
+//! Per-member [`RunStats`] are recovered exactly: every count is
+//! order-independent within an event (expansions = guard-passing firings,
+//! dedup hits = repeat arrivals at a configuration already holding the
+//! member's bit, frontier sizes = live per-member row counts), so a member
+//! of a shared lane reports exactly what its own one-member lane would —
+//! and both are pinned bit-for-bit against the independent reference
+//! engine in `tests/multi_tag_differential.rs` and
+//! `tests/engine_differential.rs`.
 
 use std::collections::HashMap;
 
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::Granularity;
-use tgm_limits::{Interrupt, Limits, Verdict};
+use tgm_limits::{Interrupt, Verdict};
 use tgm_obs::metrics::{self, Histogram};
 use tgm_obs::span::span_if;
 
 use crate::automaton::{Symbol, Tag, Transition};
-use crate::constraint::{ClockConstraint, ClockId};
+use crate::constraint::ClockConstraint;
 use crate::matcher::{
-    collect_guard_consts, count_interrupt, hash_row, meta_started, meta_state, pack_meta,
-    pack_tick, saturate_reset, DedupTable, MatchOptions, RunStats, NONE_TICK,
+    collect_guard_consts, count_interrupt, dedup_tail, ensure_interrupt_observer, guard_holds,
+    meta_started, meta_state, pack_meta, pack_tick, saturate_row, DedupTable, MatchOptions,
+    RunCtx, RunStats, NONE_TICK,
 };
 
 /// Candidate bits per lane: member sets are one `u64` word per row.
@@ -125,31 +131,37 @@ struct StatePlan {
     exact: Vec<(u32, u32)>,
 }
 
-/// One lane: up to [`LANE_WIDTH`] structurally identical tags advanced by
-/// a single shared-frontier simulation.
-struct Lane<'t> {
-    /// Representative automaton (states/guards/resets shared by every
-    /// member; only `Exact` payloads differ).
-    rep: &'t Tag,
+/// One compiled lane: up to [`LANE_WIDTH`] structurally identical tags
+/// advanced by a single shared-frontier simulation.
+///
+/// The plan owns everything it needs except the representative automaton
+/// itself, which every [`step`](Self::step) borrows — so a suspended
+/// session carries its compiled lane without borrowing the [`Tag`].
+pub(crate) struct Lane {
+    pub(crate) opts: MatchOptions,
     /// Global candidate indices of the members, bit position = list order.
+    /// The first member is the lane's representative automaton.
     members: Vec<usize>,
     plans: Vec<StatePlan>,
     /// Per event type in the lane's alphabet: for each flat Exact slot,
     /// the mask of members whose transition consumes that type.
     type_masks: HashMap<EventType, Box<[u64]>>,
     /// Largest guard constant per clock (identical across members).
-    max_consts: Vec<i64>,
-    n_clocks: usize,
+    pub(crate) max_consts: Vec<i64>,
+    pub(crate) n_clocks: usize,
     n_exact: usize,
-    start_accepting: bool,
+    /// Some start state is accepting (length-0 prefix acceptance).
+    pub(crate) start_accepting: bool,
     /// Every state carries exactly one uniform transition and it is a pure
     /// skip self-loop (`ANY`, guard `True`, no resets) — the constructed
     /// TAG shape. Enables the unchanged-frontier fast path.
     pure_skips: bool,
 }
 
-impl<'t> Lane<'t> {
-    fn build(rep: &'t Tag) -> Self {
+impl Lane {
+    /// An empty lane with `rep`'s skeleton; members join via
+    /// [`add_member`](Self::add_member).
+    fn build(rep: &Tag, opts: MatchOptions) -> Self {
         let mut plans = Vec::with_capacity(rep.n_states);
         let mut n_exact = 0usize;
         let mut pure = true;
@@ -177,13 +189,11 @@ impl<'t> Lane<'t> {
             plans.push(plan);
         }
         let mut max_consts = vec![0i64; rep.clocks.len()];
-        for trs in &rep.by_state {
-            for tr in trs {
-                collect_guard_consts(&tr.guard, &mut max_consts);
-            }
+        for tr in rep.transitions() {
+            collect_guard_consts(&tr.guard, &mut max_consts);
         }
         Lane {
-            rep,
+            opts,
             members: Vec::new(),
             plans,
             type_masks: HashMap::new(),
@@ -196,6 +206,21 @@ impl<'t> Lane<'t> {
                 .any(|&s| rep.is_accepting(s)),
             pure_skips: pure,
         }
+    }
+
+    /// The one-member lane of `tag` (member index 0): the single-pattern
+    /// engine behind [`Matcher`](crate::Matcher) and
+    /// [`MatchSession`](crate::MatchSession).
+    pub(crate) fn single(tag: &Tag, opts: MatchOptions) -> Self {
+        let mut lane = Lane::build(tag, opts);
+        lane.add_member(0, tag);
+        lane
+    }
+
+    /// States of the representative automaton (the shape check of
+    /// [`MatchSession::resume`](crate::MatchSession::resume)).
+    pub(crate) fn n_states(&self) -> usize {
+        self.plans.len()
     }
 
     /// Registers `tag` (global candidate index `ci`) as the next member:
@@ -220,70 +245,356 @@ impl<'t> Lane<'t> {
         }
         debug_assert_eq!(k, self.n_exact, "skeleton-equal tags have equal Exact counts");
     }
-}
 
-/// Reusable per-lane buffers.
-#[derive(Default)]
-struct LaneScratch {
-    meta: Vec<u64>,
-    /// Member set per row (parallel to `meta`).
-    cands: Vec<u64>,
-    rows: Vec<i64>,
-    next_meta: Vec<u64>,
-    next_cands: Vec<u64>,
-    next_rows: Vec<i64>,
-    table: DedupTable,
-    ticks: Vec<i64>,
-    prev_ticks: Vec<i64>,
-    clock_cols: Vec<Option<usize>>,
-    /// Live rows per member in the current frontier.
-    live_cnt: Vec<u32>,
-}
+    /// Every member active, nothing seeded: the state a run starts from.
+    pub(crate) fn start(&self) -> LaneState {
+        LaneState {
+            active: full_mask(self.members.len()),
+            seeded: false,
+            all_started: false,
+            have_prev: false,
+        }
+    }
 
-/// Reusable buffers for [`MultiMatcher`] runs, analogous to
-/// [`MatcherScratch`](crate::MatcherScratch): one buffer set per lane,
-/// grown on first use and reused across runs (and across matchers — lanes
-/// are rebound per run).
-#[derive(Default)]
-pub struct MultiScratch {
-    lanes: Vec<LaneScratch>,
-}
+    /// Consumes one event: resolves its tick row (column row `row` when
+    /// given, see [`LaneScratch::bind_columns`]), seeds the frontier on the
+    /// lane's first event, and advances every active member — maintaining
+    /// per-member stats (indexed by global candidate index), deaths, and
+    /// with `early_exit` each completing member's acceptance and
+    /// retirement. Returns the members that completed an occurrence at `e`
+    /// (a pattern transition into an accepting state fired).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step(
+        &self,
+        rep: &Tag,
+        ls: &mut LaneScratch,
+        st: &mut LaneState,
+        stats: &mut [RunStats],
+        e: &Event,
+        row: Option<(&TickColumns, usize)>,
+        early_exit: bool,
+    ) -> u64 {
+        ls.fill_ticks(rep, e, row);
+        if !st.seeded {
+            self.seed(rep, ls, st.active);
+            st.seeded = true;
+        }
+        // Every active member consumes the event (counted even on the
+        // strict-updates dead path, like the reference engine).
+        for c in bits(st.active) {
+            stats[self.members[c]].events += 1;
+        }
+        let tmask = self.type_masks.get(&e.ty);
+        let ticks_same = st.have_prev && ls.ticks == ls.prev_ticks;
+        if tmask.is_none()
+            && self.pure_skips
+            && ticks_same
+            && (!self.opts.anchored || st.all_started)
+        {
+            // Out-of-alphabet event with an unchanged tick row: every row
+            // fires exactly its pure skip loop and reproduces itself (rows
+            // are already canonical for these ticks), so the frontier is
+            // literally unchanged. Only the expansion counters move.
+            for c in bits(st.active) {
+                stats[self.members[c]].expansions += u64::from(ls.live_cnt[c]);
+            }
+            return 0;
+        }
+        let LaneScratch {
+            meta,
+            cands,
+            rows,
+            next_meta,
+            next_cands,
+            next_rows,
+            table,
+            ticks,
+            live_cnt,
+            merged,
+            ..
+        } = &mut *ls;
+        let n = self.n_clocks;
+        let strict_dead = self.opts.strict_updates && ticks.contains(&NONE_TICK);
+        next_meta.clear();
+        next_cands.clear();
+        next_rows.clear();
+        for c in bits(st.active) {
+            live_cnt[c] = 0;
+        }
+        let mut ctx = FireCtx {
+            next_meta,
+            next_cands,
+            next_rows,
+            table,
+            live_cnt,
+            stats,
+            members: &self.members,
+            ticks,
+            caps: self.opts.saturate.then_some(&self.max_consts[..]),
+            n,
+            anchored: self.opts.anchored,
+            reached: 0,
+            next_all_started: true,
+            merged: 0,
+        };
+        if !strict_dead {
+            ctx.table.reset();
+            for ri in 0..meta.len() {
+                let (state, started) = (meta_state(meta[ri]), meta_started(meta[ri]));
+                let cs = cands[ri];
+                let row = &rows[ri * n..ri * n + n];
+                let plan = &self.plans[state.index()];
+                let trs = &rep.by_state[state.index()];
+                for &ti in &plan.uniform {
+                    ctx.fire(rep, &trs[ti as usize], cs, started, row);
+                }
+                if let Some(tm) = tmask {
+                    for &(ti, k) in &plan.exact {
+                        let mask = cs & tm[k as usize];
+                        if mask != 0 {
+                            ctx.fire(rep, &trs[ti as usize], mask, started, row);
+                        }
+                    }
+                }
+            }
+        }
+        let reached = ctx.reached & st.active;
+        let next_all_started = ctx.next_all_started;
+        *merged += ctx.merged;
+        std::mem::swap(meta, next_meta);
+        std::mem::swap(cands, next_cands);
+        std::mem::swap(rows, next_rows);
+        // Per-member peak = that member's post-event frontier size
+        // (including the event a member completes or dies on).
+        for c in bits(st.active) {
+            let g = self.members[c];
+            stats[g].peak_configs = stats[g].peak_configs.max(live_cnt[c] as usize);
+        }
+        let mut retire = 0u64;
+        if early_exit {
+            for c in bits(reached) {
+                stats[self.members[c]].accepted = true;
+            }
+            retire = reached;
+        }
+        for c in bits(st.active & !retire) {
+            if live_cnt[c] == 0 {
+                // Death: the member's frontier emptied; `accepted` stays
+                // false.
+                retire |= 1 << c;
+            }
+        }
+        ls.retire(st, retire, n);
+        ls.prev_ticks.clear();
+        ls.prev_ticks.extend_from_slice(&ls.ticks);
+        st.have_prev = true;
+        st.all_started = next_all_started;
+        reached
+    }
 
-impl MultiScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        MultiScratch::default()
+    /// Seeds a lane's frontier at the current tick row: one row per
+    /// distinct start state, held by every member in `mask`.
+    fn seed(&self, rep: &Tag, ls: &mut LaneScratch, mask: u64) {
+        let n = self.n_clocks;
+        ls.meta.clear();
+        ls.cands.clear();
+        ls.rows.clear();
+        ls.table.reset();
+        for &s in rep.start_states() {
+            ls.rows.extend_from_slice(&ls.ticks);
+            if dedup_tail(&mut ls.table, &mut ls.meta, &mut ls.rows, n, pack_meta(s, false)).is_none() {
+                ls.cands.push(mask);
+            }
+        }
+        let cnt = ls.meta.len() as u32;
+        ls.live_cnt.resize(LANE_WIDTH, 0);
+        for c in bits(mask) {
+            ls.live_cnt[c] = cnt;
+        }
     }
 }
 
-/// Result of a bounded multi run: one [`RunStats`] per candidate (in input
-/// order) plus the run-level [`Verdict`]. On an interrupt, stats of
-/// candidates whose outcome was not yet established are partial and their
-/// `accepted` is `false`.
+/// Per-lane run state. Travels with a suspended session, so it is part of
+/// what a [`SessionState`](crate::SessionState) carries.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneState {
+    /// Members still running (not dead, not retired by early exit).
+    pub(crate) active: u64,
+    /// The frontier was seeded at the lane's first event.
+    pub(crate) seeded: bool,
+    /// Every live row has fired a pattern transition (anchored fast path).
+    all_started: bool,
+    /// `prev_ticks` holds the previous event's tick row.
+    have_prev: bool,
+}
+
+/// Reusable buffers of one lane: the current and next frontier (meta
+/// words, member sets, flat reset rows), the deduplication table, and the
+/// current and previous event's tick rows.
+#[derive(Default)]
+pub(crate) struct LaneScratch {
+    pub(crate) meta: Vec<u64>,
+    /// Member set per row (parallel to `meta`).
+    pub(crate) cands: Vec<u64>,
+    /// Reset rows, stride = number of clocks.
+    pub(crate) rows: Vec<i64>,
+    pub(crate) next_meta: Vec<u64>,
+    pub(crate) next_cands: Vec<u64>,
+    pub(crate) next_rows: Vec<i64>,
+    pub(crate) table: DedupTable,
+    /// Packed covering ticks of the current event, one per clock.
+    pub(crate) ticks: Vec<i64>,
+    prev_ticks: Vec<i64>,
+    /// Per-clock column index for column-reading runs.
+    clock_cols: Vec<Option<usize>>,
+    /// Live rows per member in the current frontier.
+    pub(crate) live_cnt: Vec<u32>,
+    /// Physical rows merged (shared between members) since last taken.
+    merged: u64,
+}
+
+impl LaneScratch {
+    /// Binds the clock → column map of `rep`'s clocks for column-reading
+    /// steps.
+    pub(crate) fn bind_columns(&mut self, rep: &Tag, cols: &TickColumns) {
+        self.clock_cols.clear();
+        self.clock_cols
+            .extend(rep.clocks.iter().map(|(_, g)| cols.index_of(g)));
+    }
+
+    /// Resolves every clock's covering tick at `e` into `ticks`, reading
+    /// row `row` of the bound columns where a clock has one.
+    pub(crate) fn fill_ticks(&mut self, rep: &Tag, e: &Event, row: Option<(&TickColumns, usize)>) {
+        self.ticks.clear();
+        self.ticks.extend(rep.clocks.iter().enumerate().map(|(x, (_, g))| {
+            pack_tick(match (row, self.clock_cols.get(x)) {
+                (Some((cols, r)), Some(&Some(c))) => cols.tick(c, r),
+                _ => g.covering_tick(e.time),
+            })
+        }));
+    }
+
+    /// Deactivates the members in `retire` and purges their bits from the
+    /// frontier, dropping rows nobody holds any more.
+    pub(crate) fn retire(&mut self, st: &mut LaneState, retire: u64, n: usize) {
+        if retire == 0 {
+            return;
+        }
+        st.active &= !retire;
+        let mut w = 0usize;
+        for r in 0..self.meta.len() {
+            let cs = self.cands[r] & st.active;
+            if cs == 0 {
+                continue;
+            }
+            self.meta[w] = self.meta[r];
+            self.cands[w] = cs;
+            if w != r {
+                self.rows.copy_within(r * n..r * n + n, w * n);
+            }
+            w += 1;
+        }
+        self.meta.truncate(w);
+        self.cands.truncate(w);
+        self.rows.truncate(w * n);
+    }
+}
+
+/// Split borrows of one lane's *next*-frontier buffers plus the stats
+/// sinks, so [`fire`](FireCtx::fire) can stage successors while the caller
+/// iterates the current frontier.
+struct FireCtx<'x> {
+    next_meta: &'x mut Vec<u64>,
+    next_cands: &'x mut Vec<u64>,
+    next_rows: &'x mut Vec<i64>,
+    table: &'x mut DedupTable,
+    live_cnt: &'x mut [u32],
+    stats: &'x mut [RunStats],
+    members: &'x [usize],
+    ticks: &'x [i64],
+    /// Saturation caps per clock; `None` when saturation is off.
+    caps: Option<&'x [i64]>,
+    n: usize,
+    anchored: bool,
+    /// Members that reached an accepting state via a pattern transition
+    /// this event.
+    reached: u64,
+    next_all_started: bool,
+    /// Physical rows merged (shared) this event.
+    merged: u64,
+}
+
+impl FireCtx<'_> {
+    /// Fires `tr` from a row for the member set `mask`: guard check,
+    /// per-member expansion counting, successor staging with reset +
+    /// canonicalization, and the member-set merge on deduplication.
+    fn fire(&mut self, rep: &Tag, tr: &Transition, mask: u64, started: bool, row: &[i64]) {
+        if (self.anchored && !started && tr.is_skip) || !guard_holds(tr, self.ticks, row) {
+            return;
+        }
+        for c in bits(mask) {
+            self.stats[self.members[c]].expansions += 1;
+        }
+        let base = self.next_rows.len();
+        self.next_rows.extend_from_slice(row);
+        let staged = &mut self.next_rows[base..];
+        for &x in &tr.resets {
+            staged[x.index()] = self.ticks[x.index()];
+        }
+        if let Some(caps) = self.caps {
+            saturate_row(staged, self.ticks, caps);
+        }
+        let nm = pack_meta(tr.to, started || !tr.is_skip);
+        if rep.is_accepting(tr.to) && !tr.is_skip {
+            self.reached |= mask;
+        }
+        match dedup_tail(self.table, self.next_meta, self.next_rows, self.n, nm) {
+            None => {
+                self.next_cands.push(mask);
+                self.next_all_started &= meta_started(nm);
+                for c in bits(mask) {
+                    self.live_cnt[c] += 1;
+                }
+            }
+            Some(j) => {
+                let ex = self.next_cands[j];
+                // Members already holding the configuration score a dedup
+                // hit (their own frontier would have rejected the
+                // duplicate); first arrivals gain a live row.
+                for c in bits(mask & ex) {
+                    self.stats[self.members[c]].dedup_hits += 1;
+                }
+                for c in bits(mask & !ex) {
+                    self.live_cnt[c] += 1;
+                }
+                self.next_cands[j] = ex | mask;
+                self.merged += 1;
+            }
+        }
+    }
+}
+
+/// Result of a multi run: one [`RunStats`] per candidate (in input order)
+/// plus the run-level [`Verdict`]. On an interrupt, stats of candidates
+/// whose outcome was not yet established are partial and their `accepted`
+/// is `false`.
 pub struct MultiRun {
     /// Per-candidate statistics, bit-identical to per-candidate
-    /// [`Matcher::run_scratch`](crate::Matcher::run_scratch) runs when the
-    /// run completes.
+    /// [`Matcher::run_in`](crate::Matcher::run_in) runs when the run
+    /// completes.
     pub stats: Vec<RunStats>,
     /// Completed, or the first interrupt.
     pub verdict: Verdict,
 }
 
-/// Per-lane mutable run state.
-struct LaneState {
-    active: u64,
-    all_started: bool,
-    have_prev: bool,
-}
-
 /// A compiled set of candidate TAGs sharing one scan (see the module
 /// docs). Construction groups the tags into skeleton lanes; runs advance
 /// every live candidate per event and return per-candidate [`RunStats`]
-/// bit-identical to the per-candidate engine.
+/// bit-identical to per-candidate runs.
 pub struct MultiMatcher<'t> {
     tags: Vec<&'t Tag>,
     opts: MatchOptions,
-    lanes: Vec<Lane<'t>>,
+    lanes: Vec<Lane>,
     /// Per candidate: some start state is accepting (length-0 acceptance).
     start_acc: Vec<bool>,
 }
@@ -297,8 +608,8 @@ impl<'t> MultiMatcher<'t> {
     /// Compiles `tags` under explicit matching options (shared by every
     /// candidate).
     pub fn with_options(tags: Vec<&'t Tag>, opts: MatchOptions) -> Self {
-        crate::matcher::ensure_interrupt_observer();
-        let mut lanes: Vec<Lane<'t>> = Vec::new();
+        ensure_interrupt_observer();
+        let mut lanes: Vec<Lane> = Vec::new();
         let mut by_key: HashMap<String, Vec<usize>> = HashMap::new();
         let mut start_acc = Vec::with_capacity(tags.len());
         for (ci, &tag) in tags.iter().enumerate() {
@@ -312,7 +623,7 @@ impl<'t> MultiMatcher<'t> {
                 Some(li) => lanes[li].add_member(ci, tag),
                 None => {
                     lane_ids.push(lanes.len());
-                    let mut lane = Lane::build(tag);
+                    let mut lane = Lane::build(tag, opts);
                     lane.add_member(ci, tag);
                     lanes.push(lane);
                 }
@@ -344,7 +655,7 @@ impl<'t> MultiMatcher<'t> {
     /// States in the compiled plan: one state set per lane, however many
     /// members share it.
     pub fn shared_states(&self) -> usize {
-        self.lanes.iter().map(|l| l.rep.n_states).sum()
+        self.lanes.iter().map(Lane::n_states).sum()
     }
 
     /// States summed over every candidate individually (what per-candidate
@@ -354,78 +665,22 @@ impl<'t> MultiMatcher<'t> {
         self.tags.iter().map(|t| t.n_states).sum()
     }
 
-    /// Runs every candidate over `events` (direct tick resolution),
-    /// returning per-candidate stats in input order. `early_exit` stops a
-    /// candidate at its first acceptance (the miner's anchored mode); other
-    /// candidates keep scanning.
-    pub fn run_scratch(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MultiScratch,
-    ) -> Vec<RunStats> {
-        self.run_core(events, None, early_exit, scratch, None).stats
-    }
-
-    /// [`run_scratch`](Self::run_scratch) under [`Limits`]: cancellation
-    /// and the deadline are polled per event; the budget caps the *pooled*
-    /// frontier rows summed across every lane (the shared arena is the
-    /// resource actually consumed).
-    pub fn run_bounded(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        scratch: &mut MultiScratch,
-        limits: &Limits,
-    ) -> MultiRun {
-        self.run_core(events, None, early_exit, scratch, Some(limits))
-    }
-
-    /// Column-reading variant of [`run_scratch`](Self::run_scratch):
-    /// clock ticks come from `cols` rows `offset..offset + events.len()`
-    /// where available, with direct resolution as fallback per clock.
-    pub fn run_columns_scratch(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-        scratch: &mut MultiScratch,
-    ) -> Vec<RunStats> {
-        self.run_core(events, Some((cols, offset)), early_exit, scratch, None)
-            .stats
-    }
-
-    /// [`run_columns_scratch`](Self::run_columns_scratch) under
-    /// [`Limits`] (see [`run_bounded`](Self::run_bounded) for the budget
-    /// unit).
-    pub fn run_columns_bounded(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-        scratch: &mut MultiScratch,
-        limits: &Limits,
-    ) -> MultiRun {
-        self.run_core(events, Some((cols, offset)), early_exit, scratch, Some(limits))
-    }
-
-    /// Observability wrapper around the scan loop: one `tag.multi.run`
-    /// span, `tag.multi.*` counters and the pooled per-event frontier
-    /// histogram, all double-gated exactly like the per-candidate engine.
-    fn run_core(
-        &self,
-        events: &[Event],
-        cols: Option<(&TickColumns, usize)>,
-        early_exit: bool,
-        scratch: &mut MultiScratch,
-        limits: Option<&Limits>,
-    ) -> MultiRun {
+    /// Runs every candidate over `events`, returning per-candidate stats
+    /// in input order. `early_exit` stops a candidate at its first
+    /// acceptance (the miner's anchored mode); other candidates keep
+    /// scanning. Ticks come from the context's columns when present; the
+    /// context's limits are polled per event, and their budget caps the
+    /// *pooled* frontier rows summed across every lane (the shared arena
+    /// is the resource actually consumed).
+    ///
+    /// Emits one `tag.multi.run` span, `tag.multi.*` counters and the
+    /// pooled per-event frontier histogram, double-gated like every
+    /// engine's observability.
+    pub fn run_in(&self, events: &[Event], early_exit: bool, ctx: &mut RunCtx<'_>) -> MultiRun {
         let _span = span_if(self.opts.obs.spans, "tag.multi.run");
         let mut hist = self.opts.obs.metrics_on().then(Histogram::new);
         let mut merged = 0u64;
-        let run = self.run_loop(events, cols, early_exit, scratch, limits, &mut hist, &mut merged);
+        let run = self.run_loop(events, early_exit, ctx, &mut hist, &mut merged);
         if let Some(h) = &hist {
             metrics::counter_add("tag.multi.runs", 1);
             metrics::counter_add("tag.multi.candidates", self.tags.len() as u64);
@@ -444,20 +699,16 @@ impl<'t> MultiMatcher<'t> {
         run
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_loop(
         &self,
         events: &[Event],
-        cols: Option<(&TickColumns, usize)>,
         early_exit: bool,
-        scratch: &mut MultiScratch,
-        limits: Option<&Limits>,
+        ctx: &mut RunCtx<'_>,
         hist: &mut Option<Histogram>,
         merged_rows: &mut u64,
     ) -> MultiRun {
         let mut stats = vec![RunStats::default(); self.tags.len()];
-        // Empty input: accepted iff a start state is accepting (mirrors the
-        // per-candidate engine's pre-loop answer).
+        // Empty input: accepted iff a start state is accepting.
         if events.is_empty() {
             for (ci, s) in stats.iter_mut().enumerate() {
                 s.accepted = self.start_acc[ci];
@@ -467,41 +718,24 @@ impl<'t> MultiMatcher<'t> {
                 verdict: Verdict::Completed,
             };
         }
-        tgm_limits::fail::point("tag.multi.run", limits);
-        if let Some((cols, offset)) = cols {
-            assert!(
-                offset + events.len() <= cols.len(),
-                "event slice [{offset}, {}) exceeds the {} column rows",
-                offset + events.len(),
-                cols.len()
-            );
-        }
-        while scratch.lanes.len() < self.lanes.len() {
-            scratch.lanes.push(LaneScratch::default());
-        }
+        tgm_limits::fail::point("tag.multi.run", ctx.limits);
+        ctx.check_columns(events.len());
+        let (cols, limits) = (ctx.cols, ctx.limits);
+        let scratch = ctx.scratch.lanes(self.lanes.len());
         let mut lane_states: Vec<LaneState> = Vec::with_capacity(self.lanes.len());
-        for (li, lane) in self.lanes.iter().enumerate() {
-            let mut active = full_mask(lane.members.len());
+        for (lane, ls) in self.lanes.iter().zip(scratch.iter_mut()) {
+            let mut st = lane.start();
             if early_exit && lane.start_accepting {
                 // Length-0 prefix acceptance before consuming anything.
                 for &g in &lane.members {
                     stats[g].accepted = true;
                 }
-                active = 0;
+                st.active = 0;
             }
-            lane_states.push(LaneState {
-                active,
-                all_started: false,
-                have_prev: false,
-            });
-            let ls = &mut scratch.lanes[li];
-            if ls.live_cnt.len() < LANE_WIDTH {
-                ls.live_cnt.resize(LANE_WIDTH, 0);
-            }
+            lane_states.push(st);
+            ls.merged = 0;
             if let Some((cols, _)) = cols {
-                ls.clock_cols.clear();
-                ls.clock_cols
-                    .extend(lane.rep.clocks.iter().map(|(_, g)| cols.index_of(g)));
+                ls.bind_columns(self.tags[lane.members[0]], cols);
             }
         }
         let mut verdict = Verdict::Completed;
@@ -516,39 +750,14 @@ impl<'t> MultiMatcher<'t> {
                     break;
                 }
             }
+            let row = cols.map(|(cols, offset)| (cols, offset + i));
             let mut total_rows: u64 = 0;
-            for (li, lane) in self.lanes.iter().enumerate() {
-                let st = &mut lane_states[li];
+            for ((lane, ls), st) in self.lanes.iter().zip(scratch.iter_mut()).zip(&mut lane_states) {
                 if st.active == 0 {
                     continue;
                 }
-                let ls = &mut scratch.lanes[li];
-                let n = lane.n_clocks;
-                ls.ticks.clear();
-                ls.ticks.resize(n, NONE_TICK);
-                match cols {
-                    Some((cols, offset)) => {
-                        let (ticks, ccols) = (&mut ls.ticks, &ls.clock_cols);
-                        for (x, c) in ccols.iter().enumerate() {
-                            ticks[x] = match c {
-                                Some(c) => pack_tick(cols.tick(*c, offset + i)),
-                                None => {
-                                    pack_tick(lane.rep.clocks[x].1.covering_tick(e.time))
-                                }
-                            };
-                        }
-                    }
-                    None => {
-                        for x in 0..n {
-                            ls.ticks[x] =
-                                pack_tick(lane.rep.clocks[x].1.covering_tick(e.time));
-                        }
-                    }
-                }
-                if i == 0 {
-                    seed_lane(lane, ls, st.active);
-                }
-                self.advance_lane(lane, ls, st, &mut stats, e, early_exit, merged_rows);
+                let rep = self.tags[lane.members[0]];
+                lane.step(rep, ls, st, &mut stats, e, row, early_exit);
                 if st.active != 0 {
                     total_rows += ls.meta.len() as u64;
                 }
@@ -564,344 +773,25 @@ impl<'t> MultiMatcher<'t> {
                 }
             }
         }
-        if verdict.interrupt().is_none() {
-            // Survivors: acceptance from the final frontier, like the
-            // per-candidate engine's end-of-input answer.
-            for (li, lane) in self.lanes.iter().enumerate() {
-                let st = &lane_states[li];
-                if st.active == 0 {
-                    continue;
+        for ((lane, ls), st) in self.lanes.iter().zip(scratch.iter_mut()).zip(&lane_states) {
+            *merged_rows += std::mem::take(&mut ls.merged);
+            if st.active == 0 || verdict.interrupt().is_some() {
+                continue;
+            }
+            // Survivors: acceptance from the final frontier, like a
+            // per-candidate run's end-of-input answer.
+            let rep = self.tags[lane.members[0]];
+            let mut acc_mask = 0u64;
+            for (r, &m) in ls.meta.iter().enumerate() {
+                if rep.is_accepting(meta_state(m)) {
+                    acc_mask |= ls.cands[r];
                 }
-                let ls = &scratch.lanes[li];
-                let mut acc_mask = 0u64;
-                for (r, &m) in ls.meta.iter().enumerate() {
-                    if lane.rep.is_accepting(meta_state(m)) {
-                        acc_mask |= ls.cands[r];
-                    }
-                }
-                for c in bits(st.active & acc_mask) {
-                    stats[lane.members[c]].accepted = true;
-                }
+            }
+            for c in bits(st.active & acc_mask) {
+                stats[lane.members[c]].accepted = true;
             }
         }
         MultiRun { stats, verdict }
-    }
-
-    /// Advances one lane by one event (the shared-frontier analogue of
-    /// `advance_packed`), maintaining per-member stats, completions
-    /// (early-exit), deaths, and the member-purge compaction.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_lane(
-        &self,
-        lane: &Lane<'_>,
-        ls: &mut LaneScratch,
-        st: &mut LaneState,
-        stats: &mut [RunStats],
-        e: &Event,
-        early_exit: bool,
-        merged_rows: &mut u64,
-    ) {
-        // Every active member consumes the event (counted even on the
-        // strict-updates dead path, like the per-candidate engine).
-        for c in bits(st.active) {
-            stats[lane.members[c]].events += 1;
-        }
-        let tmask = lane.type_masks.get(&e.ty);
-        let ticks_same = st.have_prev && ls.ticks == ls.prev_ticks;
-        if tmask.is_none()
-            && lane.pure_skips
-            && ticks_same
-            && (!self.opts.anchored || st.all_started)
-        {
-            // Out-of-alphabet event with an unchanged tick row: every row
-            // fires exactly its pure skip loop and reproduces itself (rows
-            // are already canonical for these ticks), so the frontier is
-            // literally unchanged. Only the expansion counters move.
-            for c in bits(st.active) {
-                stats[lane.members[c]].expansions += u64::from(ls.live_cnt[c]);
-            }
-            return;
-        }
-        let LaneScratch {
-            meta,
-            cands,
-            rows,
-            next_meta,
-            next_cands,
-            next_rows,
-            table,
-            ticks,
-            prev_ticks,
-            live_cnt,
-            ..
-        } = ls;
-        let n = lane.n_clocks;
-        let strict_dead = self.opts.strict_updates && ticks.contains(&NONE_TICK);
-        next_meta.clear();
-        next_cands.clear();
-        next_rows.clear();
-        for c in bits(st.active) {
-            live_cnt[c] = 0;
-        }
-        let mut ctx = FireCtx {
-            next_meta,
-            next_cands,
-            next_rows,
-            table,
-            live_cnt,
-            stats,
-            members: &lane.members,
-            ticks,
-            max_consts: &lane.max_consts,
-            n,
-            saturate: self.opts.saturate,
-            anchored: self.opts.anchored,
-            reached: 0,
-            next_all_started: true,
-            merged: 0,
-        };
-        if !strict_dead {
-            ctx.table.reset();
-            for ri in 0..meta.len() {
-                let (state, started) = (meta_state(meta[ri]), meta_started(meta[ri]));
-                let cs = cands[ri];
-                let row = &rows[ri * n..ri * n + n];
-                let plan = &lane.plans[state.index()];
-                let trs = &lane.rep.by_state[state.index()];
-                for &ti in &plan.uniform {
-                    ctx.fire(lane.rep, &trs[ti as usize], cs, started, row);
-                }
-                if let Some(tm) = tmask {
-                    for &(ti, k) in &plan.exact {
-                        let mask = cs & tm[k as usize];
-                        if mask != 0 {
-                            ctx.fire(lane.rep, &trs[ti as usize], mask, started, row);
-                        }
-                    }
-                }
-            }
-        }
-        let reached = ctx.reached;
-        let next_all_started = ctx.next_all_started;
-        *merged_rows += ctx.merged;
-        std::mem::swap(meta, next_meta);
-        std::mem::swap(cands, next_cands);
-        std::mem::swap(rows, next_rows);
-        // Per-member peak = that member's post-event frontier size, exactly
-        // the per-candidate `peak_configs` update (including the event a
-        // member completes or dies on).
-        for c in bits(st.active) {
-            let g = lane.members[c];
-            stats[g].peak_configs = stats[g].peak_configs.max(live_cnt[c] as usize);
-        }
-        let mut deact = 0u64;
-        if early_exit {
-            for c in bits(reached & st.active) {
-                stats[lane.members[c]].accepted = true;
-                deact |= 1 << c;
-            }
-        }
-        for c in bits(st.active & !deact) {
-            if live_cnt[c] == 0 {
-                // Death: the member's frontier emptied; `accepted` stays
-                // false (set later from the final frontier if the whole
-                // run survives — not applicable to a dead member).
-                deact |= 1 << c;
-            }
-        }
-        if deact != 0 {
-            st.active &= !deact;
-            if st.active == 0 {
-                meta.clear();
-                cands.clear();
-                rows.clear();
-            } else {
-                // Purge deactivated members' bits; drop rows nobody holds.
-                let mut w = 0usize;
-                for r in 0..meta.len() {
-                    let cs = cands[r] & st.active;
-                    if cs == 0 {
-                        continue;
-                    }
-                    meta[w] = meta[r];
-                    cands[w] = cs;
-                    if w != r {
-                        rows.copy_within(r * n..r * n + n, w * n);
-                    }
-                    w += 1;
-                }
-                meta.truncate(w);
-                cands.truncate(w);
-                rows.truncate(w * n);
-            }
-        }
-        prev_ticks.clear();
-        prev_ticks.extend_from_slice(ticks);
-        st.have_prev = true;
-        st.all_started = next_all_started;
-    }
-}
-
-/// Seeds a lane's frontier at the first event's tick row: one row per
-/// distinct start state, held by every member.
-fn seed_lane(lane: &Lane<'_>, ls: &mut LaneScratch, mask: u64) {
-    let n = lane.n_clocks;
-    let LaneScratch {
-        meta,
-        cands,
-        rows,
-        table,
-        ticks,
-        live_cnt,
-        ..
-    } = ls;
-    meta.clear();
-    cands.clear();
-    rows.clear();
-    table.reset();
-    for &s in lane.rep.start_states() {
-        let m = pack_meta(s, false);
-        let idx = meta.len() as u32;
-        rows.extend_from_slice(ticks);
-        let (done, staged) = rows.split_at_mut(idx as usize * n);
-        let staged: &[i64] = &staged[..n];
-        let done: &[i64] = done;
-        let h = hash_row(m, staged);
-        let fm: &[u64] = meta;
-        let is_new = table.insert(
-            h,
-            idx,
-            |j| fm[j as usize] == m && &done[j as usize * n..(j as usize + 1) * n] == staged,
-            |j| hash_row(fm[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-        );
-        if is_new {
-            meta.push(m);
-            cands.push(mask);
-        } else {
-            rows.truncate(idx as usize * n);
-        }
-    }
-    let cnt = meta.len() as u32;
-    for c in bits(mask) {
-        live_cnt[c] = cnt;
-    }
-}
-
-/// Split borrows of one lane's *next*-frontier buffers plus the stats
-/// sinks, so [`fire`](FireCtx::fire) can stage successors while the caller
-/// iterates the current frontier.
-struct FireCtx<'x> {
-    next_meta: &'x mut Vec<u64>,
-    next_cands: &'x mut Vec<u64>,
-    next_rows: &'x mut Vec<i64>,
-    table: &'x mut DedupTable,
-    live_cnt: &'x mut [u32],
-    stats: &'x mut [RunStats],
-    members: &'x [usize],
-    ticks: &'x [i64],
-    max_consts: &'x [i64],
-    n: usize,
-    saturate: bool,
-    anchored: bool,
-    /// Members that reached an accepting state via a pattern transition
-    /// this event.
-    reached: u64,
-    next_all_started: bool,
-    /// Physical rows merged (shared) this event.
-    merged: u64,
-}
-
-impl FireCtx<'_> {
-    /// Fires `tr` from a row for the member set `mask`: guard check,
-    /// per-member expansion counting, successor staging with reset +
-    /// canonicalization, and the member-set merge on deduplication —
-    /// semantically `advance_packed`'s inner loop run for every member at
-    /// once.
-    fn fire(&mut self, rep: &Tag, tr: &Transition, mask: u64, started: bool, row: &[i64]) {
-        if self.anchored && !started && tr.is_skip {
-            return;
-        }
-        {
-            let value = |x: ClockId| -> Option<i64> {
-                let (cur, res) = (self.ticks[x.index()], row[x.index()]);
-                if cur != NONE_TICK && res != NONE_TICK {
-                    Some(cur.saturating_sub(res))
-                } else {
-                    None
-                }
-            };
-            if tr.guard.eval(&value) != Some(true) {
-                return;
-            }
-        }
-        for c in bits(mask) {
-            self.stats[self.members[c]].expansions += 1;
-        }
-        let n = self.n;
-        let idx = self.next_meta.len() as u32;
-        self.next_rows.extend_from_slice(row);
-        let (done, staged) = self.next_rows.split_at_mut(idx as usize * n);
-        let staged = &mut staged[..n];
-        for &x in &tr.resets {
-            staged[x.index()] = self.ticks[x.index()];
-        }
-        if self.saturate {
-            for (x, r) in staged.iter_mut().enumerate() {
-                let cur = self.ticks[x];
-                if cur != NONE_TICK && *r != NONE_TICK {
-                    let cap = self.max_consts[x];
-                    if cur.saturating_sub(*r) > cap {
-                        *r = saturate_reset(cur, cap);
-                    }
-                }
-            }
-        }
-        let nm = pack_meta(tr.to, started || !tr.is_skip);
-        if rep.is_accepting(tr.to) && !tr.is_skip {
-            self.reached |= mask;
-        }
-        let staged: &[i64] = staged;
-        let done: &[i64] = done;
-        let h = hash_row(nm, staged);
-        let fm: &[u64] = self.next_meta;
-        let mut hit: Option<u32> = None;
-        let is_new = self.table.insert(
-            h,
-            idx,
-            |j| {
-                let eq = fm[j as usize] == nm
-                    && &done[j as usize * n..(j as usize + 1) * n] == staged;
-                if eq {
-                    hit = Some(j);
-                }
-                eq
-            },
-            |j| hash_row(fm[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-        );
-        if is_new {
-            self.next_meta.push(nm);
-            self.next_cands.push(mask);
-            self.next_all_started &= meta_started(nm);
-            for c in bits(mask) {
-                self.live_cnt[c] += 1;
-            }
-        } else {
-            self.next_rows.truncate(idx as usize * n);
-            if let Some(j) = hit {
-                let ex = self.next_cands[j as usize];
-                // Members already holding the configuration score a dedup
-                // hit (their engine would have rejected the duplicate);
-                // first arrivals gain a live row.
-                for c in bits(mask & ex) {
-                    self.stats[self.members[c]].dedup_hits += 1;
-                }
-                for c in bits(mask & !ex) {
-                    self.live_cnt[c] += 1;
-                }
-                self.next_cands[j as usize] = ex | mask;
-                self.merged += 1;
-            }
-        }
     }
 }
 
@@ -914,6 +804,12 @@ mod tests {
     use super::*;
     use crate::construct::{build_tag, TagTemplate};
     use crate::matcher::{Matcher, MatcherScratch};
+    use tgm_limits::Limits;
+
+    fn run_all(mm: &MultiMatcher<'_>, events: &[Event], early: bool) -> Vec<RunStats> {
+        mm.run_in(events, early, &mut RunCtx::new(&mut MatcherScratch::new()))
+            .stats
+    }
     use tgm_core::ComplexEventType;
 
     const DAY: i64 = 86_400;
@@ -950,11 +846,9 @@ mod tests {
                 MatchOptions::builder().saturate(false).build(),
             ] {
                 let mm = MultiMatcher::with_options(tags.iter().collect(), opts);
-                let got = mm.run_scratch(&events, early, &mut MultiScratch::new());
-                let mut scratch = MatcherScratch::new();
+                let got = run_all(&mm, &events, early);
                 for (k, tag) in tags.iter().enumerate() {
-                    let want =
-                        Matcher::with_options(tag, opts).run_scratch(&events, early, &mut scratch);
+                    let want = Matcher::with_options(tag, opts).run_reference(&events, early);
                     assert_eq!(got[k], want, "candidate {k}, early={early}, {opts:?}");
                 }
             }
@@ -988,15 +882,13 @@ mod tests {
         let template = TagTemplate::new(&s);
         let t0 = template.instantiate(&[EventType(0), EventType(1)]);
         let mm = MultiMatcher::new(vec![&t0]);
-        let stats = mm.run_scratch(&[], false, &mut MultiScratch::new());
+        let stats = run_all(&mm, &[], false);
         assert_eq!(stats.len(), 1);
         assert!(!stats[0].accepted);
         assert_eq!(stats[0].events, 0);
         let none = MultiMatcher::new(Vec::new());
         assert!(none.is_empty());
-        assert!(none
-            .run_scratch(&[Event::new(EventType(0), 0)], true, &mut MultiScratch::new())
-            .is_empty());
+        assert!(run_all(&none, &[Event::new(EventType(0), 0)], true).is_empty());
     }
 
     #[test]
@@ -1011,22 +903,21 @@ mod tests {
             .map(|i| Event::new(EventType((i % 8) as u32), i * DAY + 2 * DAY))
             .collect();
         let mm = MultiMatcher::new(tags.iter().collect());
-        let run = mm.run_bounded(
-            &events,
-            false,
-            &mut MultiScratch::new(),
-            &Limits::none().with_budget(0),
-        );
+        let bounded = |budget: u64| {
+            let limits = Limits::none().with_budget(budget);
+            let mut scratch = MatcherScratch::new();
+            let mut ctx = RunCtx {
+                limits: Some(&limits),
+                ..RunCtx::new(&mut scratch)
+            };
+            mm.run_in(&events, false, &mut ctx)
+        };
+        let run = bounded(0);
         assert_eq!(run.verdict.interrupt(), Some(Interrupt::BudgetExhausted));
         // And an ample budget completes identically to the unbounded run.
-        let free = mm.run_bounded(
-            &events,
-            false,
-            &mut MultiScratch::new(),
-            &Limits::none().with_budget(1_000_000),
-        );
+        let free = bounded(1_000_000);
         assert!(free.verdict.interrupt().is_none());
-        assert_eq!(free.stats, mm.run_scratch(&events, false, &mut MultiScratch::new()));
+        assert_eq!(free.stats, run_all(&mm, &events, false));
     }
 
     /// `TagTemplate::instantiate` is bit-identical to building the tag for
@@ -1045,10 +936,9 @@ mod tests {
         let events: Vec<Event> = (0..30)
             .map(|i| Event::new(phi[(i % 4) as usize], i * DAY / 2 + 2 * DAY))
             .collect();
-        let mut scratch = MatcherScratch::new();
         assert_eq!(
-            Matcher::new(&direct).run_scratch(&events, false, &mut scratch),
-            Matcher::new(&inst).run_scratch(&events, false, &mut scratch),
+            Matcher::new(&direct).run(&events, false),
+            Matcher::new(&inst).run(&events, false),
         );
     }
 }

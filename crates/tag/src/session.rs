@@ -1,13 +1,14 @@
 //! Long-lived incremental matching sessions.
 //!
-//! A [`MatchSession`] is the one TAG engine: it owns the packed frontier
-//! of the NFA simulation (Theorem 4) plus its pooled scratch buffers, and
-//! advances them one event at a time via [`push`](MatchSession::push) /
-//! [`push_batch`](MatchSession::push_batch). Every batch entry point of
-//! [`Matcher`] (`run`, `run_columns`, `matches_within`, …) is a thin
-//! wrapper that constructs a session, pushes the whole slice and reads the
-//! verdict back — a batch run *is* a replayed stream, bit-identical in
-//! stats and occurrences (differentially tested).
+//! A [`MatchSession`] drives one TAG's compiled one-member lane — the lane
+//! engine of [`MultiMatcher`](crate::MultiMatcher), the crate's only
+//! forward simulation (Theorem 4) — one event at a time via
+//! [`push`](MatchSession::push) / [`push_batch`](MatchSession::push_batch).
+//! Every batch entry point of [`Matcher`] (`run`, `run_in`,
+//! `matches_within`, …) is a thin wrapper that constructs a session,
+//! pushes the whole slice and reads the verdict back — a batch run *is* a
+//! replayed stream, bit-identical in stats and occurrences (differentially
+//! tested against the reference engine).
 //!
 //! # Completions
 //!
@@ -46,6 +47,8 @@
 //!
 //! [`SizeTable`]: tgm_granularity::SizeTable
 
+use std::sync::Arc;
+
 use tgm_events::{Event, TickColumns};
 use tgm_granularity::Second;
 use tgm_limits::{Interrupt, Limits, Verdict};
@@ -53,11 +56,11 @@ use tgm_obs::metrics::{self, Histogram};
 use tgm_obs::{Observable, ObsScope, ObsValue, RecEvent};
 
 use crate::automaton::Tag;
-use crate::constraint::ClockId;
 use crate::matcher::{
-    collect_guard_consts, hash_row, meta_state, pack_tick, saturate_reset, BoundedRun,
-    MatchOptions, Matcher, MatcherScratch, RunStats, NONE_TICK,
+    collect_guard_consts, dedup_tail, meta_state, saturate_row, BoundedRun, MatchOptions, Matcher,
+    MatcherScratch, RunStats, NONE_TICK,
 };
+use crate::multi::{Lane, LaneScratch, LaneState};
 
 /// The outcome of pushing one event into a [`MatchSession`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,10 +252,17 @@ impl EvictionPlan {
             watermark: EVICT_MIN_WATERMARK,
         }
     }
+
+    /// The residual constants of `state`'s `n` clocks.
+    fn residual(&self, state: usize, n: usize) -> &[i64] {
+        &self.fut_consts[state * n..state * n + n]
+    }
 }
 
+
 /// A suspended [`MatchSession`]: every piece of session state except the
-/// borrow of the [`Tag`].
+/// borrow of the [`Tag`] — including the compiled lane and the pooled
+/// scratch, so resuming recompiles and reallocates nothing.
 ///
 /// `MatchSession<'a>` borrows its automaton, which makes it impossible to
 /// store sessions next to the `Tag`s they run over (a self-referential
@@ -264,34 +274,48 @@ impl EvictionPlan {
 /// a contract violation; a cheap shape check (state/clock counts) panics
 /// on obvious mismatches.
 pub struct SessionState {
-    opts: MatchOptions,
+    /// The TAG compiled as a one-member lane (shared with the [`Matcher`]
+    /// that spawned a batch session).
+    lane: Arc<Lane>,
+    /// Pooled buffers; the session's lane runs in `scratch.lanes[0]`.
     scratch: MatcherScratch,
+    run: LaneState,
     limits: Option<Limits>,
     stats: RunStats,
+    /// Sticky interrupt: set once, reported by every later push.
     interrupt: Option<Interrupt>,
-    seeded: bool,
-    dead: bool,
     events_pushed: u64,
     completions: Vec<Completion>,
     total_completions: u64,
     evicted_rows: u64,
     evictions: u64,
     eviction: Option<EvictionPlan>,
+    /// Per-event frontier histogram (metrics only). Batch wrappers thread
+    /// their own through [`for_batch`](MatchSession::for_batch) and merge
+    /// it under the historical `tag.matcher.*` names; sessions finalize it
+    /// under `tag.session.frontier`.
     hist: Option<Histogram>,
+    /// Scoped metric domain: when set, every emission block (the
+    /// `session.push` span, eviction counters and recorder events, the
+    /// finalize merge) runs with this scope entered, isolating the
+    /// session's telemetry from the default registry and from other
+    /// sessions on the same thread.
     scope: Option<ObsScope>,
+    /// Emit a live-stats frame every this many events (see
+    /// [`stats_due`](MatchSession::stats_due)).
     stats_every: Option<u64>,
+    /// Events pushed when [`stats_due`](MatchSession::stats_due) last
+    /// fired.
     last_stats_at: u64,
+    /// Instance ids of the columns [`push_row`](MatchSession::push_row)
+    /// last bound the lane's clock → column map to.
     col_ids: Vec<u64>,
-    col_map: Vec<Option<usize>>,
-    /// Shape fingerprint of the automaton the session was suspended from.
-    n_states: usize,
-    n_clocks: usize,
 }
 
 impl SessionState {
     /// The options the suspended session was built with.
     pub fn options(&self) -> MatchOptions {
-        self.opts
+        self.lane.opts
     }
 
     /// Events consumed before suspension.
@@ -326,42 +350,8 @@ impl SessionState {
 /// assert_eq!(session.stats().completions, 1);
 /// ```
 pub struct MatchSession<'a> {
-    matcher: Matcher<'a>,
-    scratch: MatcherScratch,
-    limits: Option<Limits>,
-    stats: RunStats,
-    /// Sticky interrupt: set once, reported by every later push.
-    interrupt: Option<Interrupt>,
-    /// Frontier seeded (first event consumed or mid-stream).
-    seeded: bool,
-    /// Frontier emptied: no future completion is possible.
-    dead: bool,
-    events_pushed: u64,
-    completions: Vec<Completion>,
-    total_completions: u64,
-    evicted_rows: u64,
-    evictions: u64,
-    eviction: Option<EvictionPlan>,
-    /// Per-event frontier histogram (metrics only). Batch wrappers thread
-    /// their own through [`for_batch`](Self::for_batch) and merge it under
-    /// the historical `tag.matcher.*` names; sessions finalize it under
-    /// `tag.session.frontier`.
-    hist: Option<Histogram>,
-    /// Scoped metric domain: when set, every emission block (the
-    /// `session.push` span, eviction counters and recorder events, the
-    /// finalize merge) runs with this scope entered, isolating the
-    /// session's telemetry from the default registry and from other
-    /// sessions on the same thread.
-    scope: Option<ObsScope>,
-    /// Emit a live-stats frame every this many events (see
-    /// [`stats_due`](Self::stats_due)).
-    stats_every: Option<u64>,
-    /// Events pushed when [`stats_due`](Self::stats_due) last fired.
-    last_stats_at: u64,
-    /// Column binding for [`push_row`](Self::push_row): instance ids of
-    /// the bound columns' granularities, and the clock → column mapping.
-    col_ids: Vec<u64>,
-    col_map: Vec<Option<usize>>,
+    tag: &'a Tag,
+    s: SessionState,
 }
 
 impl<'a> MatchSession<'a> {
@@ -374,52 +364,42 @@ impl<'a> MatchSession<'a> {
     /// [`with_eviction`](Self::with_eviction) the replayed stream is
     /// bit-identical to a batch [`Matcher::run`] over the same events.
     pub fn with_options(tag: &'a Tag, opts: MatchOptions) -> Self {
-        let metrics_on = opts.obs.metrics_on();
-        Self::from_parts(
-            Matcher::with_options(tag, opts),
-            MatcherScratch::new(),
-            None,
-            metrics_on.then(Histogram::new),
-        )
+        let hist = opts.obs.metrics_on().then(Histogram::new);
+        Self::for_batch(&Matcher::with_options(tag, opts), MatcherScratch::new(), None, hist)
     }
 
-    /// Wrapper constructor for the batch entry points: donated scratch,
-    /// borrowed limits, externally owned histogram, eviction off.
+    /// A session running `matcher`'s compiled lane in the donated scratch
+    /// (the batch entry points' constructor): externally owned histogram,
+    /// eviction off.
     pub(crate) fn for_batch(
-        matcher: Matcher<'a>,
-        scratch: MatcherScratch,
+        matcher: &Matcher<'a>,
+        mut scratch: MatcherScratch,
         limits: Option<Limits>,
         hist: Option<Histogram>,
     ) -> Self {
-        Self::from_parts(matcher, scratch, limits, hist)
-    }
-
-    fn from_parts(
-        matcher: Matcher<'a>,
-        scratch: MatcherScratch,
-        limits: Option<Limits>,
-        hist: Option<Histogram>,
-    ) -> Self {
+        // The session's lane runs in `lanes[0]`.
+        scratch.lanes(1);
         MatchSession {
-            matcher,
-            scratch,
-            limits,
-            stats: RunStats::default(),
-            interrupt: None,
-            seeded: false,
-            dead: false,
-            events_pushed: 0,
-            completions: Vec::new(),
-            total_completions: 0,
-            evicted_rows: 0,
-            evictions: 0,
-            eviction: None,
-            hist,
-            scope: None,
-            stats_every: None,
-            last_stats_at: 0,
-            col_ids: Vec::new(),
-            col_map: Vec::new(),
+            tag: matcher.tag,
+            s: SessionState {
+                lane: Arc::clone(&matcher.lane),
+                scratch,
+                run: matcher.lane.start(),
+                limits,
+                stats: RunStats::default(),
+                interrupt: None,
+                events_pushed: 0,
+                completions: Vec::new(),
+                total_completions: 0,
+                evicted_rows: 0,
+                evictions: 0,
+                eviction: None,
+                hist,
+                scope: None,
+                stats_every: None,
+                last_stats_at: 0,
+                col_ids: Vec::new(),
+            },
         }
     }
 
@@ -428,15 +408,16 @@ impl<'a> MatchSession<'a> {
     /// rows, the Theorem 4 space measure). An interrupt is sticky; see
     /// [`Push::Interrupted`].
     pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = Some(limits);
+        self.s.limits = Some(limits);
         self
     }
 
     /// Donates pooled scratch buffers (e.g. recovered from a previous
     /// session via [`finish`](Self::finish)), so steady-state pushes
     /// allocate nothing from the first event.
-    pub fn with_scratch(mut self, scratch: MatcherScratch) -> Self {
-        self.scratch = scratch;
+    pub fn with_scratch(mut self, mut scratch: MatcherScratch) -> Self {
+        scratch.lanes(1);
+        self.s.scratch = scratch;
         self
     }
 
@@ -444,7 +425,7 @@ impl<'a> MatchSession<'a> {
     /// docs](self)). Sound for completions under any push-chunking
     /// (proptested); [`RunStats`] counters may differ from a batch run.
     pub fn with_eviction(mut self) -> Self {
-        self.eviction = Some(EvictionPlan::new(self.matcher.tag));
+        self.s.eviction = Some(EvictionPlan::new(self.tag));
         self
     }
 
@@ -455,13 +436,13 @@ impl<'a> MatchSession<'a> {
     /// only around emission blocks — results are unchanged (differential
     /// tests assert bit-identical runs with and without a scope).
     pub fn with_scope(mut self, scope: ObsScope) -> Self {
-        self.scope = Some(scope);
+        self.s.scope = Some(scope);
         self
     }
 
     /// The attached scoped metric domain, if any.
     pub fn scope(&self) -> Option<&ObsScope> {
-        self.scope.as_ref()
+        self.s.scope.as_ref()
     }
 
     /// Arms the live-stats cadence: [`stats_due`](Self::stats_due)
@@ -469,7 +450,7 @@ impl<'a> MatchSession<'a> {
     /// Pair with [`tgm_obs::Exporter`] to emit periodic delta frames —
     /// the `tgm stream --stats-every N` path.
     pub fn with_stats_every(mut self, every: u64) -> Self {
-        self.stats_every = (every > 0).then_some(every);
+        self.s.stats_every = (every > 0).then_some(every);
         self
     }
 
@@ -477,42 +458,51 @@ impl<'a> MatchSession<'a> {
     /// [`with_stats_every`](Self::with_stats_every) window, measured in
     /// pushed events (deterministic in the stream, never wall-clock).
     pub fn stats_due(&mut self) -> bool {
-        match self.stats_every {
-            Some(n) if self.events_pushed.saturating_sub(self.last_stats_at) >= n => {
-                self.last_stats_at = self.events_pushed;
+        let s = &mut self.s;
+        match s.stats_every {
+            Some(n) if s.events_pushed.saturating_sub(s.last_stats_at) >= n => {
+                s.last_stats_at = s.events_pushed;
                 true
             }
             _ => false,
         }
     }
 
+    /// The session's lane buffers.
+    fn lane(&self) -> &LaneScratch {
+        &self.s.scratch.lanes[0]
+    }
+
     /// The Theorem 4 watermark-lag gauge: over all live frontier rows and
     /// defined clock readings, the largest number of ticks a reading
-    /// still has to age before it saturates at its clock's horizon
-    /// (`K + 1`, beyond which readings are indistinguishable — the
-    /// distance eviction waits out). `0` means the whole frontier is
-    /// saturated (the slowest row has reached its horizon); `None` when
-    /// the TAG has no clocks, the session is unseeded, or the frontier is
-    /// empty. Monitoring loops export this as `watermark_lag`.
+    /// still has to age before it saturates at its horizon — the distance
+    /// canonicalization waits out. A plain session saturates every
+    /// reading at its clock's `K + 1`; an evicting one saturates a row at
+    /// its state's residual constant `fut[s][x] + 1`, so that is its
+    /// horizon, and a clock no guard from the row's state ever reads
+    /// again (`fut = −1`) is inert and contributes 0. `0` means the whole
+    /// frontier is saturated; `None` when the TAG has no clocks, the
+    /// session is unseeded, or the frontier is empty. Monitoring loops
+    /// export this as `watermark_lag`.
     pub fn watermark_lag(&self) -> Option<u64> {
-        let n = self.matcher.tag.clocks().len();
-        if n == 0 || !self.seeded || self.scratch.meta.is_empty() {
+        let n = self.s.lane.n_clocks;
+        let ls = self.lane();
+        if n == 0 || !self.s.run.seeded || ls.meta.is_empty() {
             return None;
         }
-        let mut consts = vec![0i64; n];
-        for tr in self.matcher.tag.transitions() {
-            collect_guard_consts(&tr.guard, &mut consts);
-        }
         let mut lag = 0u64;
-        for ci in 0..self.scratch.meta.len() {
-            let row = &self.scratch.rows[ci * n..ci * n + n];
-            for (x, &reset) in row.iter().enumerate() {
-                let cur = self.scratch.ticks[x];
+        for (ci, &m) in ls.meta.iter().enumerate() {
+            let caps = match &self.s.eviction {
+                Some(plan) => plan.residual(meta_state(m).index(), n),
+                None => &self.s.lane.max_consts[..],
+            };
+            for (x, &reset) in ls.rows[ci * n..ci * n + n].iter().enumerate() {
+                let cur = ls.ticks[x];
                 if reset == NONE_TICK || cur == NONE_TICK {
                     continue;
                 }
                 let elapsed = cur.saturating_sub(reset).max(0);
-                let horizon = consts[x].saturating_add(1);
+                let horizon = caps[x].saturating_add(1);
                 lag = lag.max(horizon.saturating_sub(elapsed).max(0) as u64);
             }
         }
@@ -525,13 +515,8 @@ impl<'a> MatchSession<'a> {
     /// live frontier never exceeds it, streamed or batch; the long-stream
     /// CI check asserts exactly this.
     pub fn frontier_bound(&self) -> u64 {
-        let tag = self.matcher.tag;
-        let mut consts = vec![0i64; tag.clocks().len()];
-        for tr in tag.transitions() {
-            collect_guard_consts(&tr.guard, &mut consts);
-        }
-        let mut bound = (tag.n_states() as u64).saturating_mul(2);
-        for k in consts {
+        let mut bound = (self.tag.n_states() as u64).saturating_mul(2);
+        for &k in &self.s.lane.max_consts {
             bound = bound.saturating_mul((k.max(0) as u64).saturating_add(3));
         }
         bound
@@ -542,17 +527,7 @@ impl<'a> MatchSession<'a> {
     /// Consumes one event (timestamps must be non-decreasing), resolving
     /// each clock's covering tick directly.
     pub fn push(&mut self, e: Event) -> Push {
-        if let Some(p) = self.pre_check() {
-            return p;
-        }
-        let n = self.matcher.tag.clocks().len();
-        self.scratch.ticks.clear();
-        self.scratch.ticks.resize(n, NONE_TICK);
-        let Self {
-            matcher, scratch, ..
-        } = self;
-        matcher.fill_ticks_direct(e.time, &mut scratch.ticks);
-        self.advance(&e)
+        self.push_at(&e, None)
     }
 
     /// Pushes a slice of events, stopping at the first death or
@@ -561,17 +536,17 @@ impl<'a> MatchSession<'a> {
     /// `session.push` span per call (never per event) when span
     /// observability is on.
     pub fn push_batch(&mut self, events: &[Event]) -> usize {
-        let _scope = self.scope.as_ref().map(ObsScope::enter);
-        let _span = tgm_obs::span::span_if(self.matcher.opts.obs.spans, "session.push");
-        let before = self.stats.events;
-        for &e in events {
-            match self.push(e) {
+        let _scope = self.s.scope.as_ref().map(ObsScope::enter);
+        let _span = tgm_obs::span::span_if(self.s.lane.opts.obs.spans, "session.push");
+        let before = self.s.stats.events;
+        for e in events {
+            match self.push_at(e, None) {
                 Push::Advanced { .. } => {}
                 Push::Dead | Push::Interrupted(_) => break,
             }
         }
-        let consumed = self.stats.events - before;
-        if self.matcher.opts.obs.metrics_on() {
+        let consumed = self.s.stats.events - before;
+        if self.s.lane.opts.obs.metrics_on() {
             metrics::counter_add("tag.session.events", consumed as u64);
         }
         consumed
@@ -585,116 +560,69 @@ impl<'a> MatchSession<'a> {
     /// resolve a live stream incrementally in chunks.
     pub fn push_row(&mut self, e: Event, cols: &TickColumns, row: usize) -> Push {
         assert!(row < cols.len(), "row {row} out of {} column rows", cols.len());
-        if let Some(p) = self.pre_check() {
-            return p;
-        }
-        self.bind_columns(cols);
-        let n = self.matcher.tag.clocks().len();
-        self.scratch.ticks.clear();
-        self.scratch.ticks.resize(n, NONE_TICK);
-        let Self {
-            matcher,
-            scratch,
-            col_map,
-            ..
-        } = self;
-        for (x, c) in col_map.iter().enumerate() {
-            scratch.ticks[x] = match c {
-                Some(c) => pack_tick(cols.tick(*c, row)),
-                None => pack_tick(matcher.clock_tick(ClockId(x), e.time)),
-            };
-        }
-        self.advance(&e)
-    }
-
-    /// Batch-wrapper push: the caller fills the packed tick row.
-    pub(crate) fn push_with(&mut self, e: &Event, fill: impl FnOnce(&mut [i64])) -> Push {
-        if let Some(p) = self.pre_check() {
-            return p;
-        }
-        let n = self.matcher.tag.clocks().len();
-        self.scratch.ticks.clear();
-        self.scratch.ticks.resize(n, NONE_TICK);
-        fill(&mut self.scratch.ticks);
-        self.advance(e)
-    }
-
-    /// Refreshes the clock → column mapping when the bound column set
-    /// changed (cheap instance-id comparison per push).
-    fn bind_columns(&mut self, cols: &TickColumns) {
+        // Rebind the clock → column map only when the column set changed
+        // (cheap instance-id comparison per push).
         let ids = cols.granularities().iter().map(|g| g.instance_id());
-        if self.col_ids.len() == cols.granularities().len() && ids.clone().eq(self.col_ids.iter().copied())
-        {
-            return;
+        if self.s.col_ids.is_empty() || !ids.clone().eq(self.s.col_ids.iter().copied()) {
+            self.s.col_ids.clear();
+            self.s.col_ids.extend(ids);
+            self.bind_batch_columns(cols);
         }
-        self.col_ids.clear();
-        self.col_ids.extend(ids);
-        self.col_map.clear();
-        self.col_map
-            .extend(self.matcher.tag.clocks().iter().map(|(_, g)| cols.index_of(g)));
+        self.push_at(&e, Some((cols, row)))
     }
 
-    /// Shared pre-push gate: sticky interrupt, death, and the cooperative
-    /// limits poll (cancellation + deadline), in the batch engine's exact
-    /// order.
-    fn pre_check(&mut self) -> Option<Push> {
-        if let Some(i) = self.interrupt {
-            return Some(Push::Interrupted(i));
+    /// Binds the lane's clock → column map to `cols` for
+    /// [`push_at`](Self::push_at) with column rows.
+    pub(crate) fn bind_batch_columns(&mut self, cols: &TickColumns) {
+        self.s.scratch.lanes[0].bind_columns(self.tag, cols);
+    }
+
+    /// The one push path: [`advance`](Self::advance), then the
+    /// completion (if any) is buffered for [`completed`](Self::completed).
+    pub(crate) fn push_at(&mut self, e: &Event, row: Option<(&TickColumns, usize)>) -> Push {
+        let push = self.advance(e, row);
+        if push.completed() {
+            let index = self.s.events_pushed - 1;
+            self.s.completions.push(Completion { index, at: e.time });
         }
-        if self.dead {
-            return Some(Push::Dead);
+        push
+    }
+
+    /// The pre-push gate (sticky interrupt, death, the cooperative limits
+    /// poll), then one lane step reading column row `row` when given. The
+    /// batch wrappers call this directly: they need the completion flag,
+    /// not a buffer of completions.
+    pub(crate) fn advance(&mut self, e: &Event, row: Option<(&TickColumns, usize)>) -> Push {
+        if let Some(i) = self.s.interrupt {
+            return Push::Interrupted(i);
         }
-        if let Some(l) = &self.limits {
+        if self.is_dead() {
+            return Push::Dead;
+        }
+        if let Some(l) = &self.s.limits {
             if let Err(i) = l.check() {
-                self.interrupt = Some(i);
-                return Some(Push::Interrupted(i));
+                self.s.interrupt = Some(i);
+                return Push::Interrupted(i);
             }
         }
-        None
-    }
-
-    /// The per-event core, mirroring the historical batch loop operation
-    /// for operation (seed lazily on the first event with its tick row,
-    /// advance, swap, record, then death before budget): this is what
-    /// keeps stream replay bit-identical to batch runs.
-    fn advance(&mut self, e: &Event) -> Push {
-        let s = &mut self.scratch;
-        if !self.seeded {
-            self.matcher
-                .seed_frontier_packed(&mut s.meta, &mut s.rows, &mut s.table, &s.ticks);
-            self.seeded = true;
+        let s = &mut self.s;
+        let ls = &mut s.scratch.lanes[0];
+        let stats = std::slice::from_mut(&mut s.stats);
+        let completed = s.lane.step(self.tag, ls, &mut s.run, stats, e, row, false) != 0;
+        if let Some(h) = s.hist.as_mut() {
+            h.record(ls.meta.len() as u64);
         }
-        let completed = self.matcher.advance_packed(
-            &s.meta,
-            &s.rows,
-            &mut s.next_meta,
-            &mut s.next_rows,
-            &mut s.table,
-            &s.ticks,
-            e,
-            &mut self.stats,
-        );
-        std::mem::swap(&mut s.meta, &mut s.next_meta);
-        std::mem::swap(&mut s.rows, &mut s.next_rows);
-        if let Some(h) = self.hist.as_mut() {
-            h.record(s.meta.len() as u64);
-        }
-        let index = self.events_pushed;
-        self.events_pushed += 1;
-        if completed {
-            self.total_completions += 1;
-            self.completions.push(Completion { index, at: e.time });
-        }
-        if self.eviction.is_some() && !self.scratch.meta.is_empty() {
+        s.events_pushed += 1;
+        s.total_completions += u64::from(completed);
+        if s.eviction.is_some() && s.run.active != 0 {
             self.maybe_evict(e.time);
         }
-        if self.scratch.meta.is_empty() {
-            self.dead = true;
-            return Push::Advanced { completed };
-        }
-        if let Some(l) = &self.limits {
-            if l.budget_exceeded(self.stats.peak_configs as u64) {
-                self.interrupt = Some(Interrupt::BudgetExhausted);
+        // Death before budget: a dead session has nothing left to cap.
+        if !self.is_dead() {
+            if let Some(l) = &self.s.limits {
+                if l.budget_exceeded(self.s.stats.peak_configs as u64) {
+                    self.s.interrupt = Some(Interrupt::BudgetExhausted);
+                }
             }
         }
         Push::Advanced { completed }
@@ -706,9 +634,9 @@ impl<'a> MatchSession<'a> {
     /// the frontier doubled since the last pass (both deterministic in the
     /// pushed events).
     fn maybe_evict(&mut self, now: Second) {
-        let plan = match &mut self.eviction {
-            Some(p) => p,
-            None => return,
+        let frontier = self.lane().meta.len();
+        let Some(plan) = &mut self.s.eviction else {
+            return;
         };
         let time_due = match (plan.horizon, plan.next_at) {
             (Some(h), Some(at)) => {
@@ -725,77 +653,58 @@ impl<'a> MatchSession<'a> {
             }
             (None, _) => false,
         };
-        let growth_due = self.scratch.meta.len() >= plan.watermark;
-        if !time_due && !growth_due {
-            return;
+        if time_due || frontier >= plan.watermark {
+            self.evict();
         }
-        self.evict(now);
     }
 
     /// One deterministic eviction pass: drop rows that cannot reach an
     /// accepting state, saturate each survivor against its state's
     /// residual guard constants, and merge the duplicates that creates.
-    fn evict(&mut self, now: Second) {
-        let _scope = self.scope.as_ref().map(ObsScope::enter);
-        let _span = tgm_obs::span::span_if(self.matcher.opts.obs.spans, "session.evict");
-        let plan = match &self.eviction {
-            Some(p) => p,
-            None => return,
+    fn evict(&mut self) {
+        let _scope = self.s.scope.as_ref().map(ObsScope::enter);
+        let _span = tgm_obs::span::span_if(self.s.lane.opts.obs.spans, "session.evict");
+        let s = &mut self.s;
+        let Some(plan) = &mut s.eviction else {
+            return;
         };
-        let n = self.matcher.tag.clocks().len();
-        let s = &mut self.scratch;
-        let before = s.meta.len();
-        s.next_meta.clear();
-        s.next_rows.clear();
-        s.table.reset();
-        for (ci, &m) in s.meta.iter().enumerate() {
+        let n = s.lane.n_clocks;
+        let ls = &mut s.scratch.lanes[0];
+        let before = ls.meta.len();
+        ls.next_meta.clear();
+        ls.next_cands.clear();
+        ls.next_rows.clear();
+        ls.table.reset();
+        for ci in 0..before {
+            let m = ls.meta[ci];
             let state = meta_state(m).index();
             if !plan.can_accept[state] {
                 continue;
             }
-            let idx = s.next_meta.len() as u32;
-            s.next_rows.extend_from_slice(&s.rows[ci * n..ci * n + n]);
-            let (done, staged) = s.next_rows.split_at_mut(idx as usize * n);
-            let staged = &mut staged[..n];
-            // Saturate against the per-state residual constants. `ticks`
-            // still holds the current event's row; clocks in a gap right
-            // now keep their reset (their reading is undefined until the
-            // next covered event, when a later pass can revisit them).
-            for (x, r) in staged.iter_mut().enumerate() {
-                let cur = s.ticks[x];
-                if cur == NONE_TICK || *r == NONE_TICK {
-                    continue;
-                }
-                let cap = plan.fut_consts[state * n + x];
-                if cur.saturating_sub(*r) > cap {
-                    *r = saturate_reset(cur, cap);
-                }
-            }
-            let staged: &[i64] = staged;
-            let done: &[i64] = done;
-            let h = hash_row(m, staged);
-            let fm: &[u64] = &s.next_meta;
-            let is_new = s.table.insert(
-                h,
-                idx,
-                |j| fm[j as usize] == m && &done[j as usize * n..(j as usize + 1) * n] == staged,
-                |j| hash_row(fm[j as usize], &done[j as usize * n..(j as usize + 1) * n]),
-            );
-            if is_new {
-                s.next_meta.push(m);
-            } else {
-                s.next_rows.truncate(idx as usize * n);
+            let base = ls.next_rows.len();
+            ls.next_rows.extend_from_slice(&ls.rows[ci * n..ci * n + n]);
+            // `ticks` still holds the current event's row; clocks in a gap
+            // right now keep their reset (their reading is undefined until
+            // the next covered event, when a later pass can revisit them).
+            saturate_row(&mut ls.next_rows[base..], &ls.ticks, plan.residual(state, n));
+            // The session's lane has one member, so every row holds the
+            // same member set and a merged duplicate needs no update.
+            if dedup_tail(&mut ls.table, &mut ls.next_meta, &mut ls.next_rows, n, m).is_none() {
+                ls.next_cands.push(ls.cands[ci]);
             }
         }
-        std::mem::swap(&mut s.meta, &mut s.next_meta);
-        std::mem::swap(&mut s.rows, &mut s.next_rows);
-        let after = s.meta.len();
-        self.evicted_rows += (before - after) as u64;
-        self.evictions += 1;
-        if let Some(plan) = &mut self.eviction {
-            plan.watermark = EVICT_MIN_WATERMARK.max(after * 2);
+        std::mem::swap(&mut ls.meta, &mut ls.next_meta);
+        std::mem::swap(&mut ls.cands, &mut ls.next_cands);
+        std::mem::swap(&mut ls.rows, &mut ls.next_rows);
+        let after = ls.meta.len();
+        ls.live_cnt[0] = after as u32;
+        if after == 0 {
+            s.run.active = 0;
         }
-        if self.matcher.opts.obs.metrics_on() {
+        s.evicted_rows += (before - after) as u64;
+        s.evictions += 1;
+        plan.watermark = EVICT_MIN_WATERMARK.max(after * 2);
+        if s.lane.opts.obs.metrics_on() {
             metrics::counter_add("tag.session.evictions", 1);
             metrics::counter_add("tag.session.evicted_rows", (before - after) as u64);
             tgm_obs::recorder::record(RecEvent::Eviction {
@@ -803,62 +712,64 @@ impl<'a> MatchSession<'a> {
                 after: after as u64,
             });
         }
-        let _ = now;
     }
 
     // -- inspection ---------------------------------------------------------
 
     /// Drains the completions buffered since the last call, oldest first.
     pub fn completed(&mut self) -> std::vec::Drain<'_, Completion> {
-        self.completions.drain(..)
+        self.s.completions.drain(..)
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> SessionStats {
+        let s = &self.s;
         SessionStats {
-            events: self.stats.events,
-            completions: self.total_completions,
-            frontier: self.scratch.meta.len(),
-            peak_frontier: self.stats.peak_configs,
-            expansions: self.stats.expansions,
-            dedup_hits: self.stats.dedup_hits,
-            evicted_rows: self.evicted_rows,
-            evictions: self.evictions,
-            interrupted: self.interrupt,
+            events: s.stats.events,
+            completions: s.total_completions,
+            frontier: self.frontier_size(),
+            peak_frontier: s.stats.peak_configs,
+            expansions: s.stats.expansions,
+            dedup_hits: s.stats.dedup_hits,
+            evicted_rows: s.evicted_rows,
+            evictions: s.evictions,
+            interrupted: s.interrupt,
         }
     }
 
     /// Current live frontier rows.
     pub fn frontier_size(&self) -> usize {
-        self.scratch.meta.len()
+        self.lane().meta.len()
     }
 
     /// Whether the frontier died (see [`Push::Dead`]).
     pub fn is_dead(&self) -> bool {
-        self.dead
+        self.s.run.active == 0
     }
 
     /// The sticky interrupt, if the session was stopped by its limits.
     pub fn interrupted(&self) -> Option<Interrupt> {
-        self.interrupt
+        self.s.interrupt
     }
 
     /// Forgets all progress — frontier, stats, completions, interrupt —
     /// keeping the grown buffer capacity. The next push re-seeds.
     pub fn reset(&mut self) {
-        self.scratch.meta.clear();
-        self.scratch.rows.clear();
-        self.stats = RunStats::default();
-        self.interrupt = None;
-        self.seeded = false;
-        self.dead = false;
-        self.events_pushed = 0;
-        self.completions.clear();
-        self.total_completions = 0;
-        self.evicted_rows = 0;
-        self.evictions = 0;
-        self.last_stats_at = 0;
-        if let Some(plan) = &mut self.eviction {
+        let s = &mut self.s;
+        let ls = &mut s.scratch.lanes[0];
+        ls.meta.clear();
+        ls.cands.clear();
+        ls.rows.clear();
+        s.run = s.lane.start();
+        s.stats = RunStats::default();
+        s.interrupt = None;
+        s.events_pushed = 0;
+        s.completions.clear();
+        s.total_completions = 0;
+        s.evicted_rows = 0;
+        s.evictions = 0;
+        s.last_stats_at = 0;
+        if let Some(plan) = &mut s.eviction {
             plan.next_at = None;
             plan.watermark = EVICT_MIN_WATERMARK;
         }
@@ -871,36 +782,14 @@ impl<'a> MatchSession<'a> {
     /// session table, moved across worker threads, and picked back up with
     /// [`resume`](Self::resume).
     pub fn suspend(self) -> SessionState {
-        SessionState {
-            opts: self.matcher.opts,
-            n_states: self.matcher.tag.n_states(),
-            n_clocks: self.matcher.tag.clocks().len(),
-            scratch: self.scratch,
-            limits: self.limits,
-            stats: self.stats,
-            interrupt: self.interrupt,
-            seeded: self.seeded,
-            dead: self.dead,
-            events_pushed: self.events_pushed,
-            completions: self.completions,
-            total_completions: self.total_completions,
-            evicted_rows: self.evicted_rows,
-            evictions: self.evictions,
-            eviction: self.eviction,
-            hist: self.hist,
-            scope: self.scope,
-            stats_every: self.stats_every,
-            last_stats_at: self.last_stats_at,
-            col_ids: self.col_ids,
-            col_map: self.col_map,
-        }
+        self.s
     }
 
     /// Reattaches a suspended session to its automaton and continues
     /// exactly where [`suspend`](Self::suspend) left off: frontier, stats,
-    /// buffered completions, sticky interrupt, eviction schedule and
-    /// limits all survive the round trip (the replayed stream stays
-    /// bit-identical to an uninterrupted session).
+    /// buffered completions, sticky interrupt, eviction schedule, limits
+    /// and the compiled lane all survive the round trip (the replayed
+    /// stream stays bit-identical to an uninterrupted session).
     ///
     /// # Panics
     ///
@@ -910,31 +799,11 @@ impl<'a> MatchSession<'a> {
     /// packed frontier).
     pub fn resume(tag: &'a Tag, state: SessionState) -> Self {
         assert_eq!(
-            (state.n_states, state.n_clocks),
+            (state.lane.n_states(), state.lane.n_clocks),
             (tag.n_states(), tag.clocks().len()),
             "SessionState resumed against a different automaton shape"
         );
-        MatchSession {
-            matcher: Matcher::with_options(tag, state.opts),
-            scratch: state.scratch,
-            limits: state.limits,
-            stats: state.stats,
-            interrupt: state.interrupt,
-            seeded: state.seeded,
-            dead: state.dead,
-            events_pushed: state.events_pushed,
-            completions: state.completions,
-            total_completions: state.total_completions,
-            evicted_rows: state.evicted_rows,
-            evictions: state.evictions,
-            eviction: state.eviction,
-            hist: state.hist,
-            scope: state.scope,
-            stats_every: state.stats_every,
-            last_stats_at: state.last_stats_at,
-            col_ids: state.col_ids,
-            col_map: state.col_map,
-        }
+        MatchSession { tag, s: state }
     }
 
     // -- finalize -----------------------------------------------------------
@@ -951,54 +820,50 @@ impl<'a> MatchSession<'a> {
     /// [`finalize`](Self::finalize), additionally returning the pooled
     /// scratch so a follow-up session can reuse the grown buffers.
     pub fn finish(mut self) -> (BoundedRun, MatcherScratch) {
-        let run = match self.interrupt {
-            Some(i) => BoundedRun {
-                stats: self.stats,
-                verdict: i.into(),
-            },
-            None => {
-                let mut stats = self.stats;
-                // An unseeded (never pushed) session accepts iff a start
-                // state accepts — the same answer a batch run gives for
-                // the empty sequence.
-                stats.accepted = if self.seeded {
-                    self.frontier_accepting()
-                } else {
-                    self.matcher.start_accepting()
-                };
-                BoundedRun {
-                    stats,
-                    verdict: Verdict::Completed,
-                }
-            }
-        };
-        if self.matcher.opts.obs.metrics_on() {
-            let _scope = self.scope.as_ref().map(ObsScope::enter);
+        let run = self.outcome();
+        let s = &mut self.s;
+        if s.lane.opts.obs.metrics_on() {
+            let _scope = s.scope.as_ref().map(ObsScope::enter);
             metrics::counter_add("tag.session.finalized", 1);
-            metrics::counter_add("tag.session.completions", self.total_completions);
-            if let Some(hist) = self.hist.take() {
+            metrics::counter_add("tag.session.completions", s.total_completions);
+            if let Some(hist) = s.hist.take() {
                 metrics::histogram_merge("tag.session.frontier", &hist);
             }
         }
-        (run, std::mem::take(&mut self.scratch))
+        (run, std::mem::take(&mut s.scratch))
     }
 
-    /// Raw batch-engine counters (accepted not yet resolved).
+    /// The verdict so far: prefix stats plus the interrupt, or the
+    /// acceptance scan of the live frontier. An unseeded (never pushed)
+    /// session accepts iff a start state accepts — the same answer a
+    /// batch run gives for the empty sequence.
+    pub(crate) fn outcome(&self) -> BoundedRun {
+        let mut stats = self.s.stats;
+        let verdict = match self.s.interrupt {
+            Some(i) => i.into(),
+            None => {
+                stats.accepted = if self.s.run.seeded {
+                    self.lane()
+                        .meta
+                        .iter()
+                        .any(|&m| self.tag.is_accepting(meta_state(m)))
+                } else {
+                    self.s.lane.start_accepting
+                };
+                Verdict::Completed
+            }
+        };
+        BoundedRun { stats, verdict }
+    }
+
+    /// Raw counters (accepted not yet resolved).
     pub(crate) fn raw_stats(&self) -> RunStats {
-        self.stats
+        self.s.stats
     }
 
-    /// Whether the live frontier holds an accepting configuration.
-    pub(crate) fn frontier_accepting(&self) -> bool {
-        self.scratch
-            .meta
-            .iter()
-            .any(|&m| self.matcher.tag.is_accepting(meta_state(m)))
-    }
-
-    /// Tears the wrapper session back into its donated parts.
-    pub(crate) fn into_parts(mut self) -> (MatcherScratch, Option<Histogram>) {
-        (std::mem::take(&mut self.scratch), self.hist.take())
+    /// Tears a batch session back into its donated parts.
+    pub(crate) fn into_parts(self) -> (MatcherScratch, Option<Histogram>) {
+        (self.s.scratch, self.s.hist)
     }
 }
 
@@ -1192,6 +1057,26 @@ mod tests {
         }
         assert!(sat.stats().peak_frontier as u64 <= bound);
         assert_eq!(sat.stats().completions, p.completions);
+    }
+
+    #[test]
+    fn idle_evicting_session_watermark_settles_at_zero() {
+        // One out-of-alphabet event per day keeps the frontier idle in the
+        // start state, which never compares its clock before resetting it
+        // (fut = −1): once an eviction pass has run, nothing is left to
+        // age, so the lag must read 0 like the plain session's.
+        let tag = next_day_tag();
+        let mut plain = MatchSession::new(&tag);
+        let mut evicting = MatchSession::new(&tag).with_eviction();
+        for day in 2..40 {
+            let e = ev(7, day * DAY);
+            assert_eq!(plain.push(e), evicting.push(e));
+            if evicting.stats().evictions > 0 {
+                assert_eq!(evicting.watermark_lag(), Some(0), "day {day}");
+            }
+        }
+        assert!(evicting.stats().evictions > 0, "eviction never triggered");
+        assert_eq!(plain.watermark_lag(), Some(0));
     }
 
     #[test]

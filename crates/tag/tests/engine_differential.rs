@@ -1,15 +1,15 @@
-//! Differential property tests for the packed matcher engine: on
-//! randomized TAGs (built from random chain structures) and randomized
-//! event sequences, the scratch-based packed engine must produce
-//! *bit-identical* [`RunStats`] — and identical occurrence witnesses — to
-//! the retained reference engine, under every `MatchOptions` combination,
+//! Differential property tests for the lane engine: on randomized TAGs
+//! (built from random chain structures) and randomized event sequences,
+//! [`Matcher::run_in`] must produce *bit-identical* [`RunStats`] — and
+//! [`Matcher::find_occurrence_in`] identical occurrence witnesses — to the
+//! independent reference engine, under every `MatchOptions` combination,
 //! for direct, column-reading, early-exit, and suffix-offset runs alike.
 
 use proptest::prelude::*;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
-use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, Tag};
+use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, RunCtx, Tag};
 
 const DAY: i64 = 86_400;
 
@@ -66,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn packed_engine_bit_identical_to_reference(
+    fn lane_engine_bit_identical_to_reference(
         chain_len in 2usize..4,
         gran_picks in proptest::collection::vec(0usize..4, 3),
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
@@ -94,19 +94,26 @@ proptest! {
             let m = Matcher::with_options(&tag, opts);
             for early_exit in [false, true] {
                 let reference = m.run_reference(&events, early_exit);
-                let packed = m.run_scratch(&events, early_exit, &mut scratch);
-                prop_assert_eq!(reference, packed, "run, opts {:?}", opts);
+                let lane = m.run_in(&events, early_exit, &mut RunCtx::new(&mut scratch));
+                prop_assert_eq!(reference, lane.stats, "run, opts {:?}", opts);
 
                 let reference =
                     m.run_columns_reference(slice, &cols, start, early_exit);
-                let packed =
-                    m.run_columns_scratch(slice, &cols, start, early_exit, &mut scratch);
-                prop_assert_eq!(reference, packed, "run_columns, opts {:?}", opts);
+                let mut ctx = RunCtx { cols: Some((&cols, start)), ..RunCtx::new(&mut scratch) };
+                let lane = m.run_in(slice, early_exit, &mut ctx);
+                prop_assert_eq!(reference, lane.stats, "run with columns, opts {:?}", opts);
             }
             prop_assert_eq!(
-                m.find_occurrence_reference(&events),
-                m.find_occurrence_scratch(&events, &mut scratch),
+                Ok(m.find_occurrence_reference(&events)),
+                m.find_occurrence_in(&events, &mut RunCtx::new(&mut scratch)),
                 "find_occurrence, opts {:?}",
+                opts
+            );
+            let mut ctx = RunCtx { cols: Some((&cols, start)), ..RunCtx::new(&mut scratch) };
+            prop_assert_eq!(
+                Ok(m.find_occurrence_reference(slice)),
+                m.find_occurrence_in(slice, &mut ctx),
+                "find_occurrence with columns, opts {:?}",
                 opts
             );
         }
@@ -122,11 +129,11 @@ fn engines_agree_on_empty_input() {
         for early_exit in [false, true] {
             assert_eq!(
                 m.run_reference(&[], early_exit),
-                m.run_scratch(&[], early_exit, &mut scratch),
+                m.run_in(&[], early_exit, &mut RunCtx::new(&mut scratch)).stats,
                 "opts {opts:?}"
             );
         }
         assert_eq!(m.find_occurrence_reference(&[]), None);
-        assert_eq!(m.find_occurrence_scratch(&[], &mut scratch), None);
+        assert_eq!(m.find_occurrence_in(&[], &mut RunCtx::new(&mut scratch)), Ok(None));
     }
 }

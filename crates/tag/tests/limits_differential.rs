@@ -1,8 +1,9 @@
 //! Differential tests for bounded matcher runs: with [`Limits::none`] the
-//! bounded entry points are bit-identical to the unbounded ones under
-//! every `MatchOptions` combination; with a tight budget or deadline they
-//! stop deterministically with a typed [`Verdict`] instead of running
-//! away; and the packed and reference engines interrupt identically.
+//! bounded lane-engine runs are bit-identical to the unbounded reference
+//! engine under every `MatchOptions` combination, direct and
+//! column-reading; with a tight budget or deadline they stop
+//! deterministically with a typed [`Verdict`] instead of running away; and
+//! the lane and reference engines interrupt identically.
 
 use std::time::{Duration, Instant};
 
@@ -10,7 +11,7 @@ use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
 use tgm_limits::{CancelToken, Interrupt, Limits, Verdict};
-use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, Tag};
+use tgm_tag::{build_tag, BoundedRun, MatchOptions, Matcher, MatcherScratch, RunCtx, Tag};
 
 const DAY: i64 = 86_400;
 
@@ -54,6 +55,33 @@ fn fixture() -> (Tag, Vec<Event>) {
     (tag, events)
 }
 
+/// A lane-engine run of `events` under `limits`, reading `cols` when given.
+fn bounded(
+    m: &Matcher<'_>,
+    events: &[Event],
+    cols: Option<(&TickColumns, usize)>,
+    early_exit: bool,
+    limits: &Limits,
+) -> BoundedRun {
+    let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx {
+        cols,
+        limits: Some(limits),
+        ..RunCtx::new(&mut scratch)
+    };
+    m.run_in(events, early_exit, &mut ctx)
+}
+
+/// [`Matcher::find_occurrence_in`] under `limits`.
+fn find_bounded(m: &Matcher<'_>, events: &[Event], limits: &Limits) -> Result<Option<Vec<usize>>, Interrupt> {
+    let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx {
+        limits: Some(limits),
+        ..RunCtx::new(&mut scratch)
+    };
+    m.find_occurrence_in(events, &mut ctx)
+}
+
 #[test]
 fn none_limits_bit_identical_all_combos() {
     let (tag, events) = fixture();
@@ -63,22 +91,13 @@ fn none_limits_bit_identical_all_combos() {
     for opts in all_option_combos() {
         let m = Matcher::with_options(&tag, opts);
         for early_exit in [false, true] {
-            let free = m.run_scratch(&events, early_exit, &mut MatcherScratch::new());
-            let bounded =
-                m.run_bounded(&events, early_exit, &mut MatcherScratch::new(), &none);
-            assert_eq!(bounded.verdict, Verdict::Completed, "{opts:?}");
-            assert_eq!(bounded.stats, free, "direct {opts:?} early_exit={early_exit}");
+            let free = m.run_reference(&events, early_exit);
+            let run = bounded(&m, &events, None, early_exit, &none);
+            assert_eq!(run.verdict, Verdict::Completed, "{opts:?}");
+            assert_eq!(run.stats, free, "direct {opts:?} early_exit={early_exit}");
 
-            let free_cols =
-                m.run_columns_scratch(&events, &cols, 0, early_exit, &mut MatcherScratch::new());
-            let bounded_cols = m.run_columns_bounded(
-                &events,
-                &cols,
-                0,
-                early_exit,
-                &mut MatcherScratch::new(),
-                &none,
-            );
+            let free_cols = m.run_columns_reference(&events, &cols, 0, early_exit);
+            let bounded_cols = bounded(&m, &events, Some((&cols, 0)), early_exit, &none);
             assert_eq!(bounded_cols.verdict, Verdict::Completed);
             assert_eq!(
                 bounded_cols.stats, free_cols,
@@ -90,11 +109,9 @@ fn none_limits_bit_identical_all_combos() {
             assert_eq!(bounded_ref.verdict, Verdict::Completed);
             assert_eq!(bounded_ref.stats, free_ref, "reference {opts:?}");
         }
-        let free = m.find_occurrence_scratch(&events, &mut MatcherScratch::new());
-        let bounded = m
-            .find_occurrence_bounded(&events, &mut MatcherScratch::new(), &none)
-            .expect("no limits, no interrupt");
-        assert_eq!(bounded, free, "find_occurrence {opts:?}");
+        let free = m.find_occurrence_reference(&events);
+        let found = find_bounded(&m, &events, &none).expect("no limits, no interrupt");
+        assert_eq!(found, free, "find_occurrence {opts:?}");
     }
 }
 
@@ -103,8 +120,8 @@ fn tiny_budget_exhausts_deterministically() {
     let (tag, events) = fixture();
     let m = Matcher::new(&tag);
     let limits = Limits::none().with_budget(2);
-    let a = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
-    let b = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
+    let a = bounded(&m, &events, None, false, &limits);
+    let b = bounded(&m, &events, None, false, &limits);
     assert_eq!(
         a.verdict,
         Verdict::Interrupted(Interrupt::BudgetExhausted),
@@ -117,15 +134,15 @@ fn tiny_budget_exhausts_deterministically() {
 }
 
 #[test]
-fn packed_and_reference_interrupt_identically() {
+fn lane_and_reference_interrupt_identically() {
     let (tag, events) = fixture();
     for budget in [1u64, 2, 4, 8, 1 << 40] {
         let limits = Limits::none().with_budget(budget);
         let m = Matcher::new(&tag);
-        let packed = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
+        let lane = bounded(&m, &events, None, false, &limits);
         let reference = m.run_reference_bounded(&events, false, &limits);
-        assert_eq!(packed.verdict, reference.verdict, "budget={budget}");
-        assert_eq!(packed.stats, reference.stats, "budget={budget}");
+        assert_eq!(lane.verdict, reference.verdict, "budget={budget}");
+        assert_eq!(lane.stats, reference.stats, "budget={budget}");
     }
 }
 
@@ -134,12 +151,10 @@ fn expired_deadline_interrupts_immediately() {
     let (tag, events) = fixture();
     let m = Matcher::new(&tag);
     let limits = Limits::none().with_deadline(Instant::now() - Duration::from_secs(1));
-    let run = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
+    let run = bounded(&m, &events, None, false, &limits);
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
     assert_eq!(run.stats.events, 0, "no event may be consumed past the deadline");
-    let err = m
-        .find_occurrence_bounded(&events, &mut MatcherScratch::new(), &limits)
-        .unwrap_err();
+    let err = find_bounded(&m, &events, &limits).unwrap_err();
     assert_eq!(err, Interrupt::DeadlineExceeded);
 }
 
@@ -150,10 +165,10 @@ fn cancelled_token_interrupts() {
     let token = CancelToken::new();
     token.cancel();
     let limits = Limits::none().with_cancel(token);
-    let run = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
+    let run = bounded(&m, &events, None, false, &limits);
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled));
-    let err = m
-        .matches_within_bounded(&events, &mut MatcherScratch::new(), &limits)
+    let err = bounded(&m, &events, None, true, &limits)
+        .acceptance()
         .unwrap_err();
     assert_eq!(err, Interrupt::Cancelled);
 }
@@ -165,8 +180,8 @@ fn generous_limits_complete_identically() {
     let limits = Limits::none()
         .with_timeout(Duration::from_secs(600))
         .with_budget(1 << 40);
-    let free = m.run_scratch(&events, false, &mut MatcherScratch::new());
-    let bounded = m.run_bounded(&events, false, &mut MatcherScratch::new(), &limits);
-    assert_eq!(bounded.verdict, Verdict::Completed);
-    assert_eq!(bounded.stats, free);
+    let free = m.run_reference(&events, false);
+    let run = bounded(&m, &events, None, false, &limits);
+    assert_eq!(run.verdict, Verdict::Completed);
+    assert_eq!(run.stats, free);
 }

@@ -2,8 +2,8 @@
 //! randomized candidate sets (sibling assignments of a random chain
 //! structure, optionally mixed with a structurally different tag so runs
 //! span several lanes), [`MultiMatcher`] must produce *bit-identical*
-//! per-candidate [`RunStats`](tgm_tag::RunStats) to running the packed
-//! per-candidate engine — the retained oracle — one tag at a time, under
+//! per-candidate [`RunStats`](tgm_tag::RunStats) to running the
+//! independent reference engine — the oracle — one tag at a time, under
 //! every `MatchOptions` combination, for direct, column-reading,
 //! early-exit, and suffix-offset runs alike, and under bounded execution
 //! with typed verdicts.
@@ -14,7 +14,7 @@ use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
 use tgm_limits::{Interrupt, Limits};
 use tgm_tag::{
-    MatchOptions, Matcher, MatcherScratch, MultiMatcher, MultiScratch, Tag, TagTemplate,
+    MatchOptions, Matcher, MatcherScratch, MultiMatcher, MultiRun, RunCtx, Tag, TagTemplate,
 };
 
 const DAY: i64 = 86_400;
@@ -53,18 +53,36 @@ fn build_template(chain_len: usize, gran_picks: &[usize], bounds: &[(u64, u64)])
     TagTemplate::new(&b.build().unwrap())
 }
 
-/// Per-candidate oracle: the packed engine run one tag at a time, sharing
-/// one scratch (reuse must not leak state between candidates).
+/// Per-candidate oracle: the reference engine run one tag at a time,
+/// reading `cols` from row `offset` when given.
 fn oracle_runs(
     tags: &[Tag],
     opts: MatchOptions,
     events: &[Event],
+    cols: Option<(&TickColumns, usize)>,
     early_exit: bool,
 ) -> Vec<tgm_tag::RunStats> {
-    let mut scratch = MatcherScratch::new();
     tags.iter()
-        .map(|t| Matcher::with_options(t, opts).run_scratch(events, early_exit, &mut scratch))
+        .map(|t| {
+            let m = Matcher::with_options(t, opts);
+            match cols {
+                Some((cols, offset)) => m.run_columns_reference(events, cols, offset, early_exit),
+                None => m.run_reference(events, early_exit),
+            }
+        })
         .collect()
+}
+
+/// One multi run in a fresh context with the given inputs.
+fn multi_run(
+    mm: &MultiMatcher<'_>,
+    events: &[Event],
+    early_exit: bool,
+    scratch: &mut MatcherScratch,
+    cols: Option<(&TickColumns, usize)>,
+    limits: Option<&Limits>,
+) -> MultiRun {
+    mm.run_in(events, early_exit, &mut RunCtx { scratch, cols, limits })
 }
 
 proptest! {
@@ -119,42 +137,32 @@ proptest! {
         let start = start.min(events.len().saturating_sub(1));
         let slice = &events[start..];
 
-        let mut mscratch = MultiScratch::new();
+        let mut mscratch = MatcherScratch::new();
         for opts in all_option_combos() {
             let mm = MultiMatcher::with_options(tags.iter().collect(), opts);
             for early_exit in [false, true] {
-                let want = oracle_runs(&tags, opts, &events, early_exit);
-                let got = mm.run_scratch(&events, early_exit, &mut mscratch);
-                prop_assert_eq!(&want, &got, "run, opts {:?}", opts);
+                let want = oracle_runs(&tags, opts, &events, None, early_exit);
+                let got = multi_run(&mm, &events, early_exit, &mut mscratch, None, None);
+                prop_assert!(got.verdict.is_complete());
+                prop_assert_eq!(&want, &got.stats, "run, opts {:?}", opts);
 
                 // Column-reading suffix run vs the oracle's column run.
-                let mut oscratch = MatcherScratch::new();
-                let want_cols: Vec<_> = tags
-                    .iter()
-                    .map(|t| {
-                        Matcher::with_options(t, opts)
-                            .run_columns_scratch(slice, &cols, start, early_exit, &mut oscratch)
-                    })
-                    .collect();
+                let want_cols = oracle_runs(&tags, opts, slice, Some((&cols, start)), early_exit);
                 let got_cols =
-                    mm.run_columns_scratch(slice, &cols, start, early_exit, &mut mscratch);
-                prop_assert_eq!(&want_cols, &got_cols, "run_columns, opts {:?}", opts);
+                    multi_run(&mm, slice, early_exit, &mut mscratch, Some((&cols, start)), None);
+                prop_assert_eq!(&want_cols, &got_cols.stats, "run with columns, opts {:?}", opts);
 
                 // Limits::none() must not perturb anything and completes.
-                let bounded =
-                    mm.run_bounded(&events, early_exit, &mut mscratch, &Limits::none());
+                let none = Limits::none();
+                let bounded = multi_run(&mm, &events, early_exit, &mut mscratch, None, Some(&none));
                 prop_assert!(bounded.verdict.is_complete());
                 prop_assert_eq!(&want, &bounded.stats, "bounded none, opts {:?}", opts);
 
                 // A zero budget either completes (frontier emptied before
                 // any pooled row survived an event) with identical stats,
                 // or trips the typed budget verdict.
-                let tight = mm.run_bounded(
-                    &events,
-                    early_exit,
-                    &mut mscratch,
-                    &Limits::none().with_budget(0),
-                );
+                let zero = Limits::none().with_budget(0);
+                let tight = multi_run(&mm, &events, early_exit, &mut mscratch, None, Some(&zero));
                 match tight.verdict.interrupt() {
                     None => prop_assert_eq!(&want, &tight.stats, "tight-completed {:?}", opts),
                     Some(i) => prop_assert_eq!(i, Interrupt::BudgetExhausted),
@@ -195,10 +203,9 @@ proptest! {
         events.sort_by_key(|e| e.time);
         let opts = MatchOptions::default();
         let mm = MultiMatcher::with_options(tags.clone(), opts);
-        let got = mm.run_scratch(&events, true, &mut MultiScratch::new());
-        let mut scratch = MatcherScratch::new();
+        let got = multi_run(&mm, &events, true, &mut MatcherScratch::new(), None, None).stats;
         for (k, t) in tags.iter().enumerate() {
-            let want = Matcher::with_options(t, opts).run_scratch(&events, true, &mut scratch);
+            let want = Matcher::with_options(t, opts).run_reference(&events, true);
             prop_assert_eq!(got[k], want, "member {}", k);
         }
         tgm_obs::set_enabled(false);
@@ -217,12 +224,9 @@ fn past_deadline_typed_verdict() {
         .map(|i| Event::new(EventType(i % 4), 2 * DAY + i as i64 * 3_600))
         .collect();
     let mm = MultiMatcher::new(tags.iter().collect());
-    let run = mm.run_bounded(
-        &events,
-        false,
-        &mut MultiScratch::new(),
-        &Limits::none().with_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1)),
-    );
+    let past = Limits::none()
+        .with_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1));
+    let run = multi_run(&mm, &events, false, &mut MatcherScratch::new(), None, Some(&past));
     assert_eq!(run.verdict.interrupt(), Some(Interrupt::DeadlineExceeded));
     for s in &run.stats {
         assert!(!s.accepted);
@@ -241,11 +245,7 @@ fn cancelled_token_typed_verdict() {
     let mm = MultiMatcher::new(vec![&t0]);
     let token = tgm_limits::CancelToken::new();
     token.cancel();
-    let run = mm.run_bounded(
-        &events,
-        false,
-        &mut MultiScratch::new(),
-        &Limits::none().with_cancel(token),
-    );
+    let cancelled = Limits::none().with_cancel(token);
+    let run = multi_run(&mm, &events, false, &mut MatcherScratch::new(), None, Some(&cancelled));
     assert_eq!(run.verdict.interrupt(), Some(Interrupt::Cancelled));
 }

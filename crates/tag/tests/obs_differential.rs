@@ -9,7 +9,7 @@ use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
 use tgm_obs::ObsOptions;
-use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, RunStats, Tag};
+use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, RunCtx, RunStats, Tag};
 
 /// Serializes tests that toggle the process-wide obs flag (the harness
 /// runs tests concurrently in one process).
@@ -71,11 +71,14 @@ fn run_matrix(opts_list: &[MatchOptions]) -> Vec<(RunStats, RunStats, Option<Vec
         for opts in opts_list {
             let m = Matcher::with_options(&tag, *opts);
             for early_exit in [false, true] {
-                out.push((
-                    m.run_scratch(events, early_exit, &mut scratch),
-                    m.run_columns_scratch(events, &cols, 0, early_exit, &mut scratch),
-                    m.find_occurrence_scratch(events, &mut scratch),
-                ));
+                let direct = m.run_in(events, early_exit, &mut RunCtx::new(&mut scratch));
+                let mut ctx = RunCtx {
+                    cols: Some((&cols, 0)),
+                    ..RunCtx::new(&mut scratch)
+                };
+                let columns = m.run_in(events, early_exit, &mut ctx);
+                let found = m.find_occurrence_in(events, &mut RunCtx::new(&mut scratch));
+                out.push((direct.stats, columns.stats, found.unwrap()));
             }
         }
     }

@@ -1,16 +1,18 @@
 //! Differential tests for [`MatchSession`]: replaying a stream through a
 //! session must be *bit-identical* — stats and completion occurrences —
-//! to the batch entry points (`run`, `run_columns`) under every
-//! `MatchOptions` combination and any push-chunking; and horizon eviction
-//! must never lose a completion while keeping the frontier within the
-//! Theorem 4 bound.
+//! to the independent reference engine (`run_reference`,
+//! `run_columns_reference`, `completions_reference`) and to the batch
+//! entry points under every `MatchOptions` combination and any
+//! push-chunking; suspending and resuming at any cut point must not change
+//! anything; and horizon eviction must never lose a completion while
+//! keeping the frontier within the Theorem 4 bound.
 
 use proptest::prelude::*;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
-use tgm_limits::Verdict;
-use tgm_tag::{build_tag, MatchOptions, MatchSession, Matcher, Tag};
+use tgm_limits::{Limits, Verdict};
+use tgm_tag::{build_tag, MatchOptions, MatchSession, Matcher, Push, Tag};
 
 const DAY: i64 = 86_400;
 
@@ -89,9 +91,10 @@ proptest! {
 
     /// The acceptance-criteria differential: for every MatchOptions combo,
     /// a session replay of the stream — under an arbitrary push-chunking —
-    /// finalizes to the exact batch `run` result, its completion indices
-    /// equal the independent reference engine's, and the column-reading
-    /// `push_row` path reproduces batch `run_columns` the same way.
+    /// finalizes to the reference engine's run (and the batch `run`), its
+    /// completion indices equal the reference engine's, and the
+    /// column-reading `push_row` path reproduces the reference column run
+    /// the same way.
     #[test]
     fn session_replay_bit_identical_to_batch(
         chain_len in 2usize..4,
@@ -112,8 +115,9 @@ proptest! {
         for opts in all_option_combos() {
             let m = Matcher::with_options(&tag, opts);
 
-            // Direct-resolution push vs batch run.
-            let batch = m.run(&events, false);
+            // Direct-resolution push vs the reference run.
+            let batch = m.run_reference(&events, false);
+            prop_assert_eq!(m.run(&events, false), batch, "batch run, opts {:?}", opts);
             let mut session = MatchSession::with_options(&tag, opts);
             push_chunked(&mut session, &events, &chunking);
             let completions: Vec<usize> =
@@ -127,20 +131,83 @@ proptest! {
             prop_assert_eq!(run.stats, batch, "run stats, opts {:?}", opts);
             prop_assert!(matches!(run.verdict, Verdict::Completed));
 
-            // Column-reading push_row vs batch run_columns (suffix offset).
-            let batch_cols = m.run_columns(slice, &cols, start, false);
+            // Column-reading push_row vs the reference column run (suffix
+            // offset).
+            let batch_cols = m.run_columns_reference(slice, &cols, start, false);
             let mut session = MatchSession::with_options(&tag, opts);
             for (i, &e) in slice.iter().enumerate() {
                 if !matches!(
                     session.push_row(e, &cols, start + i),
-                    tgm_tag::Push::Advanced { .. }
+                    Push::Advanced { .. }
                 ) {
                     break;
                 }
             }
             let run = session.finalize();
-            prop_assert_eq!(run.stats, batch_cols, "run_columns stats, opts {:?}", opts);
+            prop_assert_eq!(run.stats, batch_cols, "column stats, opts {:?}", opts);
         }
+    }
+
+    /// Suspend/resume is invisible: a session torn into a `SessionState`
+    /// and resumed at random cut points — with eviction on or off, a
+    /// random frontier budget, and direct or column-reading pushes —
+    /// reports the same `Push` per event, the same completions, the same
+    /// `SessionStats` and the same `finish()` as an uninterrupted session.
+    #[test]
+    fn suspend_resume_bit_identical_at_any_cut(
+        chain_len in 2usize..4,
+        gran_picks in proptest::collection::vec(0usize..4, 3),
+        bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
+        phi_picks in proptest::collection::vec(0u32..3, 3),
+        raw_events in proptest::collection::vec((0u32..4, 0i64..200), 1..60),
+        opts_pick in 0usize..8,
+        evict in any::<bool>(),
+        budget in (any::<bool>(), 0u64..16),
+        cuts in proptest::collection::vec(any::<bool>(), 1..8),
+        by_row in any::<bool>(),
+    ) {
+        let tag = build_random_tag(chain_len, &gran_picks, &bounds, &phi_picks);
+        let events = events_from(&raw_events);
+        let tag_grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
+        let cols = TickColumns::build(&events, &tag_grans);
+        let opts = all_option_combos()[opts_pick];
+        let open = || {
+            let mut s = MatchSession::with_options(&tag, opts);
+            if evict {
+                s = s.with_eviction();
+            }
+            if let (true, b) = budget {
+                s = s.with_limits(Limits::none().with_budget(b));
+            }
+            s
+        };
+        let push = |s: &mut MatchSession<'_>, i: usize| {
+            if by_row {
+                s.push_row(events[i], &cols, i)
+            } else {
+                s.push(events[i])
+            }
+        };
+        let mut continuous = open();
+        let mut resumed = open();
+        for i in 0..events.len() {
+            if cuts[i % cuts.len()] {
+                let state = resumed.suspend();
+                prop_assert_eq!(state.events_pushed(), continuous.stats().events as u64);
+                resumed = MatchSession::resume(&tag, state);
+            }
+            let a = push(&mut continuous, i);
+            let b = push(&mut resumed, i);
+            prop_assert_eq!(a, b, "push {}", i);
+            prop_assert_eq!(continuous.watermark_lag(), resumed.watermark_lag(), "lag {}", i);
+        }
+        prop_assert_eq!(continuous.stats(), resumed.stats());
+        let fired_a: Vec<_> = continuous.completed().collect();
+        let fired_b: Vec<_> = resumed.completed().collect();
+        prop_assert_eq!(fired_a, fired_b);
+        let (ra, _) = continuous.finish();
+        let (rb, _) = MatchSession::resume(&tag, resumed.suspend()).finish();
+        prop_assert_eq!(ra, rb);
     }
 
     /// Eviction soundness: with horizon eviction on, under any
@@ -223,7 +290,7 @@ fn million_event_stream_is_frontier_bounded() {
         cols.append(&chunk);
         for (i, &e) in chunk.iter().enumerate() {
             match session.push_row(e, &cols, base + i) {
-                tgm_tag::Push::Advanced { .. } => {}
+                Push::Advanced { .. } => {}
                 p => panic!("stream stopped early: {p:?}"),
             }
             peak = peak.max(session.frontier_size());

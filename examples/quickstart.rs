@@ -74,9 +74,14 @@ fn main() -> Result<(), Error> {
     let grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
     let cols = TickColumns::build(seq.events(), &grans);
     let matcher = Matcher::new(&tag);
+    let mut scratch = MatcherScratch::new();
+    let mut ctx = RunCtx {
+        cols: Some((&cols, 0)),
+        ..RunCtx::new(&mut scratch)
+    };
     println!(
         "stream matches pattern: {}",
-        matcher.matches_within_columns(seq.events(), &cols, 0)
+        matcher.run_in(seq.events(), true, &mut ctx).stats.accepted
     );
 
     // 6. Discovery (paper §5): which alert-like types frequently follow

@@ -66,7 +66,9 @@
 //!     let grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
 //!     let cols = TickColumns::build(seq.events(), &grans);
 //!     let matcher = Matcher::new(&tag);
-//!     assert!(matcher.run_columns(seq.events(), &cols, 0, false).accepted);
+//!     let mut scratch = MatcherScratch::new();
+//!     let mut ctx = RunCtx { cols: Some((&cols, 0)), ..RunCtx::new(&mut scratch) };
+//!     assert!(matcher.run_in(seq.events(), false, &mut ctx).stats.accepted);
 //!
 //!     // The shared resolution cache served those calendar lookups.
 //!     assert!(cache::global_stats().lookups() > 0);
@@ -119,7 +121,7 @@ pub mod prelude {
     pub use tgm_mining::{naive, pipeline, BoundedMining, DiscoveryProblem, Solution};
     pub use tgm_obs::{Observable, ObsOptions, Report};
     pub use tgm_tag::{
-        build_tag, BoundedRun, Completion, MatchOptions, MatchSession, Matcher, RunStats,
-        SessionStats, Tag,
+        build_tag, BoundedRun, Completion, MatchOptions, MatchSession, Matcher, MatcherScratch,
+        RunCtx, RunStats, SessionStats, Tag,
     };
 }
