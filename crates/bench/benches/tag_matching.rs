@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tgm_bench::workloads::planted_stock_workload;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::TickColumns;
-use tgm_granularity::{cache, Calendar};
+use tgm_granularity::{periodic, Calendar};
 use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 fn bench_matching(c: &mut Criterion) {
@@ -36,15 +36,15 @@ fn bench_matching(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("example1_full_scan_nocache", events.len()),
+            BenchmarkId::new("example1_full_scan_raw", events.len()),
             &events.len(),
             |b, _| {
-                cache::set_enabled(false);
+                periodic::set_enabled(false);
                 let m = Matcher::new(&tag);
                 let mut scratch = MatcherScratch::new();
                 let mut ctx = RunCtx::new(&mut scratch);
                 b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted);
-                cache::set_enabled(true);
+                periodic::set_enabled(true);
             },
         );
         group.bench_with_input(

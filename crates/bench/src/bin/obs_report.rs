@@ -150,13 +150,6 @@ fn validate_schema(json: &str) -> Vec<String> {
         None => errs.push("funnel is not an array".into()),
     }
 
-    if doc
-        .get("sections")
-        .and_then(|v| v.get("granularity.cache"))
-        .is_none()
-    {
-        errs.push("sections lack granularity.cache".into());
-    }
     match doc.get("sections").and_then(|v| v.get("granularity.compile")) {
         Some(compile) => {
             for field in ["compiled", "fallback"] {
@@ -164,8 +157,8 @@ fn validate_schema(json: &str) -> Vec<String> {
                     errs.push(format!("granularity.compile lacks u64 {field}"));
                 }
             }
-            // The default registry must compile cleanly: the mutex cache is
-            // a fallback, not a peer.
+            // The default registry must compile cleanly: the raw
+            // implementation is the reference, not a production path.
             if compile.get("fallback").and_then(|v| v.as_u64()) != Some(0) {
                 errs.push("granularity.compile.fallback is nonzero".into());
             }

@@ -5,7 +5,7 @@
 
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{EventSequence, TypeRegistry};
-use tgm_granularity::{cache, Calendar};
+use tgm_granularity::{periodic, Calendar};
 use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
 use crate::workloads::planted_stock_workload;
@@ -17,9 +17,9 @@ pub fn run() {
     let cal = Calendar::standard();
 
     // (1) vs sequence length, matching Example 1 over stock data — the
-    // shared resolution layer ablation: pre-resolved tick columns (the
-    // layer's intended fast path), direct resolution through the warm
-    // per-granularity cache, and direct resolution with the cache off.
+    // resolution ablation: pre-resolved tick columns, direct resolution
+    // through the compiled periodic tables, and direct resolution through
+    // the raw granularities (tables off).
     let mut rows = Vec::new();
     for days in [30i64, 90, 270, 810] {
         let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
@@ -27,7 +27,6 @@ pub fn run() {
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
         let grans: Vec<_> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
-        cache::set_enabled(true);
         let (cols, cols_ms) = timed(|| tgm_events::TickColumns::build(events, &grans));
         let mut scratch = MatcherScratch::new();
         let mut ctx = RunCtx {
@@ -36,13 +35,12 @@ pub fn run() {
         };
         let (stats_cols, run_ms) = timed(|| m.run_in(events, false, &mut ctx).stats);
         let cols_total_ms = cols_ms + run_ms;
-        let (_, _) = timed(|| m.run(events, false)); // warm the cache
         let (stats, ms) = timed(|| m.run(events, false));
-        cache::set_enabled(false);
+        periodic::set_enabled(false);
         let (stats_off, ms_off) = timed(|| m.run(events, false));
-        cache::set_enabled(true);
-        assert_eq!(stats.accepted, stats_off.accepted, "cache is semantics-preserving");
-        assert_eq!(stats.accepted, stats_cols.accepted, "columns are semantics-preserving");
+        periodic::set_enabled(true);
+        assert_eq!(stats, stats_off, "compiled tables are semantics-preserving");
+        assert_eq!(stats, stats_cols, "columns are semantics-preserving");
         rows.push(vec![
             events.len().to_string(),
             format!("{cols_total_ms:.1}"),
@@ -54,14 +52,21 @@ pub fn run() {
     }
     print_table(
         "Matching time vs sequence length |σ| (Example 1 TAG)",
-        &["events", "ms (columns, incl. build)", "ms (cache)", "ms (no cache)", "peak frontier", "accepted"],
+        &[
+            "events",
+            "ms (columns, incl. build)",
+            "ms (compiled)",
+            "ms (raw)",
+            "peak frontier",
+            "accepted",
+        ],
         &rows,
     );
 
     // (1b) The same ablation with *grouped* granularity clocks
     // (business-week / business-month group business days into calendar
-    // frames: every uncached resolution materializes interval sets and
-    // checks containment), where the shared resolution cache pays off.
+    // frames: every raw resolution materializes interval sets and checks
+    // containment), where the compiled tables pay off most.
     let bweek = cal.get("business-week").unwrap();
     let bmonth = cal.get("business-month").unwrap();
     let mut rows = Vec::new();
@@ -80,13 +85,12 @@ pub fn run() {
         let tag = build_tag(&cet);
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
-        cache::set_enabled(true);
-        let (_, _) = timed(|| m.run(events, false)); // warm the cache
+        let (_, _) = timed(|| m.run(events, false)); // compile the tables
         let (stats, ms) = timed(|| m.run(events, false));
-        cache::set_enabled(false);
+        periodic::set_enabled(false);
         let (stats_off, ms_off) = timed(|| m.run(events, false));
-        cache::set_enabled(true);
-        assert_eq!(stats.accepted, stats_off.accepted, "cache is semantics-preserving");
+        periodic::set_enabled(true);
+        assert_eq!(stats, stats_off, "compiled tables are semantics-preserving");
         rows.push(vec![
             events.len().to_string(),
             format!("{ms:.1}"),
@@ -96,7 +100,7 @@ pub fn run() {
     }
     print_table(
         "Matching time with grouped-granularity clocks ([0,1] business-week, [0,1] business-month chain)",
-        &["events", "ms (cache)", "ms (no cache)", "cache speedup"],
+        &["events", "ms (compiled)", "ms (raw)", "compiled speedup"],
         &rows,
     );
 

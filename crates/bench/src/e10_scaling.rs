@@ -5,7 +5,7 @@
 //! size.
 
 use tgm_core::{StructureBuilder, Tcg, VarId};
-use tgm_granularity::{cache, Calendar};
+use tgm_granularity::{periodic, Calendar};
 use tgm_mining::pipeline::{mine_with, PipelineOptions};
 use tgm_mining::{naive, DiscoveryProblem};
 
@@ -17,10 +17,8 @@ pub fn run() {
     println!("\n## E10 — Discovery scaling: naive vs optimized pipeline");
     let pipeline = PipelineOptions::default();
 
-    // vs sequence length, with the shared resolution layer (tick columns +
-    // per-granularity cache) on and off — the off column resolves every
-    // tick per use, the pre-layer behavior.
-    let layer_off = PipelineOptions::builder().use_tick_columns(false).build();
+    // vs sequence length, with the compiled periodic tables on and off —
+    // the off column resolves every tick through the raw granularities.
     let mut rows = Vec::new();
     for days in [90i64, 180, 360, 720] {
         let w = daily_stock_workload(days, &[], 0.85, 11);
@@ -29,12 +27,11 @@ pub fn run() {
                 .with_candidates(VarId(3), [w.types.ibm_fall]);
         let ((nsols, _), nms) = timed(|| naive::mine(&problem, &w.sequence));
         let ((psols, _), pms) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
-        cache::set_enabled(false);
-        let ((psols_off, _), pms_off) =
-            timed(|| mine_with(&problem, &w.sequence, &layer_off));
-        cache::set_enabled(true);
+        periodic::set_enabled(false);
+        let ((psols_off, _), pms_off) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
+        periodic::set_enabled(true);
         assert_eq!(nsols, psols);
-        assert_eq!(psols, psols_off, "cache is semantics-preserving");
+        assert_eq!(psols, psols_off, "compiled tables are semantics-preserving");
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
@@ -51,7 +48,7 @@ pub fn run() {
             "events",
             "naive ms",
             "pipeline ms",
-            "pipeline ms (resolution layer off)",
+            "pipeline ms (raw granularities)",
             "speedup",
         ],
         &rows,
@@ -59,9 +56,9 @@ pub fn run() {
 
     // vs granularity cost: the same discovery over a structure constrained
     // in *grouped* granularities (business-week / business-month), whose
-    // uncached resolution materializes interval sets per call — the shared
-    // resolution layer's win case. Both modes are warmed once before
-    // timing so one-time setup doesn't bias the first row.
+    // raw resolution materializes interval sets per call — the compiled
+    // tables' win case. Both modes are warmed once before timing so
+    // one-time setup doesn't bias the first row.
     let cal = Calendar::shared_standard();
     let bweek = cal.get("business-week").unwrap();
     let bmonth = cal.get("business-month").unwrap();
@@ -78,12 +75,14 @@ pub fn run() {
         let problem = DiscoveryProblem::new(s, 0.3, w.types.ibm_rise);
         let _ = mine_with(&problem, &w.sequence, &pipeline); // warm
         let ((sols_on, _), ms_on) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
-        cache::set_enabled(false);
-        let _ = mine_with(&problem, &w.sequence, &layer_off); // warm
-        let ((sols_off, _), ms_off) =
-            timed(|| mine_with(&problem, &w.sequence, &layer_off));
-        cache::set_enabled(true);
-        assert_eq!(sols_on, sols_off, "resolution layer is semantics-preserving");
+        periodic::set_enabled(false);
+        let _ = mine_with(&problem, &w.sequence, &pipeline); // warm
+        let ((sols_off, _), ms_off) = timed(|| mine_with(&problem, &w.sequence, &pipeline));
+        periodic::set_enabled(true);
+        assert_eq!(
+            sols_on, sols_off,
+            "compiled tables are semantics-preserving"
+        );
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
@@ -94,7 +93,13 @@ pub fn run() {
     }
     print_table(
         "Discovery over grouped granularities (business-week/business-month chain, ϑ = 0.3)",
-        &["days", "events", "pipeline ms (layer on)", "pipeline ms (layer off)", "layer speedup"],
+        &[
+            "days",
+            "events",
+            "pipeline ms (compiled)",
+            "pipeline ms (raw)",
+            "compiled speedup",
+        ],
         &rows,
     );
 

@@ -1,19 +1,20 @@
 //! E11 — ablations of this implementation's own design choices (DESIGN.md
 //! §3): clock-reading saturation in the matcher, minimal (min-flow) vs
-//! greedy chain covers in the TAG construction, the shared
-//! granularity-resolution cache, the zero-allocation lane matcher engine
-//! vs the reference per-`Config` engine, the parallel anchored-sweep
-//! split in discovery, and the observability layer's overhead (§3.13).
+//! greedy chain covers in the TAG construction, the zero-allocation lane
+//! matcher engine vs the reference per-`Config` engine, the parallel
+//! anchored-sweep split in discovery, and the observability layer's
+//! overhead (§3.13). The compiled-vs-raw granularity ablation lives in
+//! E6 and E10.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg, VarId};
 use tgm_events::TypeRegistry;
-use tgm_granularity::{cache, Calendar};
+use tgm_granularity::Calendar;
 use tgm_mining::naive::{self, NaiveOptions};
 use tgm_mining::pipeline::{mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
-use tgm_obs::{Observable, Report};
+use tgm_obs::Report;
 use tgm_tag::{
     build_tag, build_tag_with_cover, greedy_chain_cover, minimal_chain_cover, MatchOptions,
     Matcher, MatcherScratch, RunCtx,
@@ -130,51 +131,7 @@ pub fn run() {
         &rows,
     );
 
-    // (3) Resolution cache: end-to-end discovery with the shared
-    // granularity-resolution layer (tick columns + per-granularity cache)
-    // on vs off, with the process-wide hit/miss counters for each run.
-    // Results are asserted identical.
-    let layer_on = PipelineOptions::default();
-    let layer_off = layer_on.to_builder().use_tick_columns(false).build();
-    let mut rows = Vec::new();
-    for days in [180i64, 360] {
-        let w = daily_stock_workload(days, &[], 0.85, 17);
-        let problem =
-            DiscoveryProblem::new(w.cet.structure().clone(), 0.6, w.types.ibm_rise)
-                .with_candidates(VarId(3), [w.types.ibm_fall]);
-        let mut sols_by_mode = Vec::new();
-        for on in [true, false] {
-            cache::set_enabled(on);
-            cache::reset_global_stats();
-            let opts = if on { &layer_on } else { &layer_off };
-            let ((sols, _), ms) = timed(|| mine_with(&problem, &w.sequence, opts));
-            let stats = cache::global_stats();
-            sols_by_mode.push(sols);
-            let col = |name: &str| {
-                stats
-                    .observed_value(name)
-                    .map(|v| v.to_string())
-                    .unwrap_or_default()
-            };
-            rows.push(vec![
-                days.to_string(),
-                if on { "on" } else { "off" }.to_string(),
-                format!("{ms:.0}"),
-                col("hits"),
-                col("misses"),
-                col("hit_rate"),
-            ]);
-        }
-        cache::set_enabled(true);
-        assert_eq!(sols_by_mode[0], sols_by_mode[1], "cache changed mining results");
-    }
-    print_table(
-        "Resolution cache: discovery pipeline with the shared cache on vs off",
-        &["days", "cache", "ms", "hits", "misses", "hit rate"],
-        &rows,
-    );
-
-    // (4) Matcher engine: the reference per-`Config` engine (heap vector
+    // (3) Matcher engine: the reference per-`Config` engine (heap vector
     // per configuration, HashSet dedup) vs the lane engine (flat
     // pooled rows, generation-stamped in-place dedup). RunStats asserted
     // bit-identical; the engine is what every higher layer (miner, stream
@@ -205,7 +162,7 @@ pub fn run() {
         &rows,
     );
 
-    // (5) Parallel anchored sweep: naive discovery with the anchored
+    // (4) Parallel anchored sweep: naive discovery with the anchored
     // support sweep split across workers (one scratch per worker) vs a
     // single serial sweep, next to the pipeline. Solutions and tag-run
     // counts asserted identical — support is a sum of independent
@@ -255,7 +212,7 @@ pub fn run() {
         &rows,
     );
 
-    // (6) Observability (DESIGN.md §3.13): the instrumentation's overhead
+    // (5) Observability (DESIGN.md §3.13): the instrumentation's overhead
     // on the hottest loop (Example 1 full scan), measured noise-robustly
     // (see below), with results asserted identical —
     // then the §5 pruning funnel captured from one instrumented discovery

@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use tgm_granularity::{cache, Calendar, Gran, Granularity};
+use tgm_granularity::{Calendar, Gran, Granularity};
 use tgm_limits::{Interrupt, Limits};
 use tgm_stp::{MinimalNetwork, Range, Stp, INF};
 
@@ -57,24 +57,8 @@ use crate::tcg::Tcg;
 /// sets) cannot alias.
 type ConvKey = (u64, u64, i64, i64);
 
-fn converted_bounds_cached(
-    src: &Gran,
-    dst: &Gran,
-    lo: i64,
-    hi: i64,
-    local: &mut HashMap<ConvKey, Option<(i64, i64)>>,
-) -> Option<(i64, i64)> {
+fn converted_bounds_cached(src: &Gran, dst: &Gran, lo: i64, hi: i64) -> Option<(i64, i64)> {
     let key = (src.instance_id(), dst.instance_id(), lo, hi);
-    let compute = |src: &Gran, dst: &Gran| {
-        let src_tcg = Tcg::new(lo as u64, hi as u64, src.clone());
-        crate::convert::convert_constraint_for_defined_ticks(&src_tcg, dst)
-            .map(|c| (c.lo() as i64, c.hi() as i64))
-    };
-    if !cache::enabled() {
-        // Ablation mode: fall back to a per-call memo so propagation retains
-        // its original (pre-shared-cache) behavior.
-        return *local.entry(key).or_insert_with(|| compute(src, dst));
-    }
     type ConvMap = HashMap<ConvKey, Option<(i64, i64)>>;
     static GLOBAL: parking_lot::Mutex<Option<ConvMap>> = parking_lot::Mutex::new(None);
     const MAX_ENTRIES: usize = 1 << 16;
@@ -83,7 +67,9 @@ fn converted_bounds_cached(
     if let Some(v) = map.get(&key) {
         return *v;
     }
-    let v = compute(src, dst);
+    let src_tcg = Tcg::new(lo as u64, hi as u64, src.clone());
+    let v = crate::convert::convert_constraint_for_defined_ticks(&src_tcg, dst)
+        .map(|c| (c.lo() as i64, c.hi() as i64));
     if map.len() >= MAX_ENTRIES {
         map.clear();
     }
@@ -289,7 +275,7 @@ fn propagate_core(
     let n = s.len();
     let mut grans = s.granularities();
     if opts.include_seconds && !grans.iter().any(|g| g.name() == "second") {
-        // The shared handle keeps one warm size table and resolution cache
+        // The shared handle keeps one warm size table and compiled table
         // across every propagation call instead of rebuilding them here.
         // Invariant: the standard calendar always defines `second`.
         #[allow(clippy::expect_used)]
@@ -364,10 +350,6 @@ fn propagate_core(
         }
     }
 
-    // Per-call fallback memo used when the shared cache layer is disabled
-    // (see `converted_bounds_cached`).
-    let mut conv_local: HashMap<ConvKey, Option<(i64, i64)>> = HashMap::new();
-
     // Alternate conversion + incremental re-tightening to a fixpoint.
     let mut iterations = 0usize;
     loop {
@@ -408,7 +390,6 @@ fn propagate_core(
                             &grans[dst_idx],
                             r.lo,
                             r.hi,
-                            &mut conv_local,
                         );
                         let Some((clo, chi)) = converted else {
                             continue;

@@ -20,9 +20,9 @@ use crate::sequence::Event;
 const PARALLEL_THRESHOLD_CELLS: usize = 4096;
 
 /// Columns at least this tall force periodic compilation up front
-/// ([`Gran::compiled`]), so the whole column resolves through the lock-free
+/// ([`Gran::compiled`]), so the whole column resolves through the compiled
 /// table instead of spending its first rows warming up the per-handle use
-/// counter on the mutex-cache path. Shorter columns resolve however the
+/// counter on the raw implementation. Shorter columns resolve however the
 /// handle already answers — a compile would cost more than it saves.
 const COMPILE_THRESHOLD_ROWS: usize = 256;
 
@@ -48,7 +48,7 @@ fn resolve_column(g: &Gran, events: &[Event]) -> Vec<Option<Tick>> {
     }
     let mut out = Vec::with_capacity(events.len());
     // Events are time-sorted with ties, so adjacent duplicates are common;
-    // short-circuit them before even touching the resolution cache.
+    // short-circuit them before even touching the granularity.
     let mut last: Option<(Second, Option<Tick>)> = None;
     for e in events {
         let tick = match last {
@@ -141,7 +141,7 @@ impl TickColumns {
     /// `TickColumns::build(all) == { with_granularities(g) + append per
     /// chunk }` for any chunking of `all` — the adjacent-duplicate
     /// short-circuit is seeded from each column's tail, so splitting
-    /// between two equal timestamps costs one extra cache lookup, never a
+    /// between two equal timestamps costs one extra resolution, never a
     /// different answer. Appending is serial: chunked streaming callers
     /// push small batches where thread fan-out cannot pay for itself.
     pub fn append(&mut self, events: &[Event]) {

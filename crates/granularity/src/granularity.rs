@@ -94,7 +94,7 @@ pub trait Granularity: Send + Sync + fmt::Debug {
     /// the seed for [`periodic::compile`](crate::periodic::compile). The
     /// claim is verified against this implementation before use, so a wrong
     /// hint costs a fallback, never a wrong answer. Default: `None`
-    /// (aperiodic / unknown — stay on the mutex-cache path).
+    /// (aperiodic / unknown — stay on the raw implementation).
     fn periodic_hint(&self) -> Option<crate::periodic::PeriodicHint> {
         None
     }

@@ -29,9 +29,13 @@
 //! * [`convert_tick`] — the paper's `⌈z⌉ᵘᵥ` covering-tick conversion.
 //! * [`SizeTable`] — `minsize`/`maxsize`/`mingap` used by the constraint
 //!   conversion algorithm of the paper's Appendix A.1.
-//! * [`Calendar`] — a registry of named granularities.
-//! * [`cache`] — the shared, thread-safe resolution cache every [`Gran`]
-//!   handle carries ([`CacheStats`], ablation switch).
+//! * [`Calendar`] — a registry of named granularities, handing out
+//!   [`Gran`] handles.
+//! * [`periodic`] — the one acceleration layer: each [`Gran`] compiles
+//!   lazily to a minimal periodic set ([`PeriodicTable`]) that answers by
+//!   closed-form arithmetic, and falls back to its raw implementation
+//!   outside the table's domain. The raw implementation stays the
+//!   reference ([`periodic::set_enabled`]`(false)` selects it).
 //!
 //! # Example
 //!
@@ -73,7 +77,6 @@ pub use calendar_math::{
     civil_from_days, days_from_civil, days_in_month, is_leap_year, weekday_from_days, CivilDate,
     Weekday, EPOCH_YEAR,
 };
-pub use cache::CacheStats;
 pub use convert::{convert_tick, tick_covers};
 pub use datetime::{datetime_of, format_instant, instant, DateTime};
 pub use error::GranularityError;

@@ -11,22 +11,27 @@
 //! shared lock-free via `Arc`/`OnceLock` by every clone of a
 //! [`Gran`](crate::Gran) handle.
 //!
+//! The table is the only acceleration layer: a `Gran` answers from its
+//! compiled table or, failing that, from its raw implementation, which
+//! stays the reference the table is verified and tested against
+//! ([`set_enabled`]`(false)` selects it for differential tests).
+//!
 //! Compilation is *verified*: the compiler samples the raw interval-based
 //! implementation over several well-separated periods, rebuilds the closed
 //! form, and then probes random and boundary instants/ticks for
 //! bit-identical answers. Any disagreement — or a granularity without a
-//! [`PeriodicHint`] — falls back to the mutex-guarded
-//! [`cache`](crate::cache) path; outcomes are recorded in the
-//! `granularity.compile.{compiled,fallback}` counters ([`stats`]).
+//! [`PeriodicHint`] — leaves the granularity on its raw implementation;
+//! outcomes are recorded in the `granularity.compile.{compiled,fallback}`
+//! counters ([`stats`]).
 //!
 //! # Domain delegation
 //!
 //! A table only answers inside a conservative domain of whole periods
 //! strictly inside the granularity's horizon, and (for some operations)
 //! away from the exception window. Out-of-domain queries return the *outer*
-//! `None` ("not my competence") and the caller falls back to the raw or
-//! cached path, which keeps horizon-edge semantics bit-identical by
-//! construction instead of by re-implementation.
+//! `None` ("not my competence") and the caller falls back to the raw
+//! path, which keeps horizon-edge semantics bit-identical by construction
+//! instead of by re-implementation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -44,8 +49,8 @@ static FALLBACK: AtomicU64 = AtomicU64::new(0);
 
 /// Globally enables or disables the compiled periodic-table fast path
 /// (default: enabled). Disabling falls every query back to the raw
-/// implementation behind the mutex cache — the ablation switch used by the
-/// differential tests and `bench_json`.
+/// implementation — the reference path of the differential tests and the
+/// baseline of the `bench_json` conversion gates.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -60,8 +65,8 @@ pub fn enabled() -> bool {
 pub struct CompileStats {
     /// Granularities successfully compiled to a [`PeriodicTable`].
     pub compiled: u64,
-    /// Granularities that fell back to the mutex-cache path (no periodic
-    /// hint, or the verification probes found a mismatch).
+    /// Granularities left on their raw implementation (no periodic hint,
+    /// or the verification probes found a mismatch).
     pub fallback: u64,
 }
 
@@ -180,16 +185,17 @@ impl PeriodicTable {
         self.n
     }
 
-    /// Whether the table carries an explicit exception window.
-    pub fn has_exceptions(&self) -> bool {
-        self.exc.is_some()
+    /// The inclusive tick range the table answers for: whole periods,
+    /// the first and last of which are clean.
+    pub fn tick_domain(&self) -> (Tick, Tick) {
+        (self.tick_lo, self.tick_hi)
     }
 
-    /// Number of explicitly materialized exception ticks.
-    pub fn exception_ticks(&self) -> i64 {
-        self.exc
-            .as_ref()
-            .map_or(0, |e| (e.last_tick - e.first_tick + 1).max(0))
+    /// The inclusive range of explicitly materialized exception ticks
+    /// (empty when `lo > hi`); `None` without an exception window. The
+    /// two periods before it are clean.
+    pub fn exception_tick_range(&self) -> Option<(Tick, Tick)> {
+        self.exc.as_ref().map(|e| (e.first_tick, e.last_tick))
     }
 
     #[inline]
@@ -445,7 +451,7 @@ impl SplitMix64 {
 
 /// Compiles a granularity into a verified [`PeriodicTable`], recording the
 /// outcome in the `granularity.compile` counters. `None` means the
-/// granularity stays on the mutex-cache fallback path.
+/// granularity stays on its raw implementation.
 pub fn compile(g: &dyn Granularity) -> Option<PeriodicTable> {
     match try_compile(g) {
         Some(t) => {
@@ -762,24 +768,21 @@ impl CompiledState {
     }
 }
 
-/// Shared cell holding a handle's compile state.
-pub(crate) type CompiledCell = Arc<CompiledState>;
-
-/// A [`Granularity`] adapter that consults a shared compiled table before
-/// the raw implementation — used so a `Gran` handle's [`SizeTable`]
-/// (constructed before compilation happens) still scans through the
-/// compiled fast path.
+/// A raw granularity in front of its lazily compiled table: the one
+/// table-else-raw dispatch. Every [`Gran`](crate::Gran) handle owns one,
+/// and its [`SizeTable`](crate::SizeTable) holds a clone sharing the same
+/// compile state, so both resolve through the same compiled fast path.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledView {
     raw: Arc<dyn Granularity>,
-    cell: CompiledCell,
+    cell: Arc<CompiledState>,
 }
 
 /// Wraps a raw granularity in a fresh [`CompiledView`] with its own cell —
 /// the building block grouped granularities use for their sampling
 /// stand-ins ([`Granularity::periodic_accel`]).
 pub(crate) fn accel_view(raw: Arc<dyn Granularity>) -> Arc<dyn Granularity> {
-    let view = CompiledView::new(raw, Arc::new(CompiledState::default()));
+    let view = CompiledView::new(raw);
     // Sampling stand-ins exist only to make full-period walks closed-form:
     // compile the child eagerly instead of counting warm-up uses.
     view.cell.force(view.raw.as_ref());
@@ -787,12 +790,30 @@ pub(crate) fn accel_view(raw: Arc<dyn Granularity>) -> Arc<dyn Granularity> {
 }
 
 impl CompiledView {
-    pub(crate) fn new(raw: Arc<dyn Granularity>, cell: CompiledCell) -> Self {
-        CompiledView { raw, cell }
+    pub(crate) fn new(raw: Arc<dyn Granularity>) -> Self {
+        CompiledView {
+            raw,
+            cell: Arc::new(CompiledState::default()),
+        }
     }
 
+    /// The raw implementation behind the table.
+    pub(crate) fn raw(&self) -> &dyn Granularity {
+        self.raw.as_ref()
+    }
+
+    /// The compiled table, compiling it now regardless of the warm-up
+    /// count. `None` when the fast path is disabled or compilation failed.
+    pub(crate) fn compiled(&self) -> Option<Arc<PeriodicTable>> {
+        if !enabled() {
+            return None;
+        }
+        self.cell.force(self.raw.as_ref()).cloned()
+    }
+
+    /// The compiled table once warmed up (counting this query as a use).
     #[inline]
-    fn table(&self) -> Option<&Arc<PeriodicTable>> {
+    pub(crate) fn table(&self) -> Option<&Arc<PeriodicTable>> {
         if !enabled() {
             return None;
         }
@@ -804,6 +825,7 @@ impl Granularity for CompiledView {
     fn name(&self) -> &str {
         self.raw.name()
     }
+    #[inline]
     fn covering_tick(&self, t: Second) -> Option<Tick> {
         if let Some(tb) = self.table() {
             if let Some(ans) = tb.covering_tick(t) {
@@ -812,6 +834,7 @@ impl Granularity for CompiledView {
         }
         self.raw.covering_tick(t)
     }
+    #[inline]
     fn tick_intervals(&self, z: Tick) -> Option<IntervalSet> {
         if let Some(tb) = self.table() {
             if let Some(set) = tb.tick_intervals(z) {
@@ -829,6 +852,7 @@ impl Granularity for CompiledView {
     fn scan_window(&self, k: u64) -> (Tick, Tick) {
         self.raw.scan_window(k)
     }
+    #[inline]
     fn next_tick_at_or_after(&self, t: Second) -> Option<Tick> {
         if let Some(tb) = self.table() {
             if let Some(ans) = tb.next_tick_at_or_after(t) {
@@ -839,5 +863,8 @@ impl Granularity for CompiledView {
     }
     fn periodic_hint(&self) -> Option<PeriodicHint> {
         self.raw.periodic_hint()
+    }
+    fn periodic_accel(&self) -> Option<Arc<dyn Granularity>> {
+        self.raw.periodic_accel()
     }
 }

@@ -3,52 +3,54 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::builtin;
-use crate::cache::{CacheStats, ResolutionCache};
 use crate::error::GranularityError;
 use crate::granularity::{Granularity, Second, Tick};
 use crate::interval::IntervalSet;
-use crate::periodic::{self, CompiledView, PeriodicTable};
+use crate::periodic::{CompiledView, PeriodicTable};
 use crate::size_table::SizeTable;
 
+/// Monotonic source of process-unique granularity instance ids.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// A cheap-to-clone handle to a registered granularity, carrying its
-/// memoized [`SizeTable`] and [resolution cache](crate::cache). Equality
-/// and hashing are by name (names are unique within a [`Calendar`]).
+/// memoized [`SizeTable`] and its lazily compiled [`PeriodicTable`].
 ///
-/// All clones of a handle share the same inner state, so ticks resolved by
-/// one layer (say, the matcher) are cache hits for every other layer using
-/// the same calendar.
+/// Every query asks the compiled table first and falls back to the raw
+/// implementation outside the table's domain (or when the granularity
+/// does not compile). All clones of a handle share the same table.
+///
+/// Equality and hashing are by *instance*: two handles are equal iff they
+/// are clones of one [`Gran::new`]/[`Gran::from_arc`] call, so two
+/// granularities that merely share a name (say, `business-day` with
+/// different holiday sets) stay distinct. Ordering is by name, then by
+/// [`instance_id`](Gran::instance_id).
 #[derive(Clone)]
 pub struct Gran {
     inner: Arc<GranInner>,
 }
 
 struct GranInner {
-    gran: Arc<dyn Granularity>,
+    /// The raw granularity behind its compiled table; shared with the size
+    /// table, so its scans use the same compiled fast path.
+    view: CompiledView,
     sizes: SizeTable,
-    cache: ResolutionCache,
-    /// Lazily compiled periodic table (`None` once compilation failed);
-    /// shared with the size table's [`CompiledView`] so its scans use the
-    /// same compiled fast path.
-    compiled: periodic::CompiledCell,
-    /// Process-unique, never reused; keys cross-granularity memo entries.
+    /// Process-unique, never reused.
     id: u64,
 }
 
 impl Gran {
     /// Wraps a granularity into a standalone handle (outside any calendar).
     pub fn from_arc(gran: Arc<dyn Granularity>) -> Self {
-        let compiled: periodic::CompiledCell = Arc::new(periodic::CompiledState::default());
-        let view = CompiledView::new(Arc::clone(&gran), Arc::clone(&compiled));
+        let view = CompiledView::new(gran);
         Gran {
             inner: Arc::new(GranInner {
-                sizes: SizeTable::new(Arc::new(view)),
-                cache: ResolutionCache::new(),
-                compiled,
-                id: crate::cache::next_instance_id(),
-                gran,
+                sizes: SizeTable::new(Arc::new(view.clone())),
+                view,
+                id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
             }),
         }
     }
@@ -60,12 +62,13 @@ impl Gran {
 
     /// The granularity's name.
     pub fn name(&self) -> &str {
-        self.inner.gran.name()
+        self.inner.view.name()
     }
 
-    /// The underlying granularity.
+    /// The underlying raw granularity: the reference implementation the
+    /// compiled table is verified and tested against.
     pub fn granularity(&self) -> &dyn Granularity {
-        self.inner.gran.as_ref()
+        self.inner.view.raw()
     }
 
     /// The memoized size table for this granularity.
@@ -74,23 +77,12 @@ impl Gran {
     }
 
     /// A process-unique id for this handle's shared inner state. Ids are
-    /// never reused, which makes them safe keys for cross-granularity
-    /// memoization (names are not: two `business-day` granularities with
-    /// different holiday sets share a name).
+    /// never reused, which makes them the identity behind `==` and safe
+    /// keys for cross-granularity memoization (names are not: two
+    /// `business-day` granularities with different holiday sets share a
+    /// name).
     pub fn instance_id(&self) -> u64 {
         self.inner.id
-    }
-
-    /// Hit/miss counters of this granularity's resolution cache
-    /// (aggregated over all clones of the handle).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
-    /// Drops all memoized resolutions for this granularity (counters are
-    /// kept).
-    pub fn clear_cache(&self) {
-        self.inner.cache.clear();
     }
 
     /// Builds a granularity from a prose-like calendar expression — see
@@ -106,100 +98,66 @@ impl Gran {
 
     /// The compiled periodic table for this granularity, compiling it on
     /// first use. `None` if the periodic fast path is disabled or the
-    /// granularity fell back to the mutex-cache path.
+    /// granularity did not compile, in which case every query runs on the
+    /// raw implementation.
     pub fn compiled(&self) -> Option<Arc<PeriodicTable>> {
-        if !periodic::enabled() {
-            return None;
-        }
-        self.inner.compiled.force(self.inner.gran.as_ref()).cloned()
+        self.inner.view.compiled()
     }
 
-    #[inline]
-    fn table(&self) -> Option<&Arc<PeriodicTable>> {
-        if !periodic::enabled() {
-            return None;
-        }
-        self.inner.compiled.note_use(self.inner.gran.as_ref())
-    }
-
-    /// Cached `⌈z⌉ᵘᵥ`: the tick of `target` covering tick `z` of `self`.
-    /// Same semantics as [`convert_tick`](crate::convert_tick). When both
-    /// granularities compiled, the conversion is closed-form and lock-free;
-    /// otherwise the result is memoized under (target, z) in the mutex
-    /// cache.
+    /// `⌈z⌉ᵘᵥ`: the tick of `target` covering tick `z` of `self`. Same
+    /// semantics as [`convert_tick`](crate::convert_tick). When both
+    /// granularities compiled, the conversion is closed-form and
+    /// allocation-free; otherwise it runs the free function.
     pub fn convert_tick_to(&self, z: Tick, target: &Gran) -> Option<Tick> {
-        if let (Some(ts), Some(tt)) = (self.table(), target.table()) {
+        if let (Some(ts), Some(tt)) = (self.inner.view.table(), target.inner.view.table()) {
             if let Some(ans) = ts.convert_tick_to(z, tt) {
                 return ans;
             }
         }
-        self.inner
-            .cache
-            .convert_tick(target.instance_id(), z, || {
-                crate::convert::convert_tick(self, z, target)
-            })
+        crate::convert::convert_tick(self, z, target)
     }
 }
 
 impl Granularity for Gran {
     fn name(&self) -> &str {
-        self.inner.gran.name()
+        self.inner.view.name()
     }
     fn covering_tick(&self, t: Second) -> Option<Tick> {
-        if let Some(tb) = self.table() {
-            if let Some(ans) = tb.covering_tick(t) {
-                return ans;
-            }
-        }
-        self.inner
-            .cache
-            .covering_tick(t, || self.inner.gran.covering_tick(t))
+        self.inner.view.covering_tick(t)
     }
     fn tick_intervals(&self, z: Tick) -> Option<IntervalSet> {
-        if let Some(tb) = self.table() {
-            if let Some(set) = tb.tick_intervals(z) {
-                return Some(set);
-            }
-        }
-        self.inner
-            .cache
-            .tick_intervals(z, || self.inner.gran.tick_intervals(z))
+        self.inner.view.tick_intervals(z)
     }
     fn has_gaps(&self) -> bool {
-        self.inner.gran.has_gaps()
+        self.inner.view.has_gaps()
     }
     fn exact_sizes(&self, k: u64) -> Option<crate::size_table::SizeBounds> {
-        self.inner.gran.exact_sizes(k)
+        self.inner.view.exact_sizes(k)
     }
     fn scan_window(&self, k: u64) -> (Tick, Tick) {
-        self.inner.gran.scan_window(k)
+        self.inner.view.scan_window(k)
     }
     fn next_tick_at_or_after(&self, t: Second) -> Option<Tick> {
-        if let Some(tb) = self.table() {
-            if let Some(ans) = tb.next_tick_at_or_after(t) {
-                return ans;
-            }
-        }
-        self.inner.gran.next_tick_at_or_after(t)
+        self.inner.view.next_tick_at_or_after(t)
     }
     fn periodic_hint(&self) -> Option<crate::periodic::PeriodicHint> {
-        self.inner.gran.periodic_hint()
+        self.inner.view.periodic_hint()
     }
     fn periodic_accel(&self) -> Option<Arc<dyn Granularity>> {
-        self.inner.gran.periodic_accel()
+        self.inner.view.periodic_accel()
     }
 }
 
 impl PartialEq for Gran {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner) || self.name() == other.name()
+        self.inner.id == other.inner.id
     }
 }
 impl Eq for Gran {}
 
 impl std::hash::Hash for Gran {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
+        self.inner.id.hash(state);
     }
 }
 
@@ -210,7 +168,9 @@ impl PartialOrd for Gran {
 }
 impl Ord for Gran {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name().cmp(other.name())
+        self.name()
+            .cmp(other.name())
+            .then(self.inner.id.cmp(&other.inner.id))
     }
 }
 
@@ -252,7 +212,7 @@ impl Calendar {
     /// A process-wide shared instance of [`Calendar::standard`].
     ///
     /// All callers get the *same* [`Gran`] handles, so size tables and
-    /// resolution caches warmed anywhere accelerate everyone. Prefer this
+    /// compiled periodic tables built anywhere serve everyone. Prefer this
     /// over `Calendar::standard()` in hot paths that need a throwaway
     /// builtin granularity.
     pub fn shared_standard() -> &'static Calendar {
@@ -384,15 +344,33 @@ mod tests {
     }
 
     #[test]
-    fn gran_equality_by_name() {
+    fn gran_equality_by_instance() {
         let cal = Calendar::standard();
         let a = cal.get("day").unwrap();
         let b = cal.get("day").unwrap();
         let c = cal.get("hour").unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a, b, "clones of one handle are equal");
         assert_ne!(a, c);
+        assert!(a < c, "ordering is by name first");
+        // Same name, separate instance: distinct, ordered by instance id.
         let standalone = Gran::new(builtin::day());
-        assert_eq!(a, standalone);
+        assert_ne!(a, standalone);
+        assert_eq!(
+            a.cmp(&standalone),
+            a.instance_id().cmp(&standalone.instance_id())
+        );
+        // Hashing agrees with equality (the size table's interior
+        // mutability never feeds the hash).
+        #[allow(clippy::mutable_key_type)]
+        let set: std::collections::HashSet<Gran> = [a, b, standalone].into_iter().collect();
+        assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn instance_ids_are_unique() {
+        let a = Gran::new(builtin::day());
+        let b = Gran::new(builtin::day());
+        assert_ne!(a.instance_id(), b.instance_id());
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Differential property tests for the compiled periodic fast path: every
-//! builtin and DSL granularity must compile (zero fallbacks), and every
-//! answer served from a compiled table — resolution, next-tick, and tick
-//! conversion — must agree bit-for-bit with the raw interval arithmetic
-//! (periodic fast path and mutex cache both disabled).
+//! Differential tests for the compiled periodic fast path, the one
+//! acceleration layer of a `Gran`: every builtin and DSL granularity must
+//! compile (zero fallbacks), and every answer served from a compiled
+//! table — resolution, next-tick, and tick conversion — must agree
+//! bit-for-bit with the raw interval arithmetic (periodic fast path
+//! disabled). `compiled_tables_are_exact_on_every_period_kind` checks
+//! whole periods exhaustively; the proptests sample the rest.
 //!
-//! The enable flags are process-wide, so every test in this binary
+//! The enable flag is process-wide, so every test in this binary
 //! serializes on one lock; other test binaries run in their own process.
 
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use tgm_granularity::{cache, convert_tick, periodic, tick_covers, Calendar, Gran, Granularity};
+use tgm_granularity::{
+    builtin, convert_tick, periodic, tick_covers, Calendar, Gran, Granularity, PeriodicTable, Tick,
+};
 
 const DAY: i64 = 86_400;
 
@@ -33,7 +37,8 @@ const DSL_CORPUS: &[&str] = &[
 ];
 
 /// Shared handles (compiled once for the whole binary): the standard
-/// calendar with holidays plus the DSL corpus.
+/// calendar with holidays, the DSL corpus, and builtins and legacy specs
+/// the calendar does not register.
 fn corpus() -> &'static [Gran] {
     static CORPUS: OnceLock<Vec<Gran>> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -44,12 +49,82 @@ fn corpus() -> &'static [Gran] {
         for expr in DSL_CORPUS {
             grans.push(Gran::from_expr(expr).unwrap());
         }
+        grans.push(Gran::new(builtin::trading_hours(vec![4, 17])));
+        grans.push(Gran::new(builtin::Months::with_anchor(
+            "fiscal-year",
+            12,
+            3,
+        )));
+        for spec in ["90 minute", "days(mon,wed,fri)", "days(sat,sun) into week"] {
+            grans.push(tgm_granularity::parse::parse_granularity(spec).unwrap());
+        }
         grans
     })
 }
 
+/// The ticks the exhaustive check walks in `t`'s domain: the first and
+/// last period, two consecutive clean periods (the two before the
+/// exception window, or two mid-domain), and every exception tick.
+fn exhaustive_ticks(t: &PeriodicTable) -> Vec<Tick> {
+    let (lo, hi) = t.tick_domain();
+    let n = t.ticks_per_period();
+    let mut ticks: Vec<Tick> = (lo..lo + n).chain(hi - n + 1..=hi).collect();
+    match t.exception_tick_range() {
+        Some((e_lo, e_hi)) => ticks.extend((e_lo - 2 * n..e_lo).chain(e_lo..=e_hi)),
+        None => {
+            let mid = lo + ((hi - lo + 1) / n / 2 - 1) * n;
+            ticks.extend(mid..mid + 2 * n);
+        }
+    }
+    ticks
+}
+
+/// Exhaustive compiled ≡ raw check over whole periods of every corpus
+/// granularity: each walked tick's compiled intervals equal the raw ones,
+/// and the compiled covering tick equals the raw one at each interval's
+/// start − 1, start, end and end + 1. The raw side is
+/// [`Gran::granularity`] with the fast path off, so composite DSL
+/// granularities resolve their children raw too.
+#[test]
+fn compiled_tables_are_exact_on_every_period_kind() {
+    let _serial = TEST_LOCK.lock();
+    for g in corpus() {
+        periodic::set_enabled(true);
+        let table = g
+            .compiled()
+            .unwrap_or_else(|| panic!("{} did not compile", g.name()));
+        let (lo, hi) = table.tick_domain();
+        let ticks = exhaustive_ticks(&table);
+        periodic::set_enabled(false);
+        let raw = g.granularity();
+        for z in ticks {
+            let set = table
+                .tick_intervals(z)
+                .unwrap_or_else(|| panic!("{}: in-domain tick {z} delegated", g.name()));
+            assert_eq!(
+                Some(&set),
+                raw.tick_intervals(z).as_ref(),
+                "{}: tick {z}",
+                g.name()
+            );
+            for iv in set.intervals() {
+                for x in [iv.start - 1, iv.start, iv.end, iv.end + 1] {
+                    match table.covering_tick(x) {
+                        Some(ans) => {
+                            assert_eq!(ans, raw.covering_tick(x), "{}: covering({x})", g.name())
+                        }
+                        // Only the domain's edge ticks may reach past it.
+                        None => assert!(z == lo || z == hi, "{}: {x} delegated", g.name()),
+                    }
+                }
+            }
+        }
+    }
+    periodic::set_enabled(true);
+}
+
 /// Every granularity of the default registry and the DSL corpus compiles —
-/// the mutex-cache path survives only as a fallback, and nothing falls
+/// the raw path serves only outside a table's domain, and nothing falls
 /// back.
 #[test]
 fn every_standard_granularity_compiles() {
@@ -57,11 +132,15 @@ fn every_standard_granularity_compiles() {
     periodic::set_enabled(true);
     periodic::reset_stats();
     for g in Calendar::with_holidays(vec![4, 17, 200, 366]).iter() {
-        assert!(g.compiled().is_some(), "{} fell back to the cache path", g.name());
+        assert!(
+            g.compiled().is_some(),
+            "{} fell back to the raw path",
+            g.name()
+        );
     }
     for expr in DSL_CORPUS {
         let g = Gran::from_expr(expr).unwrap();
-        assert!(g.compiled().is_some(), "{expr} fell back to the cache path");
+        assert!(g.compiled().is_some(), "{expr} fell back to the raw path");
     }
     let stats = periodic::stats();
     assert_eq!(stats.fallback, 0, "unexpected fallbacks: {stats:?}");
@@ -85,11 +164,9 @@ proptest! {
             let ints_fast = g.tick_intervals(z);
             let next_fast = g.next_tick_at_or_after(t);
             periodic::set_enabled(false);
-            cache::set_enabled(false);
             let cov_direct = g.covering_tick(t);
             let ints_direct = g.tick_intervals(z);
             let next_direct = g.next_tick_at_or_after(t);
-            cache::set_enabled(true);
             periodic::set_enabled(true);
             prop_assert_eq!(cov_direct, cov_fast, "{}: covering_tick({t})", g.name());
             prop_assert_eq!(&ints_direct, &ints_fast, "{}: tick_intervals({z})", g.name());
@@ -121,10 +198,8 @@ proptest! {
         prop_assert!(src.compiled().is_some() && dst.compiled().is_some());
         let fast = src.convert_tick_to(z, dst);
         periodic::set_enabled(false);
-        cache::set_enabled(false);
         let direct = convert_tick(src, z, dst);
         let covers_direct = fast.map(|zt| tick_covers(dst, zt, src, z));
-        cache::set_enabled(true);
         periodic::set_enabled(true);
         prop_assert_eq!(direct, fast, "{} -> {} at {z}", src.name(), dst.name());
         if let Some(zt) = fast {
@@ -149,9 +224,7 @@ fn disabling_mid_stream_keeps_results_identical() {
         periodic::set_enabled(true);
         let fast = g.covering_tick(t);
         periodic::set_enabled(false);
-        cache::set_enabled(false);
         let direct = g.covering_tick(t);
-        cache::set_enabled(true);
         periodic::set_enabled(true);
         assert_eq!(fast, direct, "t = {t}");
     }

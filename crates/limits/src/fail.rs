@@ -3,12 +3,12 @@
 //! Engines place `fail::point("site.name", limits)` at interesting spots:
 //! worker entry, run-loop start, step boundaries. Without the `failpoints`
 //! cargo feature the call compiles to nothing. With it, tests arm a site
-//! with an [`Action`] and the next `point` hit executes it — panic, delay,
+//! with an `Action` and the next `point` hit executes it — panic, delay,
 //! or spurious cancellation — so recovery paths can be proven
 //! deterministically instead of waiting for a real fault.
 //!
 //! The registry is process-global; tests that arm sites must serialize
-//! (the suites here take a shared mutex) and [`clear`](clear_all) when
+//! (the suites here take a shared mutex) and `clear_all` when
 //! done.
 
 #[cfg(feature = "failpoints")]

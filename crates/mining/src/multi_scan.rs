@@ -79,7 +79,7 @@ pub(crate) struct ScanInput<'a> {
     pub(crate) events: &'a [Event],
     pub(crate) refs: &'a [usize],
     pub(crate) window: Option<i64>,
-    pub(crate) cols: Option<&'a TickColumns>,
+    pub(crate) cols: &'a TickColumns,
 }
 
 /// Counts, for every candidate in `mm`, the distinct reference occurrences
@@ -114,7 +114,7 @@ fn multi_count_support(
         *tag_runs += mm.len();
         let mut ctx = RunCtx {
             scratch: &mut *scratch,
-            cols: input.cols.map(|cols| (cols, idx)),
+            cols: Some((input.cols, idx)),
             limits,
         };
         let run = mm.run_in(slice, true, &mut ctx);
@@ -342,7 +342,7 @@ mod tests {
                     events: &events,
                     refs: &all_refs[..n_refs],
                     window: Some(2 * 86_400),
-                    cols: Some(&cols),
+                    cols: &cols,
                 };
                 let tags = &tags[..n_cands];
                 let mut oracle_runs = 0;
@@ -354,7 +354,7 @@ mod tests {
                             &events,
                             input.refs,
                             input.window,
-                            input.cols,
+                            Some(input.cols),
                             &mut MatcherScratch::new(),
                             &mut oracle_runs,
                             ObsOptions::default(),

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tgm_core::propagate::{propagate, propagate_bounded, PropagateOptions, Propagated};
 use tgm_core::{EventStructure, Tcg, VarId};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
-use tgm_granularity::{Gran, Granularity as _};
+use tgm_granularity::Granularity as _;
 use tgm_limits::{CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
 use tgm_obs::span::span_if;
 use tgm_obs::{metrics, FunnelStage, ObsOptions, ObsValue, Observable};
@@ -64,11 +64,6 @@ pub struct PipelineOptions {
     pub chain_screening_k: usize,
     /// Step 5: bound each anchored scan by the derived window.
     pub window_limit: bool,
-    /// Resolve every event's tick per structure granularity once up front
-    /// ([`TickColumns`]) and share the columns across steps 2–5 and every
-    /// anchored TAG run. Off = resolve per use (the shared-resolution-layer
-    /// ablation baseline); results are identical either way.
-    pub use_tick_columns: bool,
     /// Observability knobs for this pipeline run (per-step spans and
     /// funnel counters). Nothing is emitted unless the process-wide
     /// [`tgm_obs::set_enabled`] toggle is also on; instrumentation never
@@ -86,7 +81,6 @@ impl Default for PipelineOptions {
             pair_screening: false,
             chain_screening_k: 0,
             window_limit: true,
-            use_tick_columns: true,
             obs: ObsOptions::default(),
         }
     }
@@ -99,7 +93,7 @@ impl PipelineOptions {
     /// ```
     /// use tgm_mining::pipeline::PipelineOptions;
     /// let o = PipelineOptions::builder().pair_screening(true).window_limit(false).build();
-    /// assert!(o.pair_screening && !o.window_limit && o.use_tick_columns);
+    /// assert!(o.pair_screening && !o.window_limit && o.reference_pruning);
     /// ```
     pub fn builder() -> PipelineOptionsBuilder {
         PipelineOptionsBuilder::default()
@@ -155,12 +149,6 @@ impl PipelineOptionsBuilder {
     /// Sets the step 5 window limit.
     pub fn window_limit(mut self, on: bool) -> Self {
         self.0.window_limit = on;
-        self
-    }
-
-    /// Sets shared tick-column resolution.
-    pub fn use_tick_columns(mut self, on: bool) -> Self {
-        self.0.use_tick_columns = on;
         self
     }
 
@@ -430,8 +418,8 @@ struct Reduced {
     events: Vec<Event>,
     /// Per event, a bitmask of the variables it could bind.
     masks: Vec<u64>,
-    /// Tick columns re-indexed to `events` (`None` when ablated).
-    cols: Option<TickColumns>,
+    /// Tick columns re-indexed to `events`.
+    cols: TickColumns,
     /// Reference occurrences whose own mask has the root bit.
     refs: Vec<usize>,
 }
@@ -570,7 +558,7 @@ fn mine_inner(
         events: &red.events,
         refs: &kept_refs,
         window: opts.window_limit.then_some(bounds.max_window()),
-        cols: red.cols.as_ref(),
+        cols: &red.cols,
     };
     // Automaton shapes are memoized per structure: chain screening builds
     // each induced substructure's automaton once (per-tuple candidates are
@@ -612,45 +600,33 @@ fn reduce_sequence(
     let (problem, s) = (ctx.problem, &ctx.problem.structure);
     // Resolve every event's tick in every structure granularity once, in
     // parallel; steps 2-5 and the final anchored scans read these columns
-    // instead of repeating calendar arithmetic per event per run. `None`
-    // when ablating the shared resolution layer: every consumer falls back
-    // to direct per-use resolution with identical results.
-    let full_cols = ctx
-        .opts
-        .use_tick_columns
-        .then(|| TickColumns::build(seq.events(), &s.granularities()));
+    // instead of repeating calendar arithmetic per event per run.
+    let full_cols = TickColumns::build(seq.events(), &s.granularities());
 
-    // Per-variable gapped granularities that must cover a bound event.
-    let var_gapped: Vec<Vec<Gran>> = s
+    // Per-variable column indices of the gapped granularities that must
+    // cover a bound event. Invariant: the columns were built over exactly
+    // `s.granularities()`.
+    #[allow(clippy::expect_used)]
+    let var_gapped_cols: Vec<Vec<usize>> = s
         .vars()
         .map(|v| {
-            let mut gs: Vec<Gran> = Vec::new();
+            let mut cols: Vec<usize> = Vec::new();
             for (a, b, cs) in s.arcs() {
                 if a != v && b != v {
                     continue;
                 }
-                for c in cs {
-                    if c.gran().has_gaps() && !gs.contains(c.gran()) {
-                        gs.push(c.gran().clone());
+                for c in cs.iter().filter(|c| c.gran().has_gaps()) {
+                    let col = full_cols
+                        .index_of(c.gran())
+                        .expect("structure gran has a column");
+                    if !cols.contains(&col) {
+                        cols.push(col);
                     }
                 }
             }
-            gs
+            cols
         })
         .collect();
-    // The same granularities as column indices when columns are in use.
-    // Invariant: the columns were built over exactly `s.granularities()`.
-    #[allow(clippy::expect_used)]
-    let var_gapped_cols: Option<Vec<Vec<usize>>> = full_cols.as_ref().map(|cols| {
-        var_gapped
-            .iter()
-            .map(|gs| {
-                gs.iter()
-                    .map(|g| cols.index_of(g).expect("structure gran has a column"))
-                    .collect()
-            })
-            .collect()
-    });
 
     // Eligibility bitmask per event: which variables it could bind.
     let eligible = |row: usize, e: &Event| -> u64 {
@@ -664,15 +640,10 @@ fn reduce_sequence(
             if !type_ok {
                 continue;
             }
-            let covered = match (&full_cols, &var_gapped_cols) {
-                (Some(cols), Some(vcols)) => vcols[v.index()]
-                    .iter()
-                    .all(|&c| cols.tick(c, row).is_some()),
-                _ => var_gapped[v.index()]
-                    .iter()
-                    .all(|g| g.covering_tick(e.time).is_some()),
-            };
-            if covered {
+            if var_gapped_cols[v.index()]
+                .iter()
+                .all(|&c| full_cols.tick(c, row).is_some())
+            {
                 mask |= 1 << v.index();
             }
         }
@@ -706,7 +677,7 @@ fn reduce_sequence(
         events,
         masks,
         // Columns re-indexed to the reduced event list (no re-resolution).
-        cols: full_cols.map(|fc| fc.select(&rows)),
+        cols: full_cols.select(&rows),
         refs,
     })
 }
@@ -1158,7 +1129,7 @@ mod tests {
     fn all_ablations_agree() {
         let (_reg, seq, p) = world();
         let (reference, _) = naive::mine(&p, &seq);
-        for bits in 0..256u32 {
+        for bits in 0..128u32 {
             let opts = PipelineOptions {
                 consistency_screen: bits & 1 != 0,
                 sequence_reduction: bits & 2 != 0,
@@ -1167,7 +1138,6 @@ mod tests {
                 pair_screening: bits & 16 != 0,
                 chain_screening_k: if bits & 64 != 0 { 2 } else { 0 },
                 window_limit: bits & 32 != 0,
-                use_tick_columns: bits & 128 != 0,
                 obs: ObsOptions::default(),
             };
             let (sols, _) = mine_with(&p, &seq, &opts);

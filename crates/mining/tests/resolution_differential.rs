@@ -1,8 +1,9 @@
-//! Differential property tests for the shared resolution layer at the
-//! matcher and pipeline level: results must be bit-identical with the
-//! cache on or off, and with tick columns or direct per-event resolution.
+//! Differential property tests for granularity resolution at the matcher
+//! and pipeline level: results must be bit-identical whether ticks come
+//! from the compiled periodic tables or the raw implementations, and
+//! whether the matcher reads tick columns or resolves per event.
 //!
-//! The cache enable flag is process-wide, so tests in this binary
+//! The periodic enable flag is process-wide, so tests in this binary
 //! serialize on one lock (separate test binaries are separate processes).
 
 use std::sync::Mutex;
@@ -10,7 +11,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
-use tgm_granularity::{cache, periodic, Calendar, Gran};
+use tgm_granularity::{periodic, Calendar, Gran};
 use tgm_mining::{naive, pipeline, DiscoveryProblem};
 use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
 
@@ -30,9 +31,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Matcher: the full `RunStats` (acceptance, frontier peaks, expansion
-    /// counts) is identical across cache on / cache off / tick columns.
+    /// counts) is identical across raw / compiled / tick columns.
     #[test]
-    fn matcher_identical_cache_on_off_and_columns(
+    fn matcher_identical_raw_compiled_and_columns(
         gran_picks in proptest::collection::vec(0usize..5, 2),
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 2),
         raw_events in proptest::collection::vec((0u32..3, 0i64..60), 2..30),
@@ -59,8 +60,7 @@ proptest! {
         let seq = EventSequence::from_events(events);
 
         periodic::set_enabled(false);
-        cache::set_enabled(true);
-        let on = m.run(seq.events(), false);
+        let raw = m.run(seq.events(), false);
         let clock_grans: Vec<Gran> =
             tag.clocks().iter().map(|(_, g)| g.clone()).collect();
         let cols = TickColumns::build(seq.events(), &clock_grans);
@@ -70,24 +70,20 @@ proptest! {
             ..RunCtx::new(&mut scratch)
         };
         let with_cols = m.run_in(seq.events(), false, &mut ctx).stats;
-        cache::set_enabled(false);
-        let off = m.run(seq.events(), false);
         periodic::set_enabled(true);
         for g in &clock_grans {
             prop_assert!(g.compiled().is_some(), "{} did not compile", g.name());
         }
         let compiled = m.run(seq.events(), false);
-        cache::set_enabled(true);
 
-        prop_assert_eq!(&on, &off, "cache on vs off");
-        prop_assert_eq!(&on, &with_cols, "direct vs tick columns");
-        prop_assert_eq!(&on, &compiled, "cache vs compiled tables");
+        prop_assert_eq!(&raw, &with_cols, "direct vs tick columns");
+        prop_assert_eq!(&raw, &compiled, "raw vs compiled tables");
     }
 
-    /// Discovery: naive and pipeline solutions are identical with the
-    /// resolution layer on (cache + columns) and fully off.
+    /// Discovery: naive and pipeline solutions are identical with
+    /// compiled tables on and off.
     #[test]
-    fn discovery_identical_with_layer_on_and_off(
+    fn discovery_identical_raw_and_compiled(
         gran_picks in proptest::collection::vec(0usize..5, 2),
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 2),
         raw_events in proptest::collection::vec((0u32..4, 0i64..40), 4..24),
@@ -111,35 +107,26 @@ proptest! {
         let seq = EventSequence::from_events(events);
         let problem = DiscoveryProblem::new(s, confidence, EventType(0));
 
-        let layer_on = pipeline::PipelineOptions::default();
-        let layer_off = layer_on.to_builder().use_tick_columns(false).build();
-
         periodic::set_enabled(false);
-        cache::set_enabled(true);
-        let (pipe_on, _) = pipeline::mine_with(&problem, &seq, &layer_on);
-        let (naive_on, _) = naive::mine(&problem, &seq);
-        cache::set_enabled(false);
-        let (pipe_off, _) = pipeline::mine_with(&problem, &seq, &layer_off);
-        let (naive_off, _) = naive::mine(&problem, &seq);
+        let (pipe_raw, _) = pipeline::mine(&problem, &seq);
+        let (naive_raw, _) = naive::mine(&problem, &seq);
         periodic::set_enabled(true);
         for g in &gs {
             prop_assert!(g.compiled().is_some(), "{} did not compile", g.name());
         }
-        let (pipe_compiled, _) = pipeline::mine_with(&problem, &seq, &layer_on);
-        cache::set_enabled(true);
+        let (pipe_compiled, _) = pipeline::mine(&problem, &seq);
+        let (naive_compiled, _) = naive::mine(&problem, &seq);
 
-        prop_assert_eq!(&pipe_on, &pipe_off, "pipeline layer on vs off");
-        prop_assert_eq!(&naive_on, &naive_off, "naive cache on vs off");
-        prop_assert_eq!(&pipe_on, &naive_on, "pipeline vs naive");
-        prop_assert_eq!(&pipe_on, &pipe_compiled, "pipeline cache vs compiled");
+        prop_assert_eq!(&pipe_raw, &naive_raw, "pipeline vs naive (raw)");
+        prop_assert_eq!(&pipe_raw, &pipe_compiled, "pipeline raw vs compiled");
+        prop_assert_eq!(&naive_raw, &naive_compiled, "naive raw vs compiled");
     }
 }
 
 /// The E6 grouped-granularity chain ([0,1] business-week then [0,1]
 /// business-month — the granularities with the heaviest raw resolution)
 /// and an E10-style discovery run over it: matcher `RunStats` and mining
-/// solutions are bit-identical across all four resolution modes
-/// (uncached, mutex cache, compiled tables, compiled without the cache).
+/// solutions are bit-identical with raw and compiled resolution.
 #[test]
 fn grouped_workload_identical_across_resolution_modes() {
     let _serial = TEST_LOCK.lock().unwrap();
@@ -176,11 +163,9 @@ fn grouped_workload_identical_across_resolution_modes() {
     let problem = DiscoveryProblem::new(s, 0.5, EventType(0));
     let opts = pipeline::PipelineOptions::default();
 
-    let modes = [(false, false), (true, false), (true, true), (false, true)];
     let mut stats = Vec::new();
     let mut sols = Vec::new();
-    for (cache_on, periodic_on) in modes {
-        cache::set_enabled(cache_on);
+    for periodic_on in [false, true] {
         periodic::set_enabled(periodic_on);
         if periodic_on {
             for (_, g) in tag.clocks() {
@@ -190,16 +175,12 @@ fn grouped_workload_identical_across_resolution_modes() {
         stats.push(m.run(seq.events(), false));
         sols.push(pipeline::mine_with(&problem, &seq, &opts).0);
     }
-    cache::set_enabled(true);
-    periodic::set_enabled(true);
-    for (i, (cache_on, periodic_on)) in modes.iter().enumerate().skip(1) {
-        assert_eq!(
-            stats[0], stats[i],
-            "RunStats diverged (cache={cache_on}, compiled={periodic_on})"
-        );
-        assert_eq!(
-            sols[0], sols[i],
-            "solutions diverged (cache={cache_on}, compiled={periodic_on})"
-        );
-    }
+    assert_eq!(
+        stats[0], stats[1],
+        "RunStats diverged between raw and compiled"
+    );
+    assert_eq!(
+        sols[0], sols[1],
+        "solutions diverged between raw and compiled"
+    );
 }

@@ -5,16 +5,14 @@
 //! pipeline exists to cut candidates cheaply before the expensive TAG
 //! scan, and Theorem 4 bounds how much work the matcher does per event.
 //! This crate makes that funnel a first-class artifact: the matcher, the
-//! mining pipeline, the episode baseline and the granularity cache all
+//! mining pipeline, the episode baseline and the granularity layer all
 //! emit into one process-wide registry, and [`Report`] renders the result
 //! as a human-readable timing/funnel tree or machine-readable JSON.
 //!
 //! # Design
 //!
-//! - **Off by default.** A process-wide [`set_enabled`] toggle mirrors the
-//!   granularity cache's ablation switch
-//!   ([`tgm_granularity::cache::set_enabled`]); when off, every
-//!   instrumentation call is a single relaxed atomic load. Per-call-site
+//! - **Off by default.** A process-wide [`set_enabled`] toggle; when off,
+//!   every instrumentation call is a single relaxed atomic load. Per-call-site
 //!   granularity comes from [`ObsOptions`] embedded in the matcher's and
 //!   pipeline's option structs.
 //! - **Spans** ([`span`](mod@span)) are RAII guards over monotonic clocks.
@@ -24,8 +22,7 @@
 //!   a lock mid-measurement.
 //! - **Metrics** ([`metrics`]) are named [`u64`] counters and
 //!   base-2 log-scale histograms behind sharded `parking_lot` mutexes.
-//!   [`MetricsSnapshot`] is `Add`-able across captures like
-//!   [`CacheStats`](tgm_granularity::CacheStats).
+//!   [`MetricsSnapshot`] is `Add`-able across captures.
 //! - **Scoped domains** ([`scope`](mod@scope)) isolate full registries per
 //!   session, pipeline run or tenant: the global API routes to the calling
 //!   thread's *current* scope (the default scope when none is entered), so
@@ -86,8 +83,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 ///
 /// When disabled (the default), spans and metric emissions reduce to one
 /// relaxed atomic load each; existing recorded data is kept (use
-/// [`reset`] to clear it). Mirrors
-/// [`tgm_granularity::cache::set_enabled`].
+/// [`reset`] to clear it).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

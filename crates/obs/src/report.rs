@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use tgm_granularity::{cache, periodic, CacheStats};
+use tgm_granularity::periodic;
 
 use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{self, SpanSnapshot, SpanStats};
@@ -72,7 +72,8 @@ impl From<bool> for ObsValue {
 }
 
 /// Uniform name/value reporting for the workspace's stats structs
-/// (`RunStats`, [`CacheStats`], `PipelineStats`, …), so [`Report`]
+/// (`RunStats`, `PipelineStats`, [`CompileStats`](periodic::CompileStats),
+/// …), so [`Report`]
 /// ingests them all the same way instead of each consumer hand-printing
 /// fields.
 pub trait Observable {
@@ -104,15 +105,6 @@ impl Observable for periodic::CompileStats {
     }
 }
 
-impl Observable for CacheStats {
-    fn observe(&self, out: &mut Vec<(&'static str, ObsValue)>) {
-        out.push(("hits", self.hits.into()));
-        out.push(("misses", self.misses.into()));
-        out.push(("lookups", self.lookups().into()));
-        out.push(("hit_rate", self.hit_rate().into()));
-    }
-}
-
 /// One stage of the §5 pruning funnel: how many candidates (or events,
 /// or references) went in and how many survived.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -141,7 +133,7 @@ impl FunnelStage {
 /// A captured observability report.
 ///
 /// [`Report::capture`] snapshots the span and metric registries plus the
-/// process-wide granularity [`CacheStats`]; callers then attach stats
+/// process-wide granularity compile outcomes; callers then attach stats
 /// sections ([`Report::add_section`]) and the pruning funnel
 /// ([`Report::set_funnel`]) before rendering.
 #[derive(Clone, Debug, Default)]
@@ -155,10 +147,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Snapshots the global registries. The granularity cache's
-    /// process-wide counters are included automatically as a
-    /// `granularity.cache` section, and the periodic compiler's
-    /// compiled/fallback outcomes as `granularity.compile`.
+    /// Snapshots the global registries. The periodic compiler's
+    /// compiled/fallback outcomes are included automatically as a
+    /// `granularity.compile` section.
     pub fn capture() -> Report {
         let mut r = Report {
             spans: span::snapshot(),
@@ -166,7 +157,6 @@ impl Report {
             sections: Vec::new(),
             funnel: Vec::new(),
         };
-        r.add_section("granularity.cache", &cache::global_stats());
         r.add_section("granularity.compile", &periodic::stats());
         r
     }
@@ -396,15 +386,15 @@ mod tests {
     use crate::test_support::TEST_LOCK;
 
     #[test]
-    fn cache_stats_observable_pairs() {
-        let s = CacheStats { hits: 3, misses: 1 };
+    fn compile_stats_observable_pairs() {
+        let s = periodic::CompileStats {
+            compiled: 3,
+            fallback: 1,
+        };
         let pairs = s.observed();
-        assert_eq!(pairs[0], ("hits", ObsValue::U64(3)));
-        assert_eq!(s.observed_value("lookups"), Some(ObsValue::U64(4)));
-        match s.observed_value("hit_rate") {
-            Some(ObsValue::F64(r)) => assert!((r - 0.75).abs() < 1e-12),
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(pairs[0], ("compiled", ObsValue::U64(3)));
+        assert_eq!(s.observed_value("fallback"), Some(ObsValue::U64(1)));
+        assert_eq!(s.observed_value("hit_rate"), None);
     }
 
     #[test]
@@ -444,14 +434,20 @@ mod tests {
             output: 25,
             detail: "candidates".into(),
         }]);
-        report.add_section("cache", &CacheStats { hits: 1, misses: 1 });
+        report.add_section(
+            "compile",
+            &periodic::CompileStats {
+                compiled: 1,
+                fallback: 7,
+            },
+        );
 
         let text = report.render();
         assert!(text.contains("outer"));
         assert!(text.contains("inner"));
         assert!(text.contains("report_test.count = 7"));
         assert!(text.contains("75.0% pruned"));
-        assert!(text.contains("hit_rate"));
+        assert!(text.contains("fallback = 7"));
 
         let json = report.to_json();
         assert!(json.starts_with("{\"schema\":\"tgm_obs_report/v1\""));

@@ -2,7 +2,7 @@
 //!
 //! An [`ObsScope`] is an isolated observability registry — its own
 //! counter/histogram shards, span aggregates, and (optionally) a
-//! [`Recorder`](crate::recorder::Recorder) flight ring. Sessions, pipeline
+//! [`Recorder`] flight ring. Sessions, pipeline
 //! runs, and tenants each get a scope whose [`Snapshot`] can be captured,
 //! diffed ([`Snapshot::delta`]) and merged (`+`) without the `reset()`
 //! races a single process-wide registry forces.

@@ -356,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_add_like_cache_stats() {
+    fn snapshots_add_across_captures() {
         let a = SpanSnapshot {
             spans: [(
                 "x".to_string(),

@@ -68,8 +68,9 @@ pub fn build_tag_with_cover(
     let mut b = TagBuilder::new();
 
     // Clocks: one per (chain, granularity-on-that-chain). `Gran` hashes by
-    // its immutable name; the interior mutability clippy worries about is
-    // only the memoized size-table cache.
+    // its immutable instance id, so same-named granularities get separate
+    // clocks; the interior mutability clippy worries about is only the
+    // memoized size-table cache.
     #[allow(clippy::mutable_key_type)]
     let mut clock_ids: HashMap<(usize, Gran), ClockId> = HashMap::new();
     for (l, chain) in chains.iter().enumerate() {

@@ -325,8 +325,8 @@ impl SessionState {
 }
 
 /// A long-lived incremental matcher for one TAG: the engine behind every
-/// batch entry point, usable directly for streams. See the
-/// [module docs](self) for the lifecycle and eviction semantics.
+/// batch entry point, usable directly for streams. The `session` module
+/// docs describe the lifecycle and eviction semantics.
 ///
 /// ```
 /// use tgm_core::examples::{example_1, figure_1a_witness};
@@ -421,8 +421,8 @@ impl<'a> MatchSession<'a> {
         self
     }
 
-    /// Enables deterministic horizon eviction (see the [module
-    /// docs](self)). Sound for completions under any push-chunking
+    /// Enables deterministic horizon eviction (see the `session` module
+    /// docs). Sound for completions under any push-chunking
     /// (proptested); [`RunStats`] counters may differ from a batch run.
     pub fn with_eviction(mut self) -> Self {
         self.s.eviction = Some(EvictionPlan::new(self.tag));

@@ -99,11 +99,10 @@ fn main() -> Result<(), Error> {
         "pipeline stats: {} candidates scanned, {} TAG runs",
         stats.candidates_scanned, stats.tag_runs
     );
-    let cstats = cache::global_stats();
+    let compile = periodic::stats();
     println!(
-        "resolution cache: {} lookups, {:.0}% hits",
-        cstats.lookups(),
-        cstats.hit_rate() * 100.0
+        "granularity tables: {} compiled, {} left on the raw calendar",
+        compile.compiled, compile.fallback
     );
     Ok(())
 }

@@ -70,8 +70,8 @@
 //!     let mut ctx = RunCtx { cols: Some((&cols, 0)), ..RunCtx::new(&mut scratch) };
 //!     assert!(matcher.run_in(seq.events(), false, &mut ctx).stats.accepted);
 //!
-//!     // The shared resolution cache served those calendar lookups.
-//!     assert!(cache::global_stats().lookups() > 0);
+//!     // Every clock granularity compiles to a minimal periodic table.
+//!     assert!(grans.iter().all(|g| g.compiled().is_some()));
 //!     Ok(())
 //! }
 //! quickstart().unwrap();
@@ -99,9 +99,9 @@ pub use tgm_tag as tag;
 /// One `use tgm::prelude::*;` is enough to build event structures,
 /// propagate and exact-check them, construct and run TAG matchers (direct
 /// or over pre-resolved [`TickColumns`](tgm_events::TickColumns)), mine
-/// discovery problems, and observe the shared resolution
-/// [`cache`](tgm_granularity::cache) — with all fallible calls funneled
-/// into [`Error`](crate::Error).
+/// discovery problems, and inspect each granularity's compiled
+/// [`periodic`](tgm_granularity::periodic) table — with all fallible calls
+/// funneled into [`Error`].
 pub mod prelude {
     pub use crate::Error;
     pub use tgm_core::exact::{
@@ -116,7 +116,7 @@ pub mod prelude {
     pub use tgm_events::{
         Event, EventSequence, EventType, SequenceBuilder, TickColumns, TypeRegistry,
     };
-    pub use tgm_granularity::{cache, CacheStats, Calendar, Gran, Granularity, Second, Tick};
+    pub use tgm_granularity::{periodic, Calendar, Gran, Granularity, Second, Tick};
     pub use tgm_mining::pipeline::{mine_with, PipelineOptions, PipelineStats};
     pub use tgm_mining::{naive, pipeline, BoundedMining, DiscoveryProblem, Solution};
     pub use tgm_obs::{Observable, ObsOptions, Report};

@@ -110,3 +110,53 @@ fn mining_with_custom_calendar() {
     assert_eq!(sols[0].assignment, vec![order, ship]);
     assert_eq!(sols[0].support, 1, "only the Monday order ships in-week");
 }
+
+/// Two granularities that share a name (the standard `business-day` and one
+/// with Tuesday 2000-01-04 as a holiday) stay two granularities: the
+/// structure lists both, the TAG gets a clock for each, and the miner
+/// resolves a tick column for each.
+#[test]
+fn same_named_granularities_stay_distinct() {
+    let bday = Calendar::standard().get("business-day").unwrap();
+    let bday_holiday = Gran::new(builtin::business_day(vec![3]));
+    assert_eq!(bday.name(), bday_holiday.name());
+    assert_ne!(bday, bday_holiday);
+
+    let mut b = StructureBuilder::new();
+    let x0 = b.var("X0");
+    let x1 = b.var("X1");
+    let x2 = b.var("X2");
+    b.constrain(x0, x1, Tcg::new(1, 1, bday));
+    b.constrain(x1, x2, Tcg::new(1, 1, bday_holiday));
+    let s = b.build().unwrap();
+    assert_eq!(s.granularities().len(), 2);
+
+    let mut reg = TypeRegistry::new();
+    let tys: Vec<EventType> = ["A", "B", "C"].iter().map(|n| reg.intern(n)).collect();
+    let cet = ComplexEventType::new(s.clone(), tys.clone());
+    let tag = build_tag(&cet);
+    assert_eq!(tag.clocks().len(), 2);
+    let m = Matcher::new(&tag);
+    let at = |day: i64| day * DAY + HOUR;
+    let (mon, tue, wed, thu) = (at(2), at(3), at(4), at(5));
+    let seq = |evs: &[(usize, i64)]| -> EventSequence {
+        let mut sb = SequenceBuilder::new();
+        for &(ty, t) in evs {
+            sb.push(tys[ty], t);
+        }
+        sb.build()
+    };
+    // X1 on the holiday Tuesday has no tick of the second granularity.
+    let rejected = seq(&[(0, mon), (1, tue), (2, wed), (2, thu)]);
+    assert!(!m.run(rejected.events(), false).accepted);
+    // Tue -> Wed -> Thu satisfies both.
+    let accepted = seq(&[(0, tue), (1, wed), (2, thu)]);
+    assert!(m.run(accepted.events(), false).accepted);
+
+    let problem = DiscoveryProblem::new(s, 0.1, tys[0]);
+    for events in [&rejected, &accepted] {
+        let (pipe, _) = pipeline::mine(&problem, events);
+        let (naive, _) = naive::mine(&problem, events);
+        assert_eq!(pipe, naive);
+    }
+}
