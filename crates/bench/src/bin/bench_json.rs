@@ -1,7 +1,7 @@
 //! Machine-readable benchmark record: measures the matcher engines and the
 //! miner at fixed seeds and writes `BENCH_matcher.json` (median wall time,
 //! ns/event for matching, ms for mining) so CI and PR descriptions can
-//! quote — and scripts can diff — the engine/sweep speedups without
+//! quote — and scripts can diff — the engine and pipeline speedups without
 //! scraping criterion output.
 //!
 //! Run with `cargo run --release -p tgm-bench --bin bench_json [-- --quick]
@@ -24,7 +24,7 @@ use tgm_events::TypeRegistry;
 use tgm_events::TickColumns;
 use tgm_granularity::{periodic, Calendar, Gran};
 use tgm_limits::{CancelToken, Limits, Quotas};
-use tgm_mining::naive::{self, NaiveOptions};
+use tgm_mining::naive;
 use tgm_mining::pipeline::{mine_bounded, mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
 use tgm_obs::Report;
@@ -134,16 +134,7 @@ fn main() {
     let mining_reps = if quick { 3 } else { 7 };
     let pipeline_opts = PipelineOptions::default();
     let (naive_sols, _) = naive::mine(&problem, &w3.sequence);
-    let (naive_sweep_sols, _) = naive::mine_with(
-        &problem,
-        &w3.sequence,
-        &NaiveOptions {
-            parallel_sweep: true,
-            ..Default::default()
-        },
-    );
     let (pipeline_sols, pipeline_stats) = mine_with(&problem, &w3.sequence, &pipeline_opts);
-    assert_eq!(naive_sols, naive_sweep_sols, "naive sweep changed solutions");
     assert_eq!(naive_sols, pipeline_sols, "pipeline diverged from naive");
     let naive_ms = median_ms(mining_reps, || {
         std::hint::black_box(naive::mine(&problem, &w3.sequence));

@@ -1,17 +1,15 @@
 //! E11 — ablations of this implementation's own design choices (DESIGN.md
 //! §3): clock-reading saturation in the matcher, minimal (min-flow) vs
 //! greedy chain covers in the TAG construction, the zero-allocation lane
-//! matcher engine vs the reference per-`Config` engine, the parallel
-//! anchored-sweep split in discovery, and the observability layer's
-//! overhead (§3.13). The compiled-vs-raw granularity ablation lives in
-//! E6 and E10.
+//! matcher engine vs the reference per-`Config` engine, and the
+//! observability layer's overhead (§3.13). The compiled-vs-raw
+//! granularity ablation lives in E6 and E10.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg, VarId};
 use tgm_events::TypeRegistry;
 use tgm_granularity::Calendar;
-use tgm_mining::naive::{self, NaiveOptions};
 use tgm_mining::pipeline::{mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
 use tgm_obs::Report;
@@ -162,57 +160,7 @@ pub fn run() {
         &rows,
     );
 
-    // (4) Parallel anchored sweep: naive discovery with the anchored
-    // support sweep split across workers (one scratch per worker) vs a
-    // single serial sweep, next to the pipeline. Solutions and tag-run
-    // counts asserted identical — support is a sum of independent
-    // per-reference boolean runs, so chunking cannot change it.
-    let mut rows = Vec::new();
-    for days in [360i64, 720] {
-        let w = daily_stock_workload(days, &[], 0.85, 23);
-        let problem =
-            DiscoveryProblem::new(w.cet.structure().clone(), 0.6, w.types.ibm_rise)
-                .with_candidates(VarId(3), [w.types.ibm_fall]);
-        let ((n_serial, n_serial_stats), n_serial_ms) =
-            timed(|| naive::mine(&problem, &w.sequence));
-        let ((n_sweep, n_sweep_stats), n_sweep_ms) = timed(|| {
-            naive::mine_with(
-                &problem,
-                &w.sequence,
-                &NaiveOptions {
-                    parallel_sweep: true,
-                    ..Default::default()
-                },
-            )
-        });
-        let ((p_sols, _), p_ms) =
-            timed(|| mine_with(&problem, &w.sequence, &PipelineOptions::default()));
-        assert_eq!(n_serial, n_sweep, "naive sweep changed solutions");
-        assert_eq!(n_serial_stats.tag_runs, n_sweep_stats.tag_runs);
-        assert_eq!(n_serial, p_sols, "pipeline diverged from naive");
-        rows.push(vec![
-            days.to_string(),
-            w.sequence.len().to_string(),
-            format!("{n_serial_ms:.0}"),
-            format!("{n_sweep_ms:.0}"),
-            format!("{p_ms:.0}"),
-            format!("{:.1}x", n_serial_ms / n_sweep_ms.max(0.001)),
-        ]);
-    }
-    print_table(
-        "Parallel anchored sweep: serial vs sweep-split support counting",
-        &[
-            "days",
-            "events",
-            "naive ms (serial sweep)",
-            "naive ms (parallel sweep)",
-            "pipeline ms",
-            "naive sweep speedup",
-        ],
-        &rows,
-    );
-
-    // (5) Observability (DESIGN.md §3.13): the instrumentation's overhead
+    // (4) Observability (DESIGN.md §3.13): the instrumentation's overhead
     // on the hottest loop (Example 1 full scan), measured noise-robustly
     // (see below), with results asserted identical —
     // then the §5 pruning funnel captured from one instrumented discovery

@@ -23,7 +23,7 @@ use tgm_granularity::{Gran, Granularity, Second};
 use tgm_limits::{Interrupt, Limits};
 use tgm_stp::INF;
 
-use crate::propagate::{propagate_bounded, Propagated, PropagateOptions};
+use crate::propagate::{propagate_bounded, Propagated};
 use crate::structure::{EventStructure, VarId};
 
 /// Options for the exact checker.
@@ -144,7 +144,7 @@ pub fn check_bounded(
     opts: &ExactOptions,
     limits: &Limits,
 ) -> Result<ExactOutcome, ExactError> {
-    let p = propagate_bounded(s, &PropagateOptions::default(), limits)?;
+    let p = propagate_bounded(s, limits)?;
     if !p.is_consistent() {
         return Ok(ExactOutcome::InconsistentWithinHorizon);
     }

@@ -77,25 +77,9 @@ fn converted_bounds_cached(src: &Gran, dst: &Gran, lo: i64, hi: i64) -> Option<(
     v
 }
 
-/// Options for [`propagate_with`].
-#[derive(Clone, Debug)]
-pub struct PropagateOptions {
-    /// Always include the primitive `second` group, so second-level windows
-    /// are available even when no explicit TCG uses seconds. Default: true.
-    pub include_seconds: bool,
-    /// Safety cap on propagation iterations (the algorithm terminates on
-    /// its own; Theorem 2 bounds iterations by `n²·|M|·w`). Default: 100000.
-    pub max_iterations: usize,
-}
-
-impl Default for PropagateOptions {
-    fn default() -> Self {
-        PropagateOptions {
-            include_seconds: true,
-            max_iterations: 100_000,
-        }
-    }
-}
+/// Safety cap on propagation iterations (the algorithm terminates on its
+/// own; Theorem 2 bounds iterations by `n²·|M|·w`).
+const MAX_ITERATIONS: usize = 100_000;
 
 /// Result of approximate propagation: per-granularity minimal tick-distance
 /// networks, or a refutation.
@@ -149,7 +133,8 @@ impl Propagated {
     }
 
     /// The derived window on `t_j − t_i` in seconds (from the primitive
-    /// group), or `None` if refuted or the seconds group is absent.
+    /// `second` group, which propagation always adds), or `None` if the
+    /// structure was refuted.
     pub fn seconds_window(&self, i: VarId, j: VarId) -> Option<Range> {
         let sec = self.grans.iter().find(|g| g.name() == "second")?;
         self.range(&sec.clone(), i, j)
@@ -224,7 +209,7 @@ impl Propagated {
     }
 }
 
-/// Runs approximate propagation with default options.
+/// Runs approximate propagation (paper §3.2).
 ///
 /// ```
 /// use tgm_core::{propagate::propagate, StructureBuilder, Tcg};
@@ -242,39 +227,28 @@ impl Propagated {
 /// assert!(!propagate(&s).is_consistent());
 /// ```
 pub fn propagate(s: &EventStructure) -> Propagated {
-    propagate_with(s, &PropagateOptions::default())
-}
-
-/// Runs approximate propagation (paper §3.2).
-pub fn propagate_with(s: &EventStructure, opts: &PropagateOptions) -> Propagated {
-    match propagate_core(s, opts, None) {
+    match propagate_core(s, None) {
         Ok(p) => p,
         // Unreachable: without limits nothing interrupts the fixpoint.
         Err(i) => unreachable!("unlimited propagation interrupted: {i}"),
     }
 }
 
-/// [`propagate_with`] under [`Limits`]: the fixpoint loop polls
-/// cancellation and the deadline per conversion pass and returns `Err`
-/// when interrupted (propagation has no meaningful partial result — a
-/// half-tightened network is not sound to read). With [`Limits::none`]
-/// behaves exactly like [`propagate_with`].
-pub fn propagate_bounded(
-    s: &EventStructure,
-    opts: &PropagateOptions,
-    limits: &Limits,
-) -> Result<Propagated, Interrupt> {
-    propagate_core(s, opts, Some(limits))
+/// [`propagate`] under [`Limits`]: the fixpoint loop polls cancellation
+/// and the deadline per conversion pass and returns `Err` when interrupted
+/// (propagation has no meaningful partial result — a half-tightened
+/// network is not sound to read). With [`Limits::none`] behaves exactly
+/// like [`propagate`].
+pub fn propagate_bounded(s: &EventStructure, limits: &Limits) -> Result<Propagated, Interrupt> {
+    propagate_core(s, Some(limits))
 }
 
-fn propagate_core(
-    s: &EventStructure,
-    opts: &PropagateOptions,
-    limits: Option<&Limits>,
-) -> Result<Propagated, Interrupt> {
+fn propagate_core(s: &EventStructure, limits: Option<&Limits>) -> Result<Propagated, Interrupt> {
     let n = s.len();
     let mut grans = s.granularities();
-    if opts.include_seconds && !grans.iter().any(|g| g.name() == "second") {
+    // Always include the primitive `second` group, so second-level windows
+    // are available even when no explicit TCG uses seconds.
+    if !grans.iter().any(|g| g.name() == "second") {
         // The shared handle keeps one warm size table and compiled table
         // across every propagation call instead of rebuilding them here.
         // Invariant: the standard calendar always defines `second`.
@@ -418,7 +392,7 @@ fn propagate_core(
                 }
             }
         }
-        if !changed || iterations >= opts.max_iterations {
+        if !changed || iterations >= MAX_ITERATIONS {
             break;
         }
     }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tgm_core::exact::{check_bounded, ExactError, ExactOptions};
 use tgm_core::reductions::{subset_sum_options, subset_sum_structure};
 use tgm_core::{StructureBuilder, Tcg};
-use tgm_core::propagate::{propagate_bounded, PropagateOptions};
+use tgm_core::propagate::propagate_bounded;
 use tgm_granularity::{Calendar, Gran};
 use tgm_limits::{CancelToken, Limits};
 
@@ -57,15 +57,10 @@ proptest! {
 
         // Unlimited, budget-capped, and expired-deadline bounded runs must
         // all come back with a value or a typed interrupt.
-        let _ = propagate_bounded(&s, &PropagateOptions::default(), &Limits::none());
+        let _ = propagate_bounded(&s, &Limits::none());
+        let _ = propagate_bounded(&s, &Limits::none().with_budget(budget));
         let _ = propagate_bounded(
             &s,
-            &PropagateOptions::default(),
-            &Limits::none().with_budget(budget),
-        );
-        let _ = propagate_bounded(
-            &s,
-            &PropagateOptions::default(),
             &Limits::none().with_deadline(Instant::now() - Duration::from_secs(1)),
         );
         let opts = ExactOptions::default();

@@ -145,7 +145,7 @@ impl From<Interrupt> for Verdict {
 /// string) and `site` names where it was caught.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// The named catch site, e.g. `"mining.sweep.worker"`.
+    /// The named catch site, e.g. `"pipeline.step5.worker"`.
     pub site: &'static str,
     /// The panic payload rendered as text (`"<non-string panic payload>"`
     /// when the payload was not a string).

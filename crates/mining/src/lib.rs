@@ -8,7 +8,9 @@
 //!
 //! * [`DiscoveryProblem`] — the problem statement.
 //! * [`naive`] — the paper's baseline: enumerate every candidate type, run
-//!   one TAG per reference occurrence. `O(nˢ · |σ_{E₀}| · T_tag)`.
+//!   one TAG per reference occurrence, on one thread.
+//!   `O(nˢ · |σ_{E₀}| · T_tag)`. It is the oracle of every pipeline ≡
+//!   naive test.
 //! * [`pipeline`] — the optimized procedure (§5 steps 1–5): consistency
 //!   screening by sound propagation, sequence reduction by granularity
 //!   coverage, reference-occurrence pruning by derived windows,
@@ -23,9 +25,10 @@
 //! Every miner also has a `*_bounded` entry point taking
 //! [`tgm_limits::Limits`]: a wall-clock deadline, a deterministic
 //! candidate budget, and a cooperative cancel token. Bounded runs return
-//! partial solutions with a [`tgm_limits::Verdict`], and parallel workers
-//! that panic are contained as typed [`tgm_limits::WorkerPanic`] errors
-//! after their siblings have been cancelled.
+//! partial solutions with a [`tgm_limits::Verdict`]. The pipeline's step-5
+//! workers are the only threads the miners start; one that panics is
+//! contained as a typed [`tgm_limits::WorkerPanic`] error after its
+//! siblings have been cancelled.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

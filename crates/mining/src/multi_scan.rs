@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use tgm_core::EventStructure;
 use tgm_events::{Event, TickColumns};
 use tgm_limits::{fail, CancelToken, Interrupt, Limits, WorkerPanic};
-use tgm_obs::span::span_if;
-use tgm_obs::ObsOptions;
+use tgm_obs::span::span;
 use tgm_tag::{MatchOptions, MatcherScratch, MultiMatcher, RunCtx, Tag, TagTemplate};
 
 use crate::bounded::contain;
@@ -60,14 +59,13 @@ impl TemplateCache {
 
 /// The miner's matcher configuration (anchored, lazy updates, saturating)
 /// applied to a whole candidate set.
-fn anchored_multi<'t>(tags: &'t [Tag], obs: ObsOptions) -> MultiMatcher<'t> {
+fn anchored_multi(tags: &[Tag]) -> MultiMatcher<'_> {
     MultiMatcher::with_options(
         tags.iter().collect(),
         MatchOptions::builder()
             .anchored(true)
             .strict_updates(false)
             .saturate(true)
-            .obs(obs)
             .build(),
     )
 }
@@ -177,7 +175,6 @@ pub(crate) fn count_supports(
     tags: &[Tag],
     input: &ScanInput<'_>,
     max_workers: usize,
-    obs: ObsOptions,
     limits: Option<&Limits>,
     token: Option<&CancelToken>,
 ) -> Result<Supports, WorkerPanic> {
@@ -211,8 +208,8 @@ pub(crate) fn count_supports(
     let run_unit = |&(_, chunk, refs): &(usize, &[Tag], &[usize])| -> UnitResult {
         contain(site, token, || {
             fail::point(site, limits);
-            let _s = span_if(obs.spans, site);
-            let mm = anchored_multi(chunk, obs);
+            let _s = span(site);
+            let mm = anchored_multi(chunk);
             let mut local = vec![0; chunk.len()];
             let mut runs = 0;
             let r = multi_count_support(
@@ -357,7 +354,6 @@ mod tests {
                             Some(input.cols),
                             &mut MatcherScratch::new(),
                             &mut oracle_runs,
-                            ObsOptions::default(),
                             None,
                         )
                         .unwrap()
@@ -369,7 +365,6 @@ mod tests {
                         tags,
                         &input,
                         max_workers,
-                        ObsOptions::default(),
                         None,
                         None,
                     )

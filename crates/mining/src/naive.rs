@@ -1,14 +1,16 @@
 //! The naive discovery algorithm (paper §5): enumerate every candidate
-//! complex type and start one TAG per reference occurrence.
+//! complex type and start one TAG per reference occurrence, on one
+//! thread, as the paper states it. It is the oracle every pipeline ≡
+//! naive test compares against.
 
 use tgm_core::ComplexEventType;
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
-use tgm_limits::{fail, CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
-use tgm_obs::span::span_if;
-use tgm_obs::{metrics, Observable, ObsOptions, ObsValue};
+use tgm_limits::{Interrupt, Limits, Verdict};
+use tgm_obs::span::span;
+use tgm_obs::{metrics, Observable, ObsValue};
 use tgm_tag::{build_tag, count_interrupt, MatchOptions, Matcher, MatcherScratch, RunCtx, Tag};
 
-use crate::bounded::{contain, BoundedMining, Halt};
+use crate::bounded::BoundedMining;
 use crate::problem::{DiscoveryProblem, Solution};
 
 /// Instrumentation from a naive run.
@@ -30,36 +32,10 @@ impl Observable for NaiveStats {
     }
 }
 
-/// Options for the naive algorithm (it has no screening steps to ablate —
-/// only the execution strategy of its anchored sweeps).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NaiveOptions {
-    /// Chunk each candidate's per-occurrence anchored sweep across worker
-    /// threads (one matcher scratch per worker). Off by default: the naive
-    /// baseline is traditionally measured single-threaded.
-    pub parallel_sweep: bool,
-    /// Per-run observability knobs (effective only while the process-wide
-    /// toggle is on).
-    pub obs: ObsOptions,
-}
-
-/// Runs the naive algorithm single-threaded.
+/// Runs the naive algorithm.
 pub fn mine(problem: &DiscoveryProblem, seq: &EventSequence) -> (Vec<Solution>, NaiveStats) {
-    mine_with(problem, seq, &NaiveOptions::default())
-}
-
-/// Runs the naive algorithm with explicit options.
-pub fn mine_with(
-    problem: &DiscoveryProblem,
-    seq: &EventSequence,
-    opts: &NaiveOptions,
-) -> (Vec<Solution>, NaiveStats) {
-    match mine_core(problem, seq, opts, None) {
-        Ok(run) => (run.solutions, run.stats),
-        // Without limits there is no cooperative recovery path: re-raise
-        // the contained worker panic as our own.
-        Err(wp) => panic!("{wp}"),
-    }
+    let run = mine_core(problem, seq, None);
+    (run.solutions, run.stats)
 }
 
 /// Runs the naive algorithm under execution [`Limits`].
@@ -68,67 +44,51 @@ pub fn mine_with(
 /// the same input and budget always stop at the same candidate); the
 /// deadline and cancel token are additionally polled between anchored runs
 /// and inside each matcher run. Solutions found before the interrupt are
-/// returned with [`Verdict::Interrupted`]. A panic in a parallel sweep
-/// worker cancels its siblings and surfaces as [`WorkerPanic`].
+/// returned with [`Verdict::Interrupted`].
 pub fn mine_bounded(
     problem: &DiscoveryProblem,
     seq: &EventSequence,
-    opts: &NaiveOptions,
     limits: &Limits,
-) -> Result<BoundedMining<NaiveStats>, WorkerPanic> {
-    mine_core(problem, seq, opts, Some(limits))
+) -> BoundedMining<NaiveStats> {
+    mine_core(problem, seq, Some(limits))
 }
 
 fn mine_core(
     problem: &DiscoveryProblem,
     seq: &EventSequence,
-    opts: &NaiveOptions,
     limits: Option<&Limits>,
-) -> Result<BoundedMining<NaiveStats>, WorkerPanic> {
-    let _span = span_if(opts.obs.spans, "mining.naive");
-    let result = mine_inner(problem, seq, opts, limits);
-    if opts.obs.metrics_on() {
-        match &result {
-            Ok(run) => {
-                metrics::counter_add("mining.naive.runs", 1);
-                metrics::counter_add("mining.naive.candidates", run.stats.candidates as u64);
-                metrics::counter_add("mining.naive.tag_runs", run.stats.tag_runs as u64);
-                metrics::counter_add("mining.naive.solutions", run.stats.solutions as u64);
-                if let Some(i) = run.verdict.interrupt() {
-                    count_interrupt(i);
-                }
-            }
-            Err(_) => metrics::counter_add("limits.worker_panics", 1),
+) -> BoundedMining<NaiveStats> {
+    let _span = span("mining.naive");
+    let run = mine_inner(problem, seq, limits);
+    if tgm_obs::enabled() {
+        metrics::counter_add("mining.naive.runs", 1);
+        metrics::counter_add("mining.naive.candidates", run.stats.candidates as u64);
+        metrics::counter_add("mining.naive.tag_runs", run.stats.tag_runs as u64);
+        metrics::counter_add("mining.naive.solutions", run.stats.solutions as u64);
+        if let Some(i) = run.verdict.interrupt() {
+            count_interrupt(i);
         }
     }
-    result
+    run
 }
 
 fn mine_inner(
     problem: &DiscoveryProblem,
     seq: &EventSequence,
-    opts: &NaiveOptions,
     limits: Option<&Limits>,
-) -> Result<BoundedMining<NaiveStats>, WorkerPanic> {
+) -> BoundedMining<NaiveStats> {
     let mut stats = NaiveStats::default();
-    let done = |solutions, stats, verdict| {
-        Ok(BoundedMining {
-            solutions,
-            stats,
-            verdict,
-        })
-    };
     let denominator = problem.reference_count(seq);
     if denominator == 0 {
-        return done(Vec::new(), stats, Verdict::Completed);
+        return BoundedMining {
+            solutions: Vec::new(),
+            stats,
+            verdict: Verdict::Completed,
+        };
     }
-    // A worker panic must be able to cancel its siblings even when the
-    // caller supplied no token, so attach one up front; matcher-level runs
-    // get the budget stripped (the budget unit here is candidates, not
-    // frontier rows).
-    let mut eff = limits.cloned();
-    let token = eff.as_mut().map(Limits::cancel_token);
-    let run_limits = eff.as_ref().map(|l| l.clone().without_budget());
+    // Matcher-level runs get the budget stripped (the budget unit here is
+    // candidates, not frontier rows).
+    let run_limits = limits.map(|l| l.clone().without_budget());
     let occurring = seq.types_present();
     let refs: Vec<usize> = seq
         .events()
@@ -142,19 +102,8 @@ fn mine_inner(
     // resolve each event's ticks once, up front, for all of them.
     let cols = TickColumns::build(seq.events(), &problem.structure.granularities());
 
-    let n_threads = if opts.parallel_sweep {
-        // At least two workers, so the option exercises the parallel path
-        // (and its panic containment) even on single-core hosts.
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .max(2)
-    } else {
-        1
-    };
     let mut solutions = Vec::new();
     let mut verdict = Verdict::Completed;
-    let mut worker_panic: Option<WorkerPanic> = None;
     // One scratch reused across every candidate's every anchored run.
     let mut scratch = MatcherScratch::new();
     let mut assignment: Vec<EventType> = vec![problem.reference_type; problem.structure.len()];
@@ -162,7 +111,7 @@ fn mine_inner(
         if !problem.assignment_admissible(phi) {
             return true;
         }
-        if let Some(l) = eff.as_ref() {
+        if let Some(l) = limits {
             // Budget unit: candidates processed (this would be the
             // `candidates + 1`-th).
             if let Err(i) = l.check_with_used(stats.candidates as u64 + 1) {
@@ -173,48 +122,21 @@ fn mine_inner(
         stats.candidates += 1;
         let cet = ComplexEventType::new(problem.structure.clone(), phi.to_vec());
         let tag = build_tag(&cet);
-        let support = if n_threads > 1 {
-            let swept = count_support_sweep(
-                &tag,
-                seq.events(),
-                &refs,
-                None,
-                Some(&cols),
-                n_threads,
-                &mut stats.tag_runs,
-                opts.obs,
-                run_limits.as_ref(),
-                token.as_ref(),
-            );
-            match swept {
-                Ok(s) => s,
-                Err(Halt::Interrupted(i)) => {
-                    verdict = i.into();
-                    return false;
-                }
-                Err(Halt::Panicked(wp)) => {
-                    worker_panic = Some(wp);
-                    return false;
-                }
-            }
-        } else {
-            let counted = count_support(
-                &tag,
-                seq.events(),
-                &refs,
-                None,
-                Some(&cols),
-                &mut scratch,
-                &mut stats.tag_runs,
-                opts.obs,
-                run_limits.as_ref(),
-            );
-            match counted {
-                Ok(s) => s,
-                Err(i) => {
-                    verdict = i.into();
-                    return false;
-                }
+        let counted = count_support(
+            &tag,
+            seq.events(),
+            &refs,
+            None,
+            Some(&cols),
+            &mut scratch,
+            &mut stats.tag_runs,
+            run_limits.as_ref(),
+        );
+        let support = match counted {
+            Ok(s) => s,
+            Err(i) => {
+                verdict = i.into();
+                return false;
             }
         };
         let frequency = support as f64 / denominator as f64;
@@ -227,12 +149,13 @@ fn mine_inner(
         }
         true
     });
-    if let Some(wp) = worker_panic {
-        return Err(wp);
-    }
     stats.solutions = solutions.len();
     solutions.sort_by(|a, b| a.assignment.cmp(&b.assignment));
-    done(solutions, stats, verdict)
+    BoundedMining {
+        solutions,
+        stats,
+        verdict,
+    }
 }
 
 /// Recursively enumerates candidate assignments (root fixed to `E₀`);
@@ -260,16 +183,13 @@ fn enumerate(
 }
 
 /// The miner's matcher configuration: anchored, lazy updates, saturating.
-/// Matcher-level emission (frontier histogram, dedup hits, pool high-water)
-/// inherits the mining caller's obs knobs.
-fn anchored_matcher(tag: &Tag, obs: ObsOptions) -> Matcher<'_> {
+fn anchored_matcher(tag: &Tag) -> Matcher<'_> {
     Matcher::with_options(
         tag,
         MatchOptions::builder()
             .anchored(true)
             .strict_updates(false)
             .saturate(true)
-            .obs(obs)
             .build(),
     )
 }
@@ -292,25 +212,9 @@ pub(crate) fn count_support(
     cols: Option<&TickColumns>,
     scratch: &mut MatcherScratch,
     tag_runs: &mut usize,
-    obs: ObsOptions,
     limits: Option<&Limits>,
 ) -> Result<usize, Interrupt> {
-    let matcher = anchored_matcher(tag, obs);
-    count_refs(&matcher, events, refs, window, cols, scratch, tag_runs, limits)
-}
-
-/// The inner anchored sweep over one slice of reference occurrences.
-#[allow(clippy::too_many_arguments)]
-fn count_refs(
-    matcher: &Matcher<'_>,
-    events: &[Event],
-    refs: &[usize],
-    window: Option<i64>,
-    cols: Option<&TickColumns>,
-    scratch: &mut MatcherScratch,
-    tag_runs: &mut usize,
-    limits: Option<&Limits>,
-) -> Result<usize, Interrupt> {
+    let matcher = anchored_matcher(tag);
     let mut support = 0;
     for &idx in refs {
         if let Some(l) = limits {
@@ -333,133 +237,6 @@ fn count_refs(
         if matcher.run_in(slice, true, &mut ctx).acceptance()? {
             support += 1;
         }
-    }
-    Ok(support)
-}
-
-/// [`count_support`] with the anchor start positions chunked across up to
-/// `n_threads` workers (one scratch per worker): parallelism *inside* one
-/// candidate, for when there are fewer candidates than cores. Each
-/// reference occurrence is an independent anchored run, so the support sum
-/// is identical to the serial sweep in any chunking. A panic in one
-/// worker cancels `token` (stopping siblings at their next poll) and
-/// surfaces as [`Halt::Panicked`]; the first panic wins over any
-/// interrupt, since cancellation interrupts in siblings are a side effect
-/// of the panic itself.
-#[allow(clippy::too_many_arguments)]
-fn count_support_sweep(
-    tag: &Tag,
-    events: &[Event],
-    refs: &[usize],
-    window: Option<i64>,
-    cols: Option<&TickColumns>,
-    n_threads: usize,
-    tag_runs: &mut usize,
-    obs: ObsOptions,
-    limits: Option<&Limits>,
-    token: Option<&CancelToken>,
-) -> Result<usize, Halt> {
-    let n_threads = n_threads.min(refs.len());
-    if n_threads <= 1 {
-        let counted = count_support(
-            tag,
-            events,
-            refs,
-            window,
-            cols,
-            &mut MatcherScratch::new(),
-            tag_runs,
-            obs,
-            limits,
-        );
-        return counted.map_err(Halt::from);
-    }
-    let matcher = anchored_matcher(tag, obs);
-    let matcher = &matcher;
-    const SITE: &str = "mining.sweep.worker";
-    let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-        if let Some(t) = token {
-            t.cancel();
-        }
-        WorkerPanic {
-            site: SITE,
-            message: tgm_limits::panic_message(payload),
-        }
-    };
-    type ChunkResult = Result<Result<(usize, usize), Interrupt>, WorkerPanic>;
-    // Workers are fresh threads with an empty scope stack: hand them the
-    // caller's current scoped metric domain so their emissions (and any
-    // contained-panic flush) land where the caller's would.
-    let worker_scope = tgm_obs::scope::current();
-    let joined: Vec<ChunkResult> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = refs
-                .chunks(refs.len().div_ceil(n_threads))
-                .map(|chunk| {
-                    let worker_scope = worker_scope.clone();
-                    scope.spawn(move |_| {
-                        let _obs_scope = worker_scope.enter();
-                        contain(SITE, token, || {
-                            fail::point(SITE, limits);
-                            // Per-chunk timing; the chunk-size histogram
-                            // shows how evenly the anchors split across
-                            // workers.
-                            let _s = span_if(obs.spans, "mining.sweep.chunk");
-                            if obs.metrics_on() {
-                                metrics::histogram_record(
-                                    "mining.sweep.chunk_refs",
-                                    chunk.len() as u64,
-                                );
-                            }
-                            let mut scratch = MatcherScratch::new();
-                            let mut runs = 0usize;
-                            count_refs(
-                                matcher,
-                                events,
-                                chunk,
-                                window,
-                                cols,
-                                &mut scratch,
-                                &mut runs,
-                                limits,
-                            )
-                            .map(|support| (support, runs))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                .collect()
-        })
-        .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-    if obs.metrics_on() {
-        metrics::counter_add("mining.sweep.chunks", joined.len() as u64);
-    }
-    let mut support = 0;
-    let mut first_interrupt: Option<Interrupt> = None;
-    let mut first_panic: Option<WorkerPanic> = None;
-    for r in joined {
-        match r {
-            Ok(Ok((s, runs))) => {
-                support += s;
-                *tag_runs += runs;
-            }
-            Ok(Err(i)) => {
-                first_interrupt.get_or_insert(i);
-            }
-            Err(wp) => {
-                if first_panic.is_none() {
-                    first_panic = Some(wp);
-                }
-            }
-        }
-    }
-    if let Some(wp) = first_panic {
-        return Err(Halt::Panicked(wp));
-    }
-    if let Some(i) = first_interrupt {
-        return Err(Halt::Interrupted(i));
     }
     Ok(support)
 }

@@ -22,13 +22,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tgm_core::propagate::{propagate, propagate_bounded, PropagateOptions, Propagated};
+use tgm_core::propagate::{propagate, propagate_bounded, Propagated};
 use tgm_core::{EventStructure, Tcg, VarId};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
 use tgm_granularity::Granularity as _;
 use tgm_limits::{CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
-use tgm_obs::span::span_if;
-use tgm_obs::{metrics, FunnelStage, ObsOptions, ObsValue, Observable};
+use tgm_obs::span::span;
+use tgm_obs::{metrics, FunnelStage, ObsValue, Observable};
 use tgm_stp::INF;
 use tgm_tag::{count_interrupt, Tag};
 
@@ -64,11 +64,6 @@ pub struct PipelineOptions {
     pub chain_screening_k: usize,
     /// Step 5: bound each anchored scan by the derived window.
     pub window_limit: bool,
-    /// Observability knobs for this pipeline run (per-step spans and
-    /// funnel counters). Nothing is emitted unless the process-wide
-    /// [`tgm_obs::set_enabled`] toggle is also on; instrumentation never
-    /// changes results (differentially tested).
-    pub obs: ObsOptions,
 }
 
 impl Default for PipelineOptions {
@@ -81,7 +76,6 @@ impl Default for PipelineOptions {
             pair_screening: false,
             chain_screening_k: 0,
             window_limit: true,
-            obs: ObsOptions::default(),
         }
     }
 }
@@ -149,12 +143,6 @@ impl PipelineOptionsBuilder {
     /// Sets the step 5 window limit.
     pub fn window_limit(mut self, on: bool) -> Self {
         self.0.window_limit = on;
-        self
-    }
-
-    /// Sets the observability knobs.
-    pub fn obs(mut self, obs: ObsOptions) -> Self {
-        self.0.obs = obs;
         self
     }
 
@@ -340,7 +328,7 @@ fn mine_core(
     opts: &PipelineOptions,
     limits: Option<&Limits>,
 ) -> Result<BoundedMining<PipelineStats>, WorkerPanic> {
-    let _span = span_if(opts.obs.spans, "pipeline");
+    let _span = span("pipeline");
     let mut stats = PipelineStats {
         events_total: seq.len(),
         ..PipelineStats::default()
@@ -355,7 +343,7 @@ fn mine_core(
         stats,
         verdict,
     });
-    if opts.obs.metrics_on() {
+    if tgm_obs::enabled() {
         match &result {
             Ok(run) => {
                 let stats = &run.stats;
@@ -581,10 +569,10 @@ fn mine_inner(
 /// Step 1: the sound propagation of §3.2, which refutes an inconsistent
 /// structure and derives the windows and TCGs steps 3–5 use.
 fn consistency(ctx: &Ctx<'_>) -> Result<Propagated, Interrupt> {
-    let _s = span_if(ctx.opts.obs.spans, "pipeline.step1.consistency");
+    let _s = span("pipeline.step1.consistency");
     let s = &ctx.problem.structure;
     match ctx.run_limits {
-        Some(l) => propagate_bounded(s, &PropagateOptions::default(), l),
+        Some(l) => propagate_bounded(s, l),
         None => Ok(propagate(s)),
     }
 }
@@ -654,7 +642,7 @@ fn reduce_sequence(
     let mut masks = Vec::new();
     let mut rows = Vec::new();
     {
-        let _s = span_if(ctx.opts.obs.spans, "pipeline.step2.sequence_reduction");
+        let _s = span("pipeline.step2.sequence_reduction");
         for (row, e) in seq.events().iter().enumerate() {
             if row & 1023 == 0 {
                 ctx.check()?;
@@ -693,7 +681,7 @@ fn screen_references(
     bounds: &RootBounds,
     candidates: &mut [Vec<EventType>],
 ) -> Result<Vec<usize>, Interrupt> {
-    let _s = span_if(ctx.opts.obs.spans, "pipeline.step3_4.screening");
+    let _s = span("pipeline.step3_4.screening");
     let (opts, s) = (ctx.opts, &ctx.problem.structure);
     let mut kept_refs: Vec<usize> = Vec::new();
     let mut var_type_support: BTreeMap<(VarId, EventType), usize> = BTreeMap::new();
@@ -745,7 +733,7 @@ fn pair_screening(
     kept_refs: &[usize],
     candidates: &[Vec<EventType>],
 ) -> Result<BannedPairs, Interrupt> {
-    let _s = span_if(ctx.opts.obs.spans, "pipeline.step4.pair_screening");
+    let _s = span("pipeline.step4.pair_screening");
     let s = &ctx.problem.structure;
     let chain_pairs: Vec<(VarId, VarId)> = s
         .vars()
@@ -804,7 +792,7 @@ fn chain_screening(
     if ctx.opts.chain_screening_k < 2 {
         return Ok(banned_tuples);
     }
-    let _s = span_if(ctx.opts.obs.spans, "pipeline.step4.chain_screening");
+    let _s = span("pipeline.step4.chain_screening");
     let (problem, s) = (ctx.problem, &ctx.problem.structure);
     // Enumerate root-to-sink paths, then in-order sub-sequences of
     // non-root variables of each length k.
@@ -850,7 +838,6 @@ fn chain_screening(
                     &tags,
                     input,
                     ctx.workers,
-                    ctx.opts.obs,
                     ctx.run_limits,
                     ctx.token,
                 )?;
@@ -888,7 +875,7 @@ fn final_scan(
     templates: &mut TemplateCache,
     stats: &mut PipelineStats,
 ) -> Result<(Vec<Solution>, Verdict), WorkerPanic> {
-    let _s5 = span_if(ctx.opts.obs.spans, "pipeline.step5.scan");
+    let _s5 = span("pipeline.step5.scan");
     let (problem, s) = (ctx.problem, &ctx.problem.structure);
     let mut assignments: Vec<Vec<EventType>> = Vec::new();
     let mut cur = vec![problem.reference_type; s.len()];
@@ -930,7 +917,6 @@ fn final_scan(
         &tags,
         input,
         ctx.workers,
-        ctx.opts.obs,
         ctx.run_limits,
         ctx.token,
     )?;
@@ -1138,7 +1124,6 @@ mod tests {
                 pair_screening: bits & 16 != 0,
                 chain_screening_k: if bits & 64 != 0 { 2 } else { 0 },
                 window_limit: bits & 32 != 0,
-                obs: ObsOptions::default(),
             };
             let (sols, _) = mine_with(&p, &seq, &opts);
             assert_eq!(sols, reference, "ablation {bits:08b} changed results");

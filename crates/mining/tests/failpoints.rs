@@ -15,7 +15,7 @@ use tgm_core::{StructureBuilder, Tcg};
 use tgm_events::{Event, EventSequence, EventType};
 use tgm_granularity::Calendar;
 use tgm_limits::{fail, CancelToken, Interrupt, Limits, Verdict};
-use tgm_mining::{naive, pipeline, DiscoveryProblem};
+use tgm_mining::{pipeline, DiscoveryProblem};
 
 const DAY: i64 = 86_400;
 static GUARD: Mutex<()> = Mutex::new(());
@@ -76,27 +76,6 @@ fn step5_worker_panic_is_contained_and_cancels_siblings() {
         token.is_cancelled(),
         "the caller's token must be cancelled so siblings stop"
     );
-}
-
-#[test]
-fn sweep_worker_panic_is_contained_and_cancels_siblings() {
-    let _armed = Armed::lock();
-    let (problem, seq) = fixture();
-    fail::set(
-        "mining.sweep.worker",
-        fail::Action::PanicOnce("injected".into()),
-    );
-    let token = CancelToken::new();
-    let limits = Limits::none().with_cancel(token.clone());
-    let opts = naive::NaiveOptions {
-        parallel_sweep: true,
-        ..Default::default()
-    };
-    let err = naive::mine_bounded(&problem, &seq, &opts, &limits)
-        .expect_err("the injected panic must surface as a typed error");
-    assert_eq!(err.site, "mining.sweep.worker");
-    assert!(err.message.contains("injected"));
-    assert!(token.is_cancelled());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Bounded-mining differential tests: `mine_bounded` with [`Limits::none`]
-//! is bit-identical to `mine_with`; tight budgets scan exactly the budgeted
+//! is bit-identical to the unbounded run; tight budgets scan exactly the budgeted
 //! prefix of step-5 assignments; and expired deadlines or cancelled tokens
 //! return typed partial results instead of panicking or hanging.
 
@@ -49,18 +49,11 @@ fn pipeline_none_limits_bit_identical() {
 #[test]
 fn naive_none_limits_bit_identical() {
     let (problem, seq) = fixture();
-    let none = Limits::none();
-    for parallel_sweep in [false, true] {
-        let opts = naive::NaiveOptions {
-            parallel_sweep,
-            ..Default::default()
-        };
-        let (free_sols, free_stats) = naive::mine_with(&problem, &seq, &opts);
-        let run = naive::mine_bounded(&problem, &seq, &opts, &none).expect("no worker panic");
-        assert_eq!(run.verdict, Verdict::Completed);
-        assert_eq!(run.solutions, free_sols, "parallel_sweep={parallel_sweep}");
-        assert_eq!(run.stats, free_stats, "parallel_sweep={parallel_sweep}");
-    }
+    let (free_sols, free_stats) = naive::mine(&problem, &seq);
+    let run = naive::mine_bounded(&problem, &seq, &Limits::none());
+    assert_eq!(run.verdict, Verdict::Completed);
+    assert_eq!(run.solutions, free_sols);
+    assert_eq!(run.stats, free_stats);
 }
 
 #[test]
@@ -116,10 +109,9 @@ fn step5_workers_bounded_by_the_budgeted_prefix() {
 #[test]
 fn naive_budget_deterministic() {
     let (problem, seq) = fixture();
-    let opts = naive::NaiveOptions::default();
     let limits = Limits::none().with_budget(3);
-    let a = naive::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
-    let b = naive::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
+    let a = naive::mine_bounded(&problem, &seq, &limits);
+    let b = naive::mine_bounded(&problem, &seq, &limits);
     assert_eq!(a.verdict, Verdict::Interrupted(Interrupt::BudgetExhausted));
     assert_eq!(a.stats.candidates, 3, "exactly the budgeted candidates run");
     assert_eq!(a.solutions, b.solutions);
@@ -134,8 +126,7 @@ fn expired_deadline_returns_partial_not_panic() {
     let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
     assert!(run.solutions.is_empty(), "nothing can finish past the deadline");
-    let run = naive::mine_bounded(&problem, &seq, &naive::NaiveOptions::default(), &limits)
-        .unwrap();
+    let run = naive::mine_bounded(&problem, &seq, &limits);
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::DeadlineExceeded));
 }
 
@@ -148,16 +139,7 @@ fn cancellation_stops_all_paths() {
     let opts = pipeline::PipelineOptions::default();
     let run = pipeline::mine_bounded(&problem, &seq, &opts, &limits).unwrap();
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled));
-    let run = naive::mine_bounded(
-        &problem,
-        &seq,
-        &naive::NaiveOptions {
-            parallel_sweep: true,
-            ..Default::default()
-        },
-        &limits,
-    )
-    .unwrap();
+    let run = naive::mine_bounded(&problem, &seq, &limits);
     assert_eq!(run.verdict, Verdict::Interrupted(Interrupt::Cancelled));
 }
 
@@ -215,8 +197,7 @@ fn tiny_deadline_on_wide_problem_returns_quickly() {
     let problem = DiscoveryProblem::new(s, 0.0, EventType(0));
     let limits = Limits::none().with_timeout(Duration::from_millis(5));
     let started = Instant::now();
-    let run = naive::mine_bounded(&problem, &seq, &naive::NaiveOptions::default(), &limits)
-        .unwrap();
+    let run = naive::mine_bounded(&problem, &seq, &limits);
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "bounded run must not run the full enumeration"

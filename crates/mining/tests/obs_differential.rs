@@ -1,15 +1,14 @@
 //! Differential tests for mining observability: enabling the process-wide
-//! obs toggle (or flipping the per-run `ObsOptions` knobs) must not change
+//! obs switch (or routing emission through a scope) must not change
 //! solutions or stats, for the naive miner and for the pipeline.
 
 use parking_lot::Mutex;
 use tgm_core::{StructureBuilder, Tcg};
 use tgm_events::{Event, EventSequence, TypeRegistry};
 use tgm_granularity::Calendar;
-use tgm_mining::naive::{self, NaiveOptions};
+use tgm_mining::naive;
 use tgm_mining::pipeline::{self, PipelineOptions, PipelineStats};
 use tgm_mining::{DiscoveryProblem, Solution};
-use tgm_obs::ObsOptions;
 
 /// Serializes tests that toggle the process-wide obs flag.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -46,20 +45,20 @@ fn world() -> (EventSequence, DiscoveryProblem) {
     (seq, DiscoveryProblem::new(s, 0.4, a))
 }
 
-fn run(obs: ObsOptions) -> (Vec<Solution>, PipelineStats) {
+fn run() -> (Vec<Solution>, PipelineStats) {
     let (seq, p) = world();
-    pipeline::mine_with(&p, &seq, &PipelineOptions::builder().obs(obs).build())
+    pipeline::mine_with(&p, &seq, &PipelineOptions::default())
 }
 
 #[test]
 fn pipeline_results_identical_with_obs_on_and_off() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let baseline = run(ObsOptions::default());
+    let baseline = run();
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let observed = run(ObsOptions::default());
+    let observed = run();
     let metrics = tgm_obs::metrics::snapshot();
     let spans = tgm_obs::span::snapshot();
     tgm_obs::set_enabled(false);
@@ -91,7 +90,7 @@ fn pipeline_results_identical_with_obs_on_and_off() {
 fn scoped_pipeline_results_identical_and_contained() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let baseline = run(ObsOptions::default());
+    let baseline = run();
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
@@ -99,7 +98,7 @@ fn scoped_pipeline_results_identical_and_contained() {
     let mut exporter = tgm_obs::Exporter::new(scope.clone());
     let (observed, frame) = {
         let _in = scope.enter();
-        let out = run(ObsOptions::default());
+        let out = run();
         (out, exporter.frame())
     };
     let default_metrics = tgm_obs::metrics::snapshot();
@@ -128,48 +127,20 @@ fn scoped_pipeline_results_identical_and_contained() {
 fn naive_results_identical_with_obs_on_and_off() {
     let _guard = TEST_LOCK.lock();
     let (seq, p) = world();
-    let modes = [
-        NaiveOptions::default(),
-        NaiveOptions {
-            parallel_sweep: true,
-            ..Default::default()
-        },
-    ];
 
     tgm_obs::set_enabled(false);
-    let baseline: Vec<_> = modes.iter().map(|o| naive::mine_with(&p, &seq, o)).collect();
+    let baseline = naive::mine(&p, &seq);
 
     tgm_obs::set_enabled(true);
     tgm_obs::reset();
-    let observed: Vec<_> = modes.iter().map(|o| naive::mine_with(&p, &seq, o)).collect();
-    let metrics = tgm_obs::metrics::snapshot();
-    tgm_obs::set_enabled(false);
-
-    assert_eq!(baseline, observed);
-    assert_eq!(metrics.counter("mining.naive.runs"), 2);
-    assert!(metrics.counter("mining.naive.tag_runs") > 0);
-    tgm_obs::reset();
-}
-
-/// The per-run `silent()` knob suppresses emission even with the global
-/// toggle on, without changing results.
-#[test]
-fn silent_knob_suppresses_pipeline_emission() {
-    let _guard = TEST_LOCK.lock();
-    tgm_obs::set_enabled(false);
-    let baseline = run(ObsOptions::default());
-
-    tgm_obs::set_enabled(true);
-    tgm_obs::reset();
-    let quiet = run(ObsOptions::silent());
+    let observed = naive::mine(&p, &seq);
     let metrics = tgm_obs::metrics::snapshot();
     let spans = tgm_obs::span::snapshot();
     tgm_obs::set_enabled(false);
 
-    assert_eq!(baseline, quiet);
-    assert_eq!(metrics.counter("mining.pipeline.runs"), 0);
-    assert_eq!(metrics.counter("tag.matcher.runs"), 0);
-    assert_eq!(metrics.counter("tag.multi.runs"), 0);
-    assert!(spans.get("pipeline").is_none());
+    assert_eq!(baseline, observed);
+    assert_eq!(metrics.counter("mining.naive.runs"), 1);
+    assert!(spans.get("mining.naive").is_some());
+    assert!(metrics.counter("mining.naive.tag_runs") > 0);
     tgm_obs::reset();
 }

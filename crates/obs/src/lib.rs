@@ -11,14 +11,14 @@
 //!
 //! # Design
 //!
-//! - **Off by default.** A process-wide [`set_enabled`] toggle; when off,
-//!   every instrumentation call is a single relaxed atomic load. Per-call-site
-//!   granularity comes from [`ObsOptions`] embedded in the matcher's and
-//!   pipeline's option structs.
+//! - **Off by default.** One process-wide [`set_enabled`] switch decides
+//!   whether anything is recorded; when off, every instrumentation call is
+//!   a single relaxed atomic load. Where the data goes is decided by the
+//!   calling thread's [`ObsScope`], not by the call site.
 //! - **Spans** ([`span`](mod@span)) are RAII guards over monotonic clocks.
 //!   Completed spans aggregate in a thread-local buffer that flushes to
 //!   the global registry when the thread's span stack unwinds to depth
-//!   zero (or on thread exit), so parallel sweep workers never contend on
+//!   zero (or on thread exit), so parallel step-5 workers never contend on
 //!   a lock mid-measurement.
 //! - **Metrics** ([`metrics`]) are named [`u64`] counters and
 //!   base-2 log-scale histograms behind sharded `parking_lot` mutexes.
@@ -101,50 +101,6 @@ pub fn enabled() -> bool {
 pub fn reset() {
     span::reset();
     metrics::reset();
-}
-
-/// Per-call-site observability knobs, embedded in `MatchOptions` and
-/// `PipelineOptions` so one layer can be silenced without flipping the
-/// process-wide toggle.
-///
-/// Both knobs default to on; nothing is emitted anywhere unless the
-/// process-wide [`set_enabled`] switch is also on. Instrumented code
-/// treats the effective setting as `obs::enabled() && opts.obs.<kind>`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// Emit counters and histograms from this call site.
-    pub metrics: bool,
-    /// Record timing spans from this call site.
-    pub spans: bool,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            metrics: true,
-            spans: true,
-        }
-    }
-}
-
-impl ObsOptions {
-    /// Both knobs off; handy for silencing one layer in ablations.
-    pub fn silent() -> Self {
-        ObsOptions {
-            metrics: false,
-            spans: false,
-        }
-    }
-
-    /// Effective metric emission: the knob AND the process-wide toggle.
-    pub fn metrics_on(&self) -> bool {
-        self.metrics && enabled()
-    }
-
-    /// Effective span recording: the knob AND the process-wide toggle.
-    pub fn spans_on(&self) -> bool {
-        self.spans && enabled()
-    }
 }
 
 /// Starts a named timing span; returns the RAII guard.

@@ -1,7 +1,7 @@
 //! Named counters and base-2 log-scale histograms.
 //!
 //! Metric storage is sharded by name hash across a fixed set of
-//! `parking_lot` mutexes, so concurrent sweep workers emitting different
+//! `parking_lot` mutexes, so concurrent step-5 workers emitting different
 //! metrics rarely contend. Each shard holds flat name-keyed vectors (the
 //! workspace uses a few dozen metric names; a linear probe beats hashing
 //! and `Vec::new` is `const`).

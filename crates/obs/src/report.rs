@@ -318,7 +318,7 @@ impl Report {
 }
 
 /// Renders the dotted span names as an indented tree. Parents that never
-/// ran as spans themselves (e.g. `mining` under `mining.sweep.chunk`)
+/// ran as spans themselves (e.g. `session` under `session.push`)
 /// still appear as bare grouping lines.
 fn render_span_tree(snap: &SpanSnapshot, out: &mut String) {
     let mut printed: Vec<String> = Vec::new();

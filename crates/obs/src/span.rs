@@ -6,7 +6,7 @@
 //! [`crate::scope`]) whenever the thread's span stack unwinds to depth
 //! zero, when it grows past a small bound, when the thread enters or
 //! exits a scope, or when the thread exits — so nested spans on a hot
-//! path touch no shared state, and parallel sweep workers only contend
+//! path touch no shared state, and parallel step-5 workers only contend
 //! once per top-level unit of work.
 //!
 //! A `catch_unwind`-contained worker panic is the one unwind that can
@@ -139,13 +139,7 @@ pub struct SpanGuard {
 /// Starts a span under `name` if observability is enabled (see
 /// [`crate::set_enabled`]); prefer the [`crate::span!`] macro.
 pub fn span(name: &'static str) -> SpanGuard {
-    span_if(true, name)
-}
-
-/// Starts a span only when `want` is also true — the per-call-site
-/// [`ObsOptions::spans`](crate::ObsOptions) knob.
-pub fn span_if(want: bool, name: &'static str) -> SpanGuard {
-    if !want || !crate::enabled() {
+    if !crate::enabled() {
         return SpanGuard { name, start: None };
     }
     LOCAL.with(|l| l.borrow_mut().depth += 1);

@@ -15,7 +15,7 @@
 //!
 //! # Hostile-input posture
 //!
-//! The decoder is written to survive arbitrary bytes (proptested in
+//! [`read_frame`] is written to survive arbitrary bytes (proptested in
 //! `tests/frame_fuzz.rs`):
 //!
 //! * the length prefix is validated against [`MAX_FRAME_LEN`] **before any
@@ -89,49 +89,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Decodes one frame from the front of `buf` without consuming it.
-///
-/// Returns `Ok(None)` when `buf` holds a valid but incomplete prefix
-/// (read more bytes and retry); `Ok(Some((consumed, payload)))` when a
-/// whole frame is present. Never allocates for the payload — the returned
-/// slice borrows `buf` — and never inspects bytes past the first frame.
-pub fn decode(buf: &[u8]) -> Result<Option<(usize, &[u8])>, FrameError> {
-    // Header: magic first (also rejects partial non-magic prefixes early).
-    let probe = buf.len().min(MAGIC.len());
-    if buf[..probe] != MAGIC[..probe] {
-        return Err(FrameError::BadHeader(
-            "missing `tgm1 ` magic".to_string(),
-        ));
-    }
-    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-        if buf.len() > MAX_HEADER_LEN {
-            return Err(FrameError::BadHeader(
-                "unterminated header".to_string(),
-            ));
-        }
-        return Ok(None);
-    };
-    if nl > MAX_HEADER_LEN {
-        return Err(FrameError::BadHeader("header too long".to_string()));
-    }
-    if nl < MAGIC.len() {
-        return Err(FrameError::BadHeader("missing `tgm1 ` magic".to_string()));
-    }
-    let digits = &buf[MAGIC.len()..nl];
-    let len = parse_len(digits)?;
-    // The cap check happens here, on the parsed number — before the
-    // caller could possibly size a buffer from it.
-    if len > MAX_FRAME_LEN as u64 {
-        return Err(FrameError::Oversize { declared: len });
-    }
-    let len = len as usize;
-    let start = nl + 1;
-    if buf.len() < start + len {
-        return Ok(None);
-    }
-    Ok(Some((start + len, &buf[start..start + len])))
-}
-
 fn parse_len(digits: &[u8]) -> Result<u64, FrameError> {
     if digits.is_empty() || digits.len() > 20 {
         return Err(FrameError::BadHeader("bad length field".to_string()));
@@ -203,12 +160,6 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"{\"op\":\"ping\"}").unwrap();
         write_frame(&mut buf, b"").unwrap();
-        let (used, p) = decode(&buf).unwrap().unwrap();
-        assert_eq!(p, b"{\"op\":\"ping\"}");
-        let (used2, p2) = decode(&buf[used..]).unwrap().unwrap();
-        assert_eq!(p2, b"");
-        assert_eq!(used + used2, buf.len());
-
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"ping\"}");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
@@ -216,11 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_prefixes_ask_for_more() {
+    fn incomplete_prefixes_are_truncated() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"abcdef").unwrap();
-        for cut in 0..buf.len() {
-            assert_eq!(decode(&buf[..cut]).unwrap(), None, "cut {cut}");
+        assert_eq!(read_frame(&mut &buf[..0]), Ok(None), "empty stream");
+        for cut in 1..buf.len() {
+            assert_eq!(read_frame(&mut &buf[..cut]), Err(FrameError::Truncated), "cut {cut}");
         }
     }
 
@@ -229,17 +181,12 @@ mod tests {
         // No payload bytes present: the declared length alone must trip.
         let hdr = format!("tgm1 {}\n", MAX_FRAME_LEN + 1);
         assert!(matches!(
-            decode(hdr.as_bytes()),
+            read_frame(&mut hdr.as_bytes()),
             Err(FrameError::Oversize { .. })
         ));
         // Absurd 20-digit length overflowing through checked math.
         assert!(matches!(
-            decode(b"tgm1 99999999999999999999\n"),
-            Err(FrameError::Oversize { .. })
-        ));
-        let mut r = hdr.as_bytes();
-        assert!(matches!(
-            read_frame(&mut r),
+            read_frame(&mut &b"tgm1 99999999999999999999\n"[..]),
             Err(FrameError::Oversize { .. })
         ));
     }
@@ -253,12 +200,11 @@ mod tests {
             b"http/1.1 200 OK\n",
             b"tgm1\n",
         ] {
+            let mut r = bad;
             assert!(
-                matches!(decode(bad), Err(FrameError::BadHeader(_))),
+                matches!(read_frame(&mut r), Err(FrameError::BadHeader(_))),
                 "{bad:?}"
             );
-            let mut r = bad;
-            assert!(matches!(read_frame(&mut r), Err(FrameError::BadHeader(_))));
         }
     }
 

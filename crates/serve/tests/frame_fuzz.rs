@@ -1,10 +1,10 @@
-//! No-panic property tests for the `tgm_serve/v1` frame decoder and
+//! No-panic property tests for the `tgm_serve/v1` frame reader and
 //! protocol parser: arbitrary bytes, corrupted valid frames, hostile
 //! length prefixes, and deeply nested payloads must all yield typed
 //! results — never a panic, a hang, or an attacker-chosen allocation.
 
 use proptest::prelude::*;
-use tgm_serve::frame::{decode, read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+use tgm_serve::frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use tgm_serve::proto::{parse_request, Response};
 
 /// Bytes biased toward frame structure so random inputs reach deep
@@ -24,7 +24,6 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_never_panic_the_decoder(buf in structured_bytes()) {
-        let _ = decode(&buf);
         let mut r = &buf[..];
         let _ = read_frame(&mut r);
     }
@@ -33,7 +32,6 @@ proptest! {
     fn fully_random_bytes_never_panic_the_decoder(
         buf in proptest::collection::vec(0u8..=255, 0..96)
     ) {
-        let _ = decode(&buf);
         let mut r = &buf[..];
         let _ = read_frame(&mut r);
     }
@@ -53,7 +51,6 @@ proptest! {
             let i = flip_at % buf.len();
             buf[i] = flip_to;
         }
-        let _ = decode(&buf);
         let mut r = &buf[..];
         let _ = read_frame(&mut r);
     }
@@ -66,25 +63,23 @@ proptest! {
         let digits: String = len.iter().map(|d| char::from(b'0' + *d as u8)).collect();
         let header = format!("tgm1 {digits}\n");
         let declared: Option<u64> = digits.parse().ok();
-        match decode(header.as_bytes()) {
-            // In-cap lengths with no payload yet: ask for more bytes.
-            Ok(None) => prop_assert!(declared.is_some_and(|n| n <= MAX_FRAME_LEN as u64)),
-            Ok(Some(_)) => prop_assert_eq!(declared, Some(0)),
-            Err(FrameError::Oversize { .. }) => {
-                prop_assert!(declared.is_none_or(|n| n > MAX_FRAME_LEN as u64));
-            }
-            // 21+ digit fields are BadHeader; we generate at most 20.
-            Err(e) => prop_assert!(false, "unexpected error {e}"),
-        }
-        // The streaming reader agrees, and never allocates the payload.
+        // The header alone decides: an over-cap length is rejected before
+        // the payload buffer is sized from it.
         let mut r = header.as_bytes();
         match read_frame(&mut r) {
             Err(FrameError::Oversize { .. }) => {
                 prop_assert!(declared.is_none_or(|n| n > MAX_FRAME_LEN as u64));
             }
-            Err(FrameError::Truncated) | Ok(Some(_)) => {
-                prop_assert!(declared.is_some_and(|n| n <= MAX_FRAME_LEN as u64));
+            // In-cap lengths with no payload present: the stream ended
+            // mid-frame.
+            Err(FrameError::Truncated) => {
+                prop_assert!(declared.is_some_and(|n| n > 0 && n <= MAX_FRAME_LEN as u64));
             }
+            Ok(Some(p)) => {
+                prop_assert_eq!(declared, Some(0));
+                prop_assert!(p.is_empty());
+            }
+            // 21+ digit fields are BadHeader; we generate at most 20.
             other => prop_assert!(false, "unexpected outcome {other:?}"),
         }
     }
@@ -112,13 +107,16 @@ proptest! {
 fn zero_and_max_len_frames_round_trip() {
     let mut buf = Vec::new();
     write_frame(&mut buf, &[]).unwrap();
-    let (used, p) = decode(&buf).unwrap().unwrap();
-    assert_eq!((used, p), (buf.len(), &[][..]));
+    let mut r = &buf[..];
+    assert_eq!(read_frame(&mut r), Ok(Some(Vec::new())));
+    assert!(r.is_empty(), "the whole frame was consumed");
 
     // Exactly at the cap is legal.
     let big = vec![b'x'; MAX_FRAME_LEN];
     let mut buf = Vec::new();
     write_frame(&mut buf, &big).unwrap();
-    let (_, p) = decode(&buf).unwrap().unwrap();
+    let mut r = &buf[..];
+    let p = read_frame(&mut r).unwrap().unwrap();
     assert_eq!(p.len(), MAX_FRAME_LEN);
+    assert!(r.is_empty(), "the whole frame was consumed");
 }

@@ -37,7 +37,7 @@ use tgm_events::{Event, TickColumns};
 use tgm_granularity::{Granularity, Second, Tick};
 use tgm_limits::{Interrupt, Limits, Verdict};
 use tgm_obs::metrics::{self, Histogram};
-use tgm_obs::{Observable, ObsOptions, ObsValue};
+use tgm_obs::{Observable, ObsValue};
 
 use crate::automaton::{StateId, Tag, Transition};
 use crate::constraint::ClockId;
@@ -67,11 +67,6 @@ pub struct MatchOptions {
     /// exists only for the ablation benchmarks — the frontier then grows
     /// with the sequence length instead of Theorem 4's `(|V|·K)^p`.
     pub saturate: bool,
-    /// Observability knobs for this matcher's runs (counters, frontier
-    /// histograms, timing spans). Nothing is emitted unless the
-    /// process-wide [`tgm_obs::set_enabled`] toggle is also on;
-    /// instrumentation never changes results (differentially tested).
-    pub obs: ObsOptions,
 }
 
 impl Default for MatchOptions {
@@ -80,7 +75,6 @@ impl Default for MatchOptions {
             anchored: false,
             strict_updates: false,
             saturate: true,
-            obs: ObsOptions::default(),
         }
     }
 }
@@ -124,12 +118,6 @@ impl MatchOptionsBuilder {
     /// Sets [`MatchOptions::saturate`].
     pub fn saturate(mut self, on: bool) -> Self {
         self.0.saturate = on;
-        self
-    }
-
-    /// Sets [`MatchOptions::obs`].
-    pub fn obs(mut self, obs: ObsOptions) -> Self {
-        self.0.obs = obs;
         self
     }
 
@@ -605,8 +593,8 @@ impl<'a> Matcher<'a> {
     /// Nothing is emitted (and no clock is read) while observability is
     /// disabled, and emission never feeds back into results.
     pub fn run_in(&self, events: &[Event], early_exit: bool, ctx: &mut RunCtx<'_>) -> BoundedRun {
-        let _span = tgm_obs::span::span_if(self.opts.obs.spans, "tag.matcher.run");
-        let hist = self.opts.obs.metrics_on().then(Histogram::new);
+        let _span = tgm_obs::span::span("tag.matcher.run");
+        let hist = tgm_obs::enabled().then(Histogram::new);
         let (run, hist) = self.replay(events, early_exit, ctx, hist);
         if let Some(hist) = &hist {
             let stats = run.stats;
@@ -711,9 +699,9 @@ impl<'a> Matcher<'a> {
         events: &[Event],
         ctx: &mut RunCtx<'_>,
     ) -> Result<Option<Vec<usize>>, Interrupt> {
-        let _span = tgm_obs::span::span_if(self.opts.obs.spans, "tag.matcher.find_occurrence");
+        let _span = tgm_obs::span::span("tag.matcher.find_occurrence");
         let out = self.find_occurrence_loop(events, ctx);
-        if self.opts.obs.metrics_on() {
+        if tgm_obs::enabled() {
             metrics::counter_add("tag.matcher.find_occurrence_runs", 1);
             metrics::counter_add(
                 "tag.matcher.find_occurrence_hits",

@@ -46,7 +46,7 @@ use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::Granularity;
 use tgm_limits::{Interrupt, Verdict};
 use tgm_obs::metrics::{self, Histogram};
-use tgm_obs::span::span_if;
+use tgm_obs::span::span;
 
 use crate::automaton::{Symbol, Tag, Transition};
 use crate::constraint::ClockConstraint;
@@ -593,7 +593,6 @@ pub struct MultiRun {
 /// bit-identical to per-candidate runs.
 pub struct MultiMatcher<'t> {
     tags: Vec<&'t Tag>,
-    opts: MatchOptions,
     lanes: Vec<Lane>,
     /// Per candidate: some start state is accepting (length-0 acceptance).
     start_acc: Vec<bool>,
@@ -631,7 +630,6 @@ impl<'t> MultiMatcher<'t> {
         }
         MultiMatcher {
             tags,
-            opts,
             lanes,
             start_acc,
         }
@@ -674,11 +672,10 @@ impl<'t> MultiMatcher<'t> {
     /// is the resource actually consumed).
     ///
     /// Emits one `tag.multi.run` span, `tag.multi.*` counters and the
-    /// pooled per-event frontier histogram, double-gated like every
-    /// engine's observability.
+    /// pooled per-event frontier histogram while observability is on.
     pub fn run_in(&self, events: &[Event], early_exit: bool, ctx: &mut RunCtx<'_>) -> MultiRun {
-        let _span = span_if(self.opts.obs.spans, "tag.multi.run");
-        let mut hist = self.opts.obs.metrics_on().then(Histogram::new);
+        let _span = span("tag.multi.run");
+        let mut hist = tgm_obs::enabled().then(Histogram::new);
         let mut merged = 0u64;
         let run = self.run_loop(events, early_exit, ctx, &mut hist, &mut merged);
         if let Some(h) = &hist {

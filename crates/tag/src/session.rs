@@ -364,7 +364,7 @@ impl<'a> MatchSession<'a> {
     /// [`with_eviction`](Self::with_eviction) the replayed stream is
     /// bit-identical to a batch [`Matcher::run`] over the same events.
     pub fn with_options(tag: &'a Tag, opts: MatchOptions) -> Self {
-        let hist = opts.obs.metrics_on().then(Histogram::new);
+        let hist = tgm_obs::enabled().then(Histogram::new);
         Self::for_batch(&Matcher::with_options(tag, opts), MatcherScratch::new(), None, hist)
     }
 
@@ -533,11 +533,11 @@ impl<'a> MatchSession<'a> {
     /// Pushes a slice of events, stopping at the first death or
     /// interrupt; returns how many events were consumed. Completions land
     /// in the [`completed`](Self::completed) drain. Emits one
-    /// `session.push` span per call (never per event) when span
-    /// observability is on.
+    /// `session.push` span per call (never per event) when observability
+    /// is on.
     pub fn push_batch(&mut self, events: &[Event]) -> usize {
         let _scope = self.s.scope.as_ref().map(ObsScope::enter);
-        let _span = tgm_obs::span::span_if(self.s.lane.opts.obs.spans, "session.push");
+        let _span = tgm_obs::span::span("session.push");
         let before = self.s.stats.events;
         for e in events {
             match self.push_at(e, None) {
@@ -546,7 +546,7 @@ impl<'a> MatchSession<'a> {
             }
         }
         let consumed = self.s.stats.events - before;
-        if self.s.lane.opts.obs.metrics_on() {
+        if tgm_obs::enabled() {
             metrics::counter_add("tag.session.events", consumed as u64);
         }
         consumed
@@ -663,7 +663,7 @@ impl<'a> MatchSession<'a> {
     /// residual guard constants, and merge the duplicates that creates.
     fn evict(&mut self) {
         let _scope = self.s.scope.as_ref().map(ObsScope::enter);
-        let _span = tgm_obs::span::span_if(self.s.lane.opts.obs.spans, "session.evict");
+        let _span = tgm_obs::span::span("session.evict");
         let s = &mut self.s;
         let Some(plan) = &mut s.eviction else {
             return;
@@ -704,7 +704,7 @@ impl<'a> MatchSession<'a> {
         s.evicted_rows += (before - after) as u64;
         s.evictions += 1;
         plan.watermark = EVICT_MIN_WATERMARK.max(after * 2);
-        if s.lane.opts.obs.metrics_on() {
+        if tgm_obs::enabled() {
             metrics::counter_add("tag.session.evictions", 1);
             metrics::counter_add("tag.session.evicted_rows", (before - after) as u64);
             tgm_obs::recorder::record(RecEvent::Eviction {
@@ -822,7 +822,7 @@ impl<'a> MatchSession<'a> {
     pub fn finish(mut self) -> (BoundedRun, MatcherScratch) {
         let run = self.outcome();
         let s = &mut self.s;
-        if s.lane.opts.obs.metrics_on() {
+        if tgm_obs::enabled() {
             let _scope = s.scope.as_ref().map(ObsScope::enter);
             metrics::counter_add("tag.session.finalized", 1);
             metrics::counter_add("tag.session.completions", s.total_completions);

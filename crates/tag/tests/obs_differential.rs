@@ -1,6 +1,6 @@
 //! Differential tests for observability: enabling the process-wide obs
-//! toggle (and flipping the per-call-site `ObsOptions` knobs) must not
-//! change any matching result — `RunStats` stays bit-identical and
+//! switch (and routing emission through scopes) must not change any
+//! matching result — `RunStats` stays bit-identical and
 //! occurrence witnesses stay equal across all 8 `MatchOptions` combos,
 //! for direct, column-reading, early-exit, and scratch-reusing runs.
 
@@ -8,7 +8,6 @@ use parking_lot::Mutex;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::{Calendar, Gran};
-use tgm_obs::ObsOptions;
 use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, RunCtx, RunStats, Tag};
 
 /// Serializes tests that toggle the process-wide obs flag (the harness
@@ -173,40 +172,5 @@ fn session_scope_and_stats_cadence_do_not_change_results() {
         }
     }
     tgm_obs::set_enabled(false);
-    tgm_obs::reset();
-}
-
-#[test]
-fn per_call_site_knobs_do_not_change_results() {
-    let _guard = TEST_LOCK.lock();
-    let combos = all_option_combos();
-    let silent: Vec<MatchOptions> = combos
-        .iter()
-        .map(|o| o.to_builder().obs(ObsOptions::silent()).build())
-        .collect();
-    let metrics_only: Vec<MatchOptions> = combos
-        .iter()
-        .map(|o| {
-            o.to_builder()
-                .obs(ObsOptions {
-                    metrics: true,
-                    spans: false,
-                })
-                .build()
-        })
-        .collect();
-
-    tgm_obs::set_enabled(true);
-    let loud = run_matrix(&combos);
-    tgm_obs::reset();
-    let quiet = run_matrix(&silent);
-    let counters_after_quiet = tgm_obs::metrics::snapshot();
-    let partial = run_matrix(&metrics_only);
-    tgm_obs::set_enabled(false);
-
-    assert_eq!(loud, quiet);
-    assert_eq!(loud, partial);
-    // The silent knob really silenced emission even with the toggle on.
-    assert_eq!(counters_after_quiet.counter("tag.matcher.runs"), 0);
     tgm_obs::reset();
 }

@@ -79,6 +79,12 @@
 
 mod error;
 
+/// The README's Rust snippets, compiled and run as doctests, so a snippet
+/// that names a removed item fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub mod cli;
 pub mod json;
 
@@ -119,7 +125,7 @@ pub mod prelude {
     pub use tgm_granularity::{periodic, Calendar, Gran, Granularity, Second, Tick};
     pub use tgm_mining::pipeline::{mine_with, PipelineOptions, PipelineStats};
     pub use tgm_mining::{naive, pipeline, BoundedMining, DiscoveryProblem, Solution};
-    pub use tgm_obs::{Observable, ObsOptions, Report};
+    pub use tgm_obs::{Observable, Report};
     pub use tgm_tag::{
         build_tag, BoundedRun, Completion, MatchOptions, MatchSession, Matcher, MatcherScratch,
         RunCtx, RunStats, SessionStats, Tag,
