@@ -1,8 +1,8 @@
 //! Criterion bench for the constraint-network substrate: STP minimal
-//! networks and disjunctive TCSP solving.
+//! networks and incremental tightening.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tgm_stp::{Disjunction, Range, Stp, Tcsp};
+use tgm_stp::{Range, Stp};
 
 fn chain_stp(n: usize) -> Stp {
     let mut stp = Stp::new(n);
@@ -31,27 +31,6 @@ fn bench_stp(c: &mut Criterion) {
             m.tighten(0, 63, Range::new(100, 200)).unwrap()
         })
     });
-    group.finish();
-
-    let mut group = c.benchmark_group("tcsp");
-    group.sample_size(10);
-    for k in [4usize, 6, 8] {
-        // Subset-sum-shaped TCSP: k binary choices plus a target.
-        let values: Vec<i64> = (0..k as i64).map(|i| 2 + i).collect();
-        let target: i64 = values.iter().sum::<i64>() / 2;
-        let mut t = Tcsp::new(k + 1);
-        for (i, &v) in values.iter().enumerate() {
-            t.constrain(
-                i,
-                i + 1,
-                Disjunction::new(vec![Range::new(0, 0), Range::new(v, v)]),
-            );
-        }
-        t.constrain(0, k, Disjunction::single(Range::new(target, target)));
-        group.bench_with_input(BenchmarkId::new("solve_binary_choices", k), &k, |b, _| {
-            b.iter(|| t.solve())
-        });
-    }
     group.finish();
 }
 

@@ -32,8 +32,7 @@ use tgm_serve::proto::{ErrorKind, Response};
 use tgm_serve::{ServerConfig, ServerCore};
 use tgm_events::Event;
 use tgm_tag::{
-    build_tag, MatchOptions, MatchSession, Matcher, MatcherScratch, MultiMatcher, RunCtx, Tag,
-    TagTemplate,
+    build_tag, MatchSession, Matcher, MatcherScratch, MultiMatcher, RunCtx, Tag, TagTemplate,
 };
 
 /// Resident set size in bytes from `/proc/self/statm` (0 off Linux).
@@ -223,14 +222,13 @@ fn main() {
             })
             .collect()
     };
-    // The miner's saturating configuration keeps both frontiers bounded, so
-    // this measures scan cost, not frontier blowup.
-    let multi_opts = MatchOptions::builder().saturate(true).build();
+    // Saturation keeps both frontiers bounded, so this measures scan cost,
+    // not frontier blowup.
     // (candidates, shared ns/event/candidate, per-candidate ns/event/candidate)
     let mut multi_rows: Vec<(usize, f64, f64)> = Vec::new();
     for &n in &[1usize, 8, 32, 64] {
         let tags = &multi_tags[..n];
-        let mm = MultiMatcher::with_options(tags.iter().collect(), multi_opts);
+        let mm = MultiMatcher::new(tags.iter().collect());
         let mut mscratch = MatcherScratch::new();
         let mut mctx = RunCtx::new(&mut mscratch);
         let mut pscratch = MatcherScratch::new();
@@ -239,7 +237,7 @@ fn main() {
         let solo: Vec<_> = tags
             .iter()
             .map(|t| {
-                Matcher::with_options(t, multi_opts)
+                Matcher::new(t)
                     .run_in(&multi_events, false, &mut pctx)
                     .stats
             })
@@ -251,8 +249,9 @@ fn main() {
         let percand_ms = median_ms(reps, || {
             for t in tags {
                 std::hint::black_box(
-                    Matcher::with_options(t, multi_opts)
-                        .run_in(&multi_events, false, &mut pctx).stats,
+                    Matcher::new(t)
+                        .run_in(&multi_events, false, &mut pctx)
+                        .stats,
                 );
             }
         });

@@ -107,13 +107,15 @@ pub fn run() {
     // (1c) Engine ablation: the reference per-`Config` engine (one heap
     // vector per configuration, HashSet dedup) vs the lane engine (flat
     // pooled rows, in-place dedup), with a fresh scratch per run and with
-    // one reused scratch. RunStats are asserted bit-identical.
+    // one reused scratch. The reference and reused-scratch runs each get
+    // one untimed warm-up. RunStats are asserted bit-identical.
     let mut rows = Vec::new();
     for days in [30i64, 120, 480] {
         let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
         let tag = build_tag(&w.cet);
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
+        let _ = m.run_reference(events, false); // warm-up
         let (stats_ref, ms_ref) = timed(|| m.run_reference(events, false));
         let (stats_fresh, ms_fresh) = timed(|| m.run(events, false));
         let mut scratch = MatcherScratch::new();

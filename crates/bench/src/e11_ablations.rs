@@ -1,9 +1,9 @@
 //! E11 — ablations of this implementation's own design choices (DESIGN.md
-//! §3): clock-reading saturation in the matcher, minimal (min-flow) vs
-//! greedy chain covers in the TAG construction, the zero-allocation lane
-//! matcher engine vs the reference per-`Config` engine, and the
-//! observability layer's overhead (§3.13). The compiled-vs-raw
-//! granularity ablation lives in E6 and E10.
+//! §3): minimal (min-flow) vs greedy chain covers in the TAG construction,
+//! and the observability layer's overhead (§3.13). The reference-vs-lane
+//! matcher engine ablation and the compiled-vs-raw granularity ablation
+//! live in E6 (E10 repeats the latter for mining); E6 (1) also shows the
+//! saturated frontier staying flat as the input grows.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +14,8 @@ use tgm_mining::pipeline::{mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
 use tgm_obs::Report;
 use tgm_tag::{
-    build_tag, build_tag_with_cover, greedy_chain_cover, minimal_chain_cover, MatchOptions,
-    Matcher, MatcherScratch, RunCtx,
+    build_tag, build_tag_with_cover, greedy_chain_cover, minimal_chain_cover, Matcher,
+    MatcherScratch, RunCtx,
 };
 
 use crate::workloads::{daily_stock_workload, planted_stock_workload};
@@ -25,37 +25,7 @@ use crate::{print_table, timed};
 pub fn run() {
     println!("\n## E11 — Implementation ablations");
 
-    // (1) Saturation: with it the frontier is bounded by the guard
-    // constants; without it, configurations differing only in
-    // indistinguishable clock readings accumulate.
-    let mut rows = Vec::new();
-    for days in [30i64, 90, 270] {
-        let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
-        let tag = build_tag(&w.cet);
-        let events = w.sequence.events();
-        let on = Matcher::new(&tag);
-        let off = Matcher::with_options(
-            &tag,
-            MatchOptions::builder().saturate(false).build(),
-        );
-        let (s_on, ms_on) = timed(|| on.run(events, false));
-        let (s_off, ms_off) = timed(|| off.run(events, false));
-        assert_eq!(s_on.accepted, s_off.accepted, "saturation is semantics-preserving");
-        rows.push(vec![
-            events.len().to_string(),
-            format!("{ms_on:.1}"),
-            s_on.peak_configs.to_string(),
-            format!("{ms_off:.1}"),
-            s_off.peak_configs.to_string(),
-        ]);
-    }
-    print_table(
-        "Clock-reading saturation (Example 1 TAG over stock streams)",
-        &["events", "saturated ms", "saturated frontier", "unsaturated ms", "unsaturated frontier"],
-        &rows,
-    );
-
-    // (2) Chain covers: random layered DAGs; min-flow vs greedy cover
+    // (1) Chain covers: random layered DAGs; min-flow vs greedy cover
     // sizes and the resulting automaton sizes.
     let cal = Calendar::standard();
     let day = cal.get("day").unwrap();
@@ -129,38 +99,7 @@ pub fn run() {
         &rows,
     );
 
-    // (3) Matcher engine: the reference per-`Config` engine (heap vector
-    // per configuration, HashSet dedup) vs the lane engine (flat
-    // pooled rows, generation-stamped in-place dedup). RunStats asserted
-    // bit-identical; the engine is what every higher layer (miner, stream
-    // matcher) runs on.
-    let mut rows = Vec::new();
-    let mut scratch = MatcherScratch::new();
-    let mut ctx = RunCtx::new(&mut scratch);
-    for days in [90i64, 270] {
-        let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
-        let tag = build_tag(&w.cet);
-        let m = Matcher::new(&tag);
-        let events = w.sequence.events();
-        let (s_ref, ms_ref) = timed(|| m.run_reference(events, false));
-        let _ = m.run_in(events, false, &mut ctx).stats; // warm capacity
-        let (s_lane, ms_lane) = timed(|| m.run_in(events, false, &mut ctx).stats);
-        assert_eq!(s_ref, s_lane, "engines are bit-identical");
-        rows.push(vec![
-            events.len().to_string(),
-            format!("{ms_ref:.1}"),
-            format!("{ms_lane:.1}"),
-            s_lane.peak_configs.to_string(),
-            format!("{:.1}x", ms_ref / ms_lane.max(0.001)),
-        ]);
-    }
-    print_table(
-        "Matcher engine: reference per-Config vs lane engine (Example 1 TAG)",
-        &["events", "reference ms", "lane ms", "peak frontier", "engine speedup"],
-        &rows,
-    );
-
-    // (4) Observability (DESIGN.md §3.13): the instrumentation's overhead
+    // (2) Observability (DESIGN.md §3.13): the instrumentation's overhead
     // on the hottest loop (Example 1 full scan), measured noise-robustly
     // (see below), with results asserted identical —
     // then the §5 pruning funnel captured from one instrumented discovery

@@ -57,7 +57,7 @@ impl TemplateCache {
     }
 }
 
-/// The miner's matcher configuration (anchored, lazy updates, saturating)
+/// The miner's matcher configuration (anchored, lazy updates)
 /// applied to a whole candidate set.
 fn anchored_multi(tags: &[Tag]) -> MultiMatcher<'_> {
     MultiMatcher::with_options(
@@ -65,7 +65,6 @@ fn anchored_multi(tags: &[Tag]) -> MultiMatcher<'_> {
         MatchOptions::builder()
             .anchored(true)
             .strict_updates(false)
-            .saturate(true)
             .build(),
     )
 }

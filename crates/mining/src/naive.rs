@@ -182,14 +182,13 @@ fn enumerate(
     true
 }
 
-/// The miner's matcher configuration: anchored, lazy updates, saturating.
+/// The miner's matcher configuration: anchored, lazy updates.
 fn anchored_matcher(tag: &Tag) -> Matcher<'_> {
     Matcher::with_options(
         tag,
         MatchOptions::builder()
             .anchored(true)
             .strict_updates(false)
-            .saturate(true)
             .build(),
     )
 }

@@ -10,7 +10,8 @@
 //! This crate is the single-granularity constraint-propagation substrate of
 //! the multi-granularity propagation algorithm in `tgm-core` (paper §3.2):
 //! each granularity group `C_μ` of an event structure is an STP over tick
-//! differences.
+//! differences. That propagation needs only STP path consistency, so the
+//! crate has no solver for the general, disjunctive TCSP.
 //!
 //! # Example
 //!
@@ -30,7 +31,5 @@
 #![forbid(unsafe_code)]
 
 mod network;
-mod tcsp;
 
 pub use network::{Inconsistent, MinimalNetwork, Range, Stp, INF, NEG_INF};
-pub use tcsp::{Disjunction, Tcsp, TcspOutcome};

@@ -56,11 +56,6 @@ impl Range {
         Range { lo, hi: INF }
     }
 
-    /// Range `(-∞, hi]`.
-    pub fn at_most(hi: i64) -> Self {
-        Range { lo: NEG_INF, hi }
-    }
-
     /// Whether `v` lies in the range.
     pub fn contains(&self, v: i64) -> bool {
         self.lo <= v && v <= self.hi
@@ -81,15 +76,6 @@ impl Range {
     /// Whether this is the unconstrained range.
     pub fn is_full(&self) -> bool {
         self.lo <= NEG_INF && self.hi >= INF
-    }
-
-    /// The inverse relation: if `x_j − x_i ∈ [lo, hi]`, then
-    /// `x_i − x_j ∈ [−hi, −lo]`.
-    pub fn inverse(&self) -> Range {
-        Range {
-            lo: if self.hi >= INF { NEG_INF } else { -self.hi },
-            hi: if self.lo <= NEG_INF { INF } else { -self.lo },
-        }
     }
 
     /// Width `hi − lo` (saturating; `INF` when unbounded).
@@ -507,10 +493,6 @@ mod tests {
 
     #[test]
     fn range_algebra() {
-        let r = Range::new(-3, 8);
-        assert_eq!(r.inverse(), Range::new(-8, 3));
-        assert_eq!(Range::at_least(5).inverse(), Range::at_most(-5));
-        assert_eq!(Range::full().inverse(), Range::full());
         assert_eq!(
             Range::new(0, 10).intersect(&Range::new(5, 20)),
             Some(Range::new(5, 10))

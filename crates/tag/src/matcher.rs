@@ -28,7 +28,9 @@
 //! a back-pointer arena (the only caller that needs provenance), built on
 //! the same deduplication helper. The per-`Config` engine of the
 //! `*_reference` methods is independent of all of this: it is the
-//! differential oracle and the E6/E11 engine ablation.
+//! differential oracle and the E6 engine ablation. Both engines always
+//! saturate; the unsaturated semantics is pinned by an oracle in
+//! `tests/unsaturated_oracle.rs`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -49,7 +51,7 @@ use crate::session::MatchSession;
 /// The struct is `#[non_exhaustive]`: construct it through
 /// [`MatchOptions::default`] or [`MatchOptions::builder`] so adding a knob
 /// is never a breaking change for downstream call sites.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
 pub struct MatchOptions {
     /// Anchored matching: skip transitions are disallowed until the first
@@ -62,25 +64,10 @@ pub struct MatchOptions {
     /// default lazy semantics where only guards consulting such clocks
     /// fail).
     pub strict_updates: bool,
-    /// Saturate clock readings beyond every guard constant (region-style
-    /// canonicalization; semantics-preserving). Default: true. Disabling it
-    /// exists only for the ablation benchmarks — the frontier then grows
-    /// with the sequence length instead of Theorem 4's `(|V|·K)^p`.
-    pub saturate: bool,
-}
-
-impl Default for MatchOptions {
-    fn default() -> Self {
-        MatchOptions {
-            anchored: false,
-            strict_updates: false,
-            saturate: true,
-        }
-    }
 }
 
 impl MatchOptions {
-    /// A builder starting from the defaults (lazy, unanchored, saturating).
+    /// A builder starting from the defaults (lazy, unanchored).
     pub fn builder() -> MatchOptionsBuilder {
         MatchOptionsBuilder::default()
     }
@@ -96,8 +83,8 @@ impl MatchOptions {
 ///
 /// ```
 /// use tgm_tag::MatchOptions;
-/// let opts = MatchOptions::builder().anchored(true).saturate(false).build();
-/// assert!(opts.anchored && !opts.saturate && !opts.strict_updates);
+/// let opts = MatchOptions::builder().anchored(true).build();
+/// assert!(opts.anchored && !opts.strict_updates);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MatchOptionsBuilder(MatchOptions);
@@ -112,12 +99,6 @@ impl MatchOptionsBuilder {
     /// Sets [`MatchOptions::strict_updates`].
     pub fn strict_updates(mut self, on: bool) -> Self {
         self.0.strict_updates = on;
-        self
-    }
-
-    /// Sets [`MatchOptions::saturate`].
-    pub fn saturate(mut self, on: bool) -> Self {
-        self.0.saturate = on;
         self
     }
 
@@ -537,8 +518,8 @@ pub struct Matcher<'a> {
     /// The TAG compiled as a one-member lane. Its `max_consts` holds, per
     /// clock, the largest constant the clock is compared against in any
     /// guard: readings beyond it are indistinguishable now and forever
-    /// (readings only grow between resets), so configurations are
-    /// canonicalized by saturating such resets — this is what keeps the
+    /// (readings only grow between resets), so every staged configuration
+    /// is canonicalized by saturating such resets — this is what keeps the
     /// frontier bounded by `(|V|·K)^p` instead of `|σ|` (Theorem 4).
     pub(crate) lane: Arc<Lane>,
 }
@@ -732,7 +713,7 @@ impl<'a> Matcher<'a> {
         }
         ctx.check_columns(events.len());
         let n = self.tag.clocks.len();
-        let caps = self.opts.saturate.then_some(&self.lane.max_consts[..]);
+        let caps = &self.lane.max_consts[..];
         let (cols, limits) = (ctx.cols, ctx.limits);
         let row_of = |i: usize| cols.map(|(cols, offset)| (cols, offset + i));
         let MatcherScratch {
@@ -816,9 +797,7 @@ impl<'a> Matcher<'a> {
                     for &x in &tr.resets {
                         staged[x.index()] = ticks[x.index()];
                     }
-                    if let Some(caps) = caps {
-                        saturate_row(staged, ticks, caps);
-                    }
+                    saturate_row(staged, ticks, caps);
                     let nm = pack_meta(tr.to, started || !tr.is_skip);
                     if dedup_tail(&mut ls.table, arena_meta, arena_rows, n, nm).is_none() {
                         arena_prov.push(Prov {
@@ -852,7 +831,7 @@ impl<'a> Matcher<'a> {
 
 // ---------------------------------------------------------------------------
 // Reference engine (pre-packed-representation), kept for differential
-// testing and the E11 engine ablation
+// testing and the E6 engine ablation
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -866,9 +845,6 @@ struct Config {
 impl<'a> Matcher<'a> {
     /// Option-based variant of `saturate_row` for the reference engine.
     fn canonicalize(&self, resets: &mut [Option<Tick>], cur_ticks: &[Option<Tick>]) {
-        if !self.opts.saturate {
-            return;
-        }
         for (x, r) in resets.iter_mut().enumerate() {
             if let (Some(cur), Some(res)) = (cur_ticks[x], *r) {
                 let cap = self.lane.max_consts[x];
@@ -883,7 +859,7 @@ impl<'a> Matcher<'a> {
     /// per configuration, frontier deduplicated by cloning into a
     /// `HashSet`. Produces bit-identical [`RunStats`] to the lane engine
     /// (asserted by differential tests); exists for those tests and for the
-    /// E11 engine ablation.
+    /// E6 engine ablation.
     pub fn run_reference(&self, events: &[Event], early_exit: bool) -> RunStats {
         self.run_reference_core(events, early_exit, None).stats
     }
@@ -1496,15 +1472,13 @@ mod tests {
         assert_eq!(m.find_occurrence_in(&seq2, &mut ctx), Ok(None));
     }
 
-    /// All eight `MatchOptions` combinations.
+    /// All four `MatchOptions` combinations.
     fn all_option_combos() -> Vec<MatchOptions> {
         let mut out = Vec::new();
-        for bits in 0..8u32 {
+        for bits in 0..4u32 {
             out.push(MatchOptions {
                 anchored: bits & 1 != 0,
                 strict_updates: bits & 2 != 0,
-                saturate: bits & 4 != 0,
-                ..Default::default()
             });
         }
         out

@@ -330,7 +330,7 @@ impl Lane {
             stats,
             members: &self.members,
             ticks,
-            caps: self.opts.saturate.then_some(&self.max_consts[..]),
+            caps: &self.max_consts,
             n,
             anchored: self.opts.anchored,
             reached: 0,
@@ -512,8 +512,8 @@ struct FireCtx<'x> {
     stats: &'x mut [RunStats],
     members: &'x [usize],
     ticks: &'x [i64],
-    /// Saturation caps per clock; `None` when saturation is off.
-    caps: Option<&'x [i64]>,
+    /// Saturation caps per clock.
+    caps: &'x [i64],
     n: usize,
     anchored: bool,
     /// Members that reached an accepting state via a pattern transition
@@ -541,9 +541,7 @@ impl FireCtx<'_> {
         for &x in &tr.resets {
             staged[x.index()] = self.ticks[x.index()];
         }
-        if let Some(caps) = self.caps {
-            saturate_row(staged, self.ticks, caps);
-        }
+        saturate_row(staged, self.ticks, self.caps);
         let nm = pack_meta(tr.to, started || !tr.is_skip);
         if rep.is_accepting(tr.to) && !tr.is_skip {
             self.reached |= mask;
@@ -840,7 +838,6 @@ mod tests {
                 MatchOptions::default(),
                 MatchOptions::builder().anchored(true).build(),
                 MatchOptions::builder().strict_updates(true).build(),
-                MatchOptions::builder().saturate(false).build(),
             ] {
                 let mm = MultiMatcher::with_options(tags.iter().collect(), opts);
                 let got = run_all(&mm, &events, early);

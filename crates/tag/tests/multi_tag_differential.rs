@@ -28,12 +28,11 @@ fn grans() -> Vec<Gran> {
 }
 
 fn all_option_combos() -> Vec<MatchOptions> {
-    (0..8u32)
+    (0..4u32)
         .map(|bits| {
             MatchOptions::builder()
                 .anchored(bits & 1 != 0)
                 .strict_updates(bits & 2 != 0)
-                .saturate(bits & 4 != 0)
                 .build()
         })
         .collect()

@@ -1,7 +1,7 @@
 //! Differential tests for observability: enabling the process-wide obs
 //! switch (and routing emission through scopes) must not change any
 //! matching result — `RunStats` stays bit-identical and
-//! occurrence witnesses stay equal across all 8 `MatchOptions` combos,
+//! occurrence witnesses stay equal across all 4 `MatchOptions` combos,
 //! for direct, column-reading, early-exit, and scratch-reusing runs.
 
 use parking_lot::Mutex;
@@ -17,12 +17,11 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 const DAY: i64 = 86_400;
 
 fn all_option_combos() -> Vec<MatchOptions> {
-    (0..8u32)
+    (0..4u32)
         .map(|bits| {
             MatchOptions::builder()
                 .anchored(bits & 1 != 0)
                 .strict_updates(bits & 2 != 0)
-                .saturate(bits & 4 != 0)
                 .build()
         })
         .collect()

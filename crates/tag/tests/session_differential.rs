@@ -25,12 +25,11 @@ fn grans() -> Vec<Gran> {
 }
 
 fn all_option_combos() -> Vec<MatchOptions> {
-    (0..8u32)
+    (0..4u32)
         .map(|bits| {
             MatchOptions::builder()
                 .anchored(bits & 1 != 0)
                 .strict_updates(bits & 2 != 0)
-                .saturate(bits & 4 != 0)
                 .build()
         })
         .collect()
@@ -160,7 +159,7 @@ proptest! {
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
         phi_picks in proptest::collection::vec(0u32..3, 3),
         raw_events in proptest::collection::vec((0u32..4, 0i64..200), 1..60),
-        opts_pick in 0usize..8,
+        opts_pick in 0usize..4,
         evict in any::<bool>(),
         budget in (any::<bool>(), 0u64..16),
         cuts in proptest::collection::vec(any::<bool>(), 1..8),
