@@ -1,17 +1,20 @@
-//! Unified observability report: runs an instrumented Example 1 matcher
-//! scan and an instrumented discovery-pipeline run, measures the
-//! observability layer's overhead on the scan (median over interleaved
-//! min-of-N rounds, results asserted identical), and emits the
-//! [`tgm_obs::Report`] both ways — the
+//! Unified observability report and the one owner of the observability
+//! overhead budget. Runs an instrumented Example 1 matcher scan and an
+//! instrumented discovery-pipeline run, measures the observability
+//! layer's overhead with [`tgm_bench::interleaved_overhead`] (results
+//! asserted identical), and emits the [`tgm_obs::Report`] both ways — the
 //! human-readable span/funnel tree on stdout and machine-readable JSON in
 //! `OBS_report.json`.
 //!
 //! Run with `cargo run --release -p tgm-bench --bin obs_report [-- --test]`.
 //! `--test` additionally enforces the overhead budget (default 3%,
-//! override with `OBS_OVERHEAD_BUDGET_PCT`) — on both the plain enabled
-//! path and the scoped path (obs on + a scope entered) — and validates
-//! the emitted JSON against the `tgm_obs_report/v1` schema (parsed back
-//! with the workspace's own `minijson`), exiting nonzero on any violation.
+//! override with `OBS_OVERHEAD_BUDGET_PCT`) on three modes — the plain
+//! enabled path and the scoped path (obs on + a scope entered) of the
+//! Example 1 scan, and the session-scope mode (a scoped metric domain
+//! attached to an evicting streaming session, section
+//! `obs.session_scope`) — and validates the emitted JSON against the
+//! `tgm_obs_report/v1` schema (parsed back with the workspace's own
+//! `minijson`), exiting nonzero on any violation.
 //!
 //! `--validate-stream <file>` is a standalone mode: it checks that every
 //! JSON line in `file` is a well-formed `tgm_obs_stream/v1` frame
@@ -20,15 +23,19 @@
 //! nonzero on any violation — the CI `obs-stream-smoke` job runs it over
 //! captured `tgm stream --stats-every` output.
 
-use tgm_bench::timed;
-use tgm_bench::workloads::{daily_stock_workload, planted_stock_workload};
+use tgm_bench::workloads::{
+    daily_stock_workload, grouped_chain_cet, lcg_events, planted_stock_workload,
+};
+use tgm_bench::{interleaved_overhead, median_ms, obs_overhead_budget_pct, timed, Overhead};
+use tgm_core::examples::example_1;
 use tgm_core::VarId;
-use tgm_events::minijson;
+use tgm_events::{minijson, TypeRegistry};
+use tgm_granularity::Calendar;
 use tgm_limits::{CancelToken, Limits};
 use tgm_mining::pipeline::{mine_bounded, mine_with, PipelineOptions};
 use tgm_mining::DiscoveryProblem;
-use tgm_obs::Report;
-use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
+use tgm_obs::{ObsScope, ObsValue, Observable, Report};
+use tgm_tag::{build_tag, MatchSession, Matcher, MatcherScratch, RunCtx};
 
 /// The §5 funnel steps the report must carry, in order.
 const FUNNEL_STEPS: [&str; 5] = [
@@ -39,11 +46,88 @@ const FUNNEL_STEPS: [&str; 5] = [
     "step5.final_scan",
 ];
 
-fn overhead_budget_pct() -> f64 {
-    std::env::var("OBS_OVERHEAD_BUDGET_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0)
+/// Events the session-scope mode replays.
+const SESSION_EVENTS: usize = 120_000;
+/// Events between two frames of the exporting mode.
+const EXPORT_EVERY: u64 = 1024;
+
+/// The session-scope mode's estimates, reported as section
+/// `obs.session_scope`.
+struct SessionScope {
+    scoped: Overhead,
+    exporting: Overhead,
+    recorder_write_ns: f64,
+}
+
+impl Observable for SessionScope {
+    fn observe(&self, out: &mut Vec<(&'static str, ObsValue)>) {
+        let ns = 1e6 / SESSION_EVENTS as f64; // ms -> ns/event
+        out.push(("events", SESSION_EVENTS.into()));
+        out.push(("export_every", EXPORT_EVERY.into()));
+        out.push(("off_ns_per_event", (self.scoped.base_ms * ns).into()));
+        out.push(("scoped_ns_per_event", (self.scoped.mode_ms * ns).into()));
+        out.push(("exporting_ns_per_event", (self.exporting.mode_ms * ns).into()));
+        out.push(("scoped_overhead_pct", self.scoped.pct.into()));
+        out.push(("exporting_overhead_pct", self.exporting.pct.into()));
+        out.push(("recorder_write_ns", self.recorder_write_ns.into()));
+    }
+}
+
+/// Live telemetry on the streaming session: an evicting `MatchSession` on
+/// the grouped business-week/business-month chain replays a seeded
+/// 120 000-event stream in three interleaved modes — obs disabled, a
+/// scoped metric domain attached (counters and spans routed to the
+/// scope), and the scope plus an `Exporter` rendering an NDJSON frame
+/// every 1024 events — then times the flight-recorder ring write.
+fn measure_session_scope(rounds: usize) -> SessionScope {
+    let cal = Calendar::standard();
+    let (_, types) = example_1(&cal, &mut TypeRegistry::new());
+    let chain = build_tag(&grouped_chain_cet(&cal, &types));
+    let stream = lcg_events(0x9e37_79b9_7f4a_7c15, SESSION_EVENTS, 1, 1_700, 4);
+    let scope = ObsScope::with_recorder(256);
+    let modes = interleaved_overhead(3, rounds, 5, |mode| {
+        tgm_obs::set_enabled(mode > 0);
+        let mut session = MatchSession::new(&chain).with_eviction();
+        if mode > 0 {
+            session = session.with_scope(scope.clone()).with_stats_every(EXPORT_EVERY);
+        }
+        let mut exporter = (mode == 2).then(|| tgm_obs::Exporter::new(scope.clone()));
+        let mut sink = 0usize;
+        let ms = timed(|| {
+            for chunk in stream.chunks(EXPORT_EVERY as usize) {
+                session.push_batch(chunk);
+                sink += session.completed().count();
+                if session.stats_due() {
+                    if let Some(ex) = exporter.as_mut() {
+                        let mut frame = ex.frame();
+                        frame.set_gauge("frontier", session.frontier_size() as f64);
+                        std::hint::black_box(frame.to_ndjson());
+                    }
+                }
+            }
+        })
+        .1;
+        std::hint::black_box(sink);
+        ms
+    });
+    // Recorder ring write cost: reserve-slot + seal on the hot path.
+    tgm_obs::set_enabled(true);
+    let writes = 200_000u64;
+    let recorder_ms = median_ms(7, || {
+        let _in = scope.enter();
+        for i in 0..writes {
+            tgm_obs::recorder::record(tgm_obs::RecEvent::Counter {
+                name: "bench.ring",
+                delta: i,
+            });
+        }
+    });
+    tgm_obs::set_enabled(false);
+    SessionScope {
+        scoped: modes[0],
+        exporting: modes[1],
+        recorder_write_ns: recorder_ms * 1e6 / writes as f64,
+    }
 }
 
 /// Validates the emitted JSON against the `tgm_obs_report/v1` shape.
@@ -164,6 +248,14 @@ fn validate_schema(json: &str) -> Vec<String> {
             }
         }
         None => errs.push("sections lack granularity.compile".into()),
+    }
+    if doc
+        .get("sections")
+        .and_then(|v| v.get("obs.session_scope"))
+        .and_then(|v| v.get("scoped_overhead_pct"))
+        .is_none()
+    {
+        errs.push("sections lack obs.session_scope.scoped_overhead_pct".into());
     }
     if doc
         .get("sections")
@@ -317,64 +409,36 @@ fn main() {
     tgm_obs::reset();
     let obs_stats = m.run_in(events, false, &mut ctx).stats;
     assert_eq!(base_stats, obs_stats, "observability changed matcher results");
-    // Two layers of noise rejection: within a round, off/on samples are
-    // interleaved (so host clock drift hits both modes equally) and each
-    // mode takes its min-of-N (so a descheduled sample is discarded);
-    // across rounds, the median overhead discards rounds where one mode
-    // never got a quiet window at all — single rounds on a loaded host
-    // swing by ±10% while the median stays within ~1%.
-    let rounds = if test_mode { 7 } else { 5 };
-    let reps = 15;
     // Third interleaved mode: obs on *and* a scoped metric domain entered,
     // so the scope-routing indirection pays the same budget as the toggle.
     let scoped_domain = tgm_obs::ObsScope::new();
-    let mut estimates: Vec<(f64, f64, f64)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let (mut off, mut on, mut scoped) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            tgm_obs::set_enabled(false);
-            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
-            off = off.min(t);
-            tgm_obs::set_enabled(true);
-            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
-            on = on.min(t);
-            let _in = scoped_domain.enter();
-            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
-            scoped = scoped.min(t);
-        }
-        estimates.push((off, on, scoped));
-    }
-    let median_overhead = |pairs: &mut Vec<(f64, f64)>| -> (f64, f64, f64) {
-        pairs.sort_by(|a, b| {
-            let pa = (a.1 - a.0) / a.0.max(1e-9);
-            let pb = (b.1 - b.0) / b.0.max(1e-9);
-            pa.partial_cmp(&pb).expect("finite")
-        });
-        let (off, mode) = pairs[pairs.len() / 2];
-        (off, mode, (mode - off) / off.max(1e-9) * 100.0)
-    };
-    let budget = overhead_budget_pct();
-    let mut on_pairs: Vec<(f64, f64)> = estimates.iter().map(|&(o, n, _)| (o, n)).collect();
-    let mut scoped_pairs: Vec<(f64, f64)> = estimates.iter().map(|&(o, _, s)| (o, s)).collect();
-    let (off_ms, on_ms, overhead_pct) = median_overhead(&mut on_pairs);
-    let (soff_ms, scoped_ms, scoped_pct) = median_overhead(&mut scoped_pairs);
+    let rounds = if test_mode { 7 } else { 5 };
+    let budget = obs_overhead_budget_pct();
+    let scan = interleaved_overhead(3, rounds, 15, |mode| {
+        tgm_obs::set_enabled(mode > 0);
+        let _in = (mode == 2).then(|| scoped_domain.enter());
+        timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1
+    });
+    let (on, scoped) = (scan[0], scan[1]);
     eprintln!(
-        "obs overhead on example1 scan ({} events): off {off_ms:.3} ms, on {on_ms:.3} ms \
-         => {overhead_pct:+.2}% (budget {budget}%)",
-        events.len()
+        "obs overhead on example1 scan ({} events): off {:.3} ms, on {:.3} ms \
+         => {:+.2}% (budget {budget}%)",
+        events.len(),
+        on.base_ms,
+        on.mode_ms,
+        on.pct
     );
     eprintln!(
-        "scoped obs overhead: off {soff_ms:.3} ms, scoped {scoped_ms:.3} ms \
-         => {scoped_pct:+.2}% (budget {budget}%)"
+        "scoped obs overhead: off {:.3} ms, scoped {:.3} ms => {:+.2}% (budget {budget}%)",
+        scoped.base_ms, scoped.mode_ms, scoped.pct
     );
-    if test_mode && overhead_pct > budget {
-        failures.push(format!(
-            "overhead {overhead_pct:+.2}% exceeds the {budget}% budget"
-        ));
+    if test_mode && on.pct > budget {
+        failures.push(format!("overhead {:+.2}% exceeds the {budget}% budget", on.pct));
     }
-    if test_mode && scoped_pct > budget {
+    if test_mode && scoped.pct > budget {
         failures.push(format!(
-            "scoped overhead {scoped_pct:+.2}% exceeds the {budget}% budget"
+            "scoped overhead {:+.2}% exceeds the {budget}% budget",
+            scoped.pct
         ));
     }
 
@@ -418,6 +482,27 @@ fn main() {
     report.set_funnel(pstats.funnel());
     report.add_section("tag.matcher.last_scan", &obs_stats);
     report.add_section("mining.pipeline", &pstats);
+
+    let session = measure_session_scope(rounds);
+    eprintln!(
+        "session-scope obs overhead ({SESSION_EVENTS} events, evicting session): \
+         off {:.3} ms, scoped {:.3} ms => {:+.2}% (budget {budget}%); \
+         exporting {:.3} ms => {:+.2}%; recorder write {:.1} ns",
+        session.scoped.base_ms,
+        session.scoped.mode_ms,
+        session.scoped.pct,
+        session.exporting.mode_ms,
+        session.exporting.pct,
+        session.recorder_write_ns
+    );
+    if test_mode && session.scoped.pct > budget {
+        failures.push(format!(
+            "session-scope mode: scoped session telemetry costs {:+.2}% over the \
+             disabled path, above the {budget}% budget",
+            session.scoped.pct
+        ));
+    }
+    report.add_section("obs.session_scope", &session);
 
     print!("{}", report.render());
     println!(

@@ -6,9 +6,9 @@
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{EventSequence, TypeRegistry};
 use tgm_granularity::{periodic, Calendar};
-use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx};
+use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx, Tag};
 
-use crate::workloads::planted_stock_workload;
+use crate::workloads::{grouped_chain_cet, planted_stock_workload, PlantedWorkload};
 use crate::{print_table, timed};
 
 /// Runs E6 and prints its tables.
@@ -67,21 +67,10 @@ pub fn run() {
     // (business-week / business-month group business days into calendar
     // frames: every raw resolution materializes interval sets and checks
     // containment), where the compiled tables pay off most.
-    let bweek = cal.get("business-week").unwrap();
-    let bmonth = cal.get("business-month").unwrap();
     let mut rows = Vec::new();
     for days in [30i64, 90, 270] {
         let w = planted_stock_workload(days, &[], 0, 44);
-        let ibm_rise = w_type(&w.registry, "IBM-rise");
-        let ibm_fall = w_type(&w.registry, "IBM-fall");
-        let mut sb = StructureBuilder::new();
-        let x0 = sb.var("X0");
-        let x1 = sb.var("X1");
-        let x2 = sb.var("X2");
-        sb.constrain(x0, x1, Tcg::new(0, 1, bweek.clone()));
-        sb.constrain(x1, x2, Tcg::new(0, 1, bmonth.clone()));
-        let s = sb.build().unwrap();
-        let cet = ComplexEventType::new(s, vec![ibm_rise, ibm_fall, ibm_rise]);
+        let cet = grouped_chain_cet(&cal, &w.types);
         let tag = build_tag(&cet);
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
@@ -107,13 +96,23 @@ pub fn run() {
     // (1c) Engine ablation: the reference per-`Config` engine (one heap
     // vector per configuration, HashSet dedup) vs the lane engine (flat
     // pooled rows, in-place dedup), with a fresh scratch per run and with
-    // one reused scratch. The reference and reused-scratch runs each get
-    // one untimed warm-up. RunStats are asserted bit-identical.
+    // one reused scratch, on Example 1 and on the 90-day grouped chain of
+    // (1b). The reference and reused-scratch runs each get one untimed
+    // warm-up. RunStats are asserted bit-identical.
+    let mut inputs: Vec<(&str, PlantedWorkload, Tag)> = [30i64, 120, 480]
+        .into_iter()
+        .map(|days| {
+            let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
+            let tag = build_tag(&w.cet);
+            ("Example 1", w, tag)
+        })
+        .collect();
+    let w = planted_stock_workload(90, &[], 0, 44);
+    let tag = build_tag(&grouped_chain_cet(&cal, &w.types));
+    inputs.push(("grouped chain", w, tag));
     let mut rows = Vec::new();
-    for days in [30i64, 120, 480] {
-        let w = planted_stock_workload(days, &[], (days / 30) as usize, 42);
-        let tag = build_tag(&w.cet);
-        let m = Matcher::new(&tag);
+    for (name, w, tag) in &inputs {
+        let m = Matcher::new(tag);
         let events = w.sequence.events();
         let _ = m.run_reference(events, false); // warm-up
         let (stats_ref, ms_ref) = timed(|| m.run_reference(events, false));
@@ -125,6 +124,7 @@ pub fn run() {
         assert_eq!(stats_ref, stats_fresh, "engines are bit-identical");
         assert_eq!(stats_ref, stats_reused, "scratch reuse is bit-identical");
         rows.push(vec![
+            name.to_string(),
             events.len().to_string(),
             format!("{ms_ref:.1}"),
             format!("{ms_fresh:.1}"),
@@ -133,8 +133,9 @@ pub fn run() {
         ]);
     }
     print_table(
-        "Engine ablation: reference vs lane engine (Example 1 TAG)",
+        "Engine ablation: reference vs lane engine",
         &[
+            "TAG",
             "events",
             "ms (reference)",
             "ms (lane, fresh scratch)",

@@ -19,7 +19,7 @@ use tgm_tag::{
 };
 
 use crate::workloads::{daily_stock_workload, planted_stock_workload};
-use crate::{print_table, timed};
+use crate::{interleaved_overhead, print_table, timed};
 
 /// Runs E11 and prints its tables.
 pub fn run() {
@@ -100,10 +100,10 @@ pub fn run() {
     );
 
     // (2) Observability (DESIGN.md §3.13): the instrumentation's overhead
-    // on the hottest loop (Example 1 full scan), measured noise-robustly
-    // (see below), with results asserted identical —
-    // then the §5 pruning funnel captured from one instrumented discovery
-    // run, ingested via Observable/Report rather than hand-printed.
+    // on the hottest loop (Example 1 full scan), with results asserted
+    // identical — then the §5 pruning funnel captured from one
+    // instrumented discovery run, ingested via Observable/Report rather
+    // than hand-printed.
     let w = planted_stock_workload(120, &[], 4, 42);
     let tag = build_tag(&w.cet);
     let events = w.sequence.events();
@@ -116,41 +116,23 @@ pub fn run() {
     tgm_obs::reset();
     let obs_stats = m.run_in(events, false, &mut ctx).stats;
     assert_eq!(base_stats, obs_stats, "observability changed matcher results");
-    // Within a round, off/on samples are interleaved (host clock drift
-    // hits both modes equally) and each mode takes its min-of-N; across
-    // rounds, the median discards rounds where one mode never got a quiet
-    // window. Same estimator as the `obs_report` CI gate.
+    // The `obs_report` budget's estimator: median of interleaved
+    // min-of-N rounds.
     const OBS_ROUNDS: usize = 5;
     const OBS_REPS: usize = 15;
-    let mut estimates: Vec<(f64, f64)> = Vec::with_capacity(OBS_ROUNDS);
-    for _ in 0..OBS_ROUNDS {
-        let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..OBS_REPS {
-            tgm_obs::set_enabled(false);
-            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
-            off = off.min(t);
-            tgm_obs::set_enabled(true);
-            let t = timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1;
-            on = on.min(t);
-        }
-        estimates.push((off, on));
-    }
+    let on = interleaved_overhead(2, OBS_ROUNDS, OBS_REPS, |mode| {
+        tgm_obs::set_enabled(mode == 1);
+        timed(|| std::hint::black_box(m.run_in(events, false, &mut ctx).stats)).1
+    })[0];
     tgm_obs::set_enabled(false);
-    estimates.sort_by(|a, b| {
-        let pa = (a.1 - a.0) / a.0.max(1e-9);
-        let pb = (b.1 - b.0) / b.0.max(1e-9);
-        pa.partial_cmp(&pb).expect("finite")
-    });
-    let (off_ms, on_ms) = estimates[estimates.len() / 2];
-    let overhead = (on_ms - off_ms) / off_ms.max(1e-9) * 100.0;
     print_table(
         "Observability: instrumented vs uninstrumented full scan (median of 5 interleaved min-of-15 rounds)",
         &["events", "obs off ms", "obs on ms", "overhead"],
         &[vec![
             events.len().to_string(),
-            format!("{off_ms:.2}"),
-            format!("{on_ms:.2}"),
-            format!("{overhead:+.1}%"),
+            format!("{:.2}", on.base_ms),
+            format!("{:.2}", on.mode_ms),
+            format!("{:+.1}%", on.pct),
         ]],
     );
 

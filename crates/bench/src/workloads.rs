@@ -1,12 +1,13 @@
 //! Shared synthetic workloads for the experiments: a stock-ticker stream
-//! with planted occurrences of the paper's Example 1 complex event.
+//! with planted occurrences of the paper's Example 1 complex event, the
+//! grouped-granularity chain over it, and seeded uniform event streams.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tgm_core::examples::{example_1, Example1Types};
-use tgm_core::ComplexEventType;
+use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::gen::{stock_market, with_planted, StockMarketConfig};
-use tgm_events::{EventSequence, TypeRegistry};
+use tgm_events::{Event, EventSequence, EventType, TypeRegistry};
 use tgm_granularity::{weekday_from_days, Calendar, Weekday};
 
 const DAY: i64 = 86_400;
@@ -147,4 +148,36 @@ pub fn planted_stock_workload(
         types,
         planted,
     }
+}
+
+/// The grouped-granularity chain `X0 →[0,1] business-week→ X1
+/// →[0,1] business-month→ X2` over (IBM-rise, IBM-fall, IBM-rise): every
+/// raw resolution of its clocks materializes interval sets, so it is the
+/// workload where the compiled tables pay off most.
+pub fn grouped_chain_cet(cal: &Calendar, types: &Example1Types) -> ComplexEventType {
+    let mut sb = StructureBuilder::new();
+    let x0 = sb.var("X0");
+    let x1 = sb.var("X1");
+    let x2 = sb.var("X2");
+    sb.constrain(x0, x1, Tcg::new(0, 1, cal.get("business-week").unwrap()));
+    sb.constrain(x1, x2, Tcg::new(0, 1, cal.get("business-month").unwrap()));
+    let s = sb.build().unwrap();
+    ComplexEventType::new(s, vec![types.ibm_rise, types.ibm_fall, types.ibm_rise])
+}
+
+/// `n` events from a 64-bit LCG seeded with `seed`, starting on Monday
+/// 2000-01-03: each gap is `min_gap + r % gap_span` seconds and each type
+/// is one of `EventType(0..n_types)`.
+pub fn lcg_events(seed: u64, n: usize, min_gap: i64, gap_span: i64, n_types: u32) -> Vec<Event> {
+    let mut state = seed;
+    let mut t = 2 * DAY;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            t += min_gap + (state >> 33) as i64 % gap_span;
+            Event::new(EventType((state >> 7) as u32 % n_types), t)
+        })
+        .collect()
 }

@@ -50,7 +50,7 @@ static FALLBACK: AtomicU64 = AtomicU64::new(0);
 /// Globally enables or disables the compiled periodic-table fast path
 /// (default: enabled). Disabling falls every query back to the raw
 /// implementation — the reference path of the differential tests and the
-/// baseline of the `bench_json` conversion gates.
+/// baseline of `bench_json`'s gates 4–5 (`granularity_conversion`).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -16,8 +16,8 @@
 //!   coverage, reference-occurrence pruning by derived windows,
 //!   Apriori-style candidate reduction through induced discovery problems
 //!   (§5.1), and a final anchored TAG scan that advances every candidate
-//!   in one shared pass, split across the host's workers. Every screening
-//!   step can be toggled for ablation studies.
+//!   in one shared pass, split across the host's workers. Steps 2–4 can
+//!   each be toggled for ablation studies.
 //! * [`episodes`] — a WINEPI-style frequent-episode miner (serial and
 //!   parallel episodes under a sliding window), reimplementing the paper's
 //!   closest related work \[MTV95\] as a single-granularity baseline.

@@ -70,12 +70,12 @@ fn anchored_multi(tags: &[Tag]) -> MultiMatcher<'_> {
 }
 
 /// What every anchored run reads: the (reduced) event list, the reference
-/// occurrences to anchor at, an optional scan window in seconds past each
+/// occurrences to anchor at, the scan window in seconds past each
 /// reference, and tick columns built over exactly `events`.
 pub(crate) struct ScanInput<'a> {
     pub(crate) events: &'a [Event],
     pub(crate) refs: &'a [usize],
-    pub(crate) window: Option<i64>,
+    pub(crate) window: i64,
     pub(crate) cols: &'a TickColumns,
 }
 
@@ -100,14 +100,9 @@ fn multi_count_support(
         if let Some(l) = limits {
             l.check()?;
         }
-        let slice = match input.window {
-            Some(w) => {
-                let t0 = events[idx].time;
-                let end = events.partition_point(|e| e.time <= t0.saturating_add(w));
-                &events[idx..end]
-            }
-            None => &events[idx..],
-        };
+        let t0 = events[idx].time;
+        let end = events.partition_point(|e| e.time <= t0.saturating_add(input.window));
+        let slice = &events[idx..end];
         *tag_runs += mm.len();
         let mut ctx = RunCtx {
             scratch: &mut *scratch,
@@ -337,7 +332,7 @@ mod tests {
                 let input = ScanInput {
                     events: &events,
                     refs: &all_refs[..n_refs],
-                    window: Some(2 * 86_400),
+                    window: 2 * 86_400,
                     cols: &cols,
                 };
                 let tags = &tags[..n_cands];
@@ -349,7 +344,7 @@ mod tests {
                             tag,
                             &events,
                             input.refs,
-                            input.window,
+                            Some(input.window),
                             Some(input.cols),
                             &mut MatcherScratch::new(),
                             &mut oracle_runs,

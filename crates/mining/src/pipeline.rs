@@ -36,8 +36,9 @@ use crate::bounded::{BoundedMining, Halt};
 use crate::multi_scan::{count_supports, ScanInput, TemplateCache};
 use crate::problem::{DiscoveryProblem, Solution};
 
-/// Ablation switches for the pipeline; all enabled by default (`k = 2`
+/// Ablation switches for pipeline steps 2–4; all enabled by default (`k = 2`
 /// pair screening is opt-in, as the paper presents it as an extension).
+/// Step 1's refutation and step 5's window bound always apply.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`PipelineOptions::default`] or via [`PipelineOptions::builder`], which
@@ -45,8 +46,6 @@ use crate::problem::{DiscoveryProblem, Solution};
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct PipelineOptions {
-    /// Step 1: consistency screening by propagation.
-    pub consistency_screen: bool,
     /// Step 2: sequence reduction.
     pub sequence_reduction: bool,
     /// Step 3: reference-occurrence pruning.
@@ -62,20 +61,16 @@ pub struct PipelineOptions {
     /// ("for each integer k = 2, 3, …" in §5.1). `0` disables; screened-out
     /// tuples from smaller `k` are never reconsidered at larger `k`.
     pub chain_screening_k: usize,
-    /// Step 5: bound each anchored scan by the derived window.
-    pub window_limit: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            consistency_screen: true,
             sequence_reduction: true,
             reference_pruning: true,
             candidate_screening: true,
             pair_screening: false,
             chain_screening_k: 0,
-            window_limit: true,
         }
     }
 }
@@ -86,8 +81,8 @@ impl PipelineOptions {
     ///
     /// ```
     /// use tgm_mining::pipeline::PipelineOptions;
-    /// let o = PipelineOptions::builder().pair_screening(true).window_limit(false).build();
-    /// assert!(o.pair_screening && !o.window_limit && o.reference_pruning);
+    /// let o = PipelineOptions::builder().pair_screening(true).reference_pruning(false).build();
+    /// assert!(o.pair_screening && !o.reference_pruning && o.candidate_screening);
     /// ```
     pub fn builder() -> PipelineOptionsBuilder {
         PipelineOptionsBuilder::default()
@@ -104,12 +99,6 @@ impl PipelineOptions {
 pub struct PipelineOptionsBuilder(PipelineOptions);
 
 impl PipelineOptionsBuilder {
-    /// Sets step 1 consistency screening.
-    pub fn consistency_screen(mut self, on: bool) -> Self {
-        self.0.consistency_screen = on;
-        self
-    }
-
     /// Sets step 2 sequence reduction.
     pub fn sequence_reduction(mut self, on: bool) -> Self {
         self.0.sequence_reduction = on;
@@ -137,12 +126,6 @@ impl PipelineOptionsBuilder {
     /// Sets the induced-subproblem chain-screening depth (`0` disables).
     pub fn chain_screening_k(mut self, k: usize) -> Self {
         self.0.chain_screening_k = k;
-        self
-    }
-
-    /// Sets the step 5 window limit.
-    pub fn window_limit(mut self, on: bool) -> Self {
-        self.0.window_limit = on;
         self
     }
 
@@ -506,7 +489,7 @@ fn mine_inner(
     }
 
     let p = consistency(&ctx)?;
-    if opts.consistency_screen && !p.is_consistent() {
+    if !p.is_consistent() {
         stats.refuted = true;
         return Ok((Vec::new(), Verdict::Completed));
     }
@@ -545,7 +528,7 @@ fn mine_inner(
     let input = ScanInput {
         events: &red.events,
         refs: &kept_refs,
-        window: opts.window_limit.then_some(bounds.max_window()),
+        window: bounds.max_window(),
         cols: &red.cols,
     };
     // Automaton shapes are memoized per structure: chain screening builds
@@ -1115,18 +1098,16 @@ mod tests {
     fn all_ablations_agree() {
         let (_reg, seq, p) = world();
         let (reference, _) = naive::mine(&p, &seq);
-        for bits in 0..128u32 {
+        for bits in 0..32u32 {
             let opts = PipelineOptions {
-                consistency_screen: bits & 1 != 0,
-                sequence_reduction: bits & 2 != 0,
-                reference_pruning: bits & 4 != 0,
-                candidate_screening: bits & 8 != 0,
-                pair_screening: bits & 16 != 0,
-                chain_screening_k: if bits & 64 != 0 { 2 } else { 0 },
-                window_limit: bits & 32 != 0,
+                sequence_reduction: bits & 1 != 0,
+                reference_pruning: bits & 2 != 0,
+                candidate_screening: bits & 4 != 0,
+                pair_screening: bits & 8 != 0,
+                chain_screening_k: if bits & 16 != 0 { 2 } else { 0 },
             };
             let (sols, _) = mine_with(&p, &seq, &opts);
-            assert_eq!(sols, reference, "ablation {bits:08b} changed results");
+            assert_eq!(sols, reference, "ablation {bits:05b} changed results");
         }
     }
 

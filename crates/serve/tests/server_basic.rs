@@ -1,7 +1,8 @@
 //! Integration tests for the serving core: admission, quotas, session
 //! lifecycle, TCP framing, and graceful drain — all over the same
 //! rise/report/fall pattern the CLI tests use (one completion at the
-//! `fall` event, t = 500000).
+//! `fall` event, t = 500000), plus a saturation run of 64 clients
+//! against 8 admission slots.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -385,5 +386,62 @@ fn concurrent_tenants_all_get_correct_typed_outcomes() {
             }
         }
     }
+    core.drain();
+}
+
+#[test]
+fn saturation_yields_only_results_or_typed_sheds() {
+    // 64 barrier-released clients, two requests each, against an admission
+    // capacity of 8 (4 tenants × inflight cap 2). How many are served is
+    // up to the scheduler; what each response may be is not.
+    const THREADS: usize = 64;
+    const REQUESTS: usize = 2;
+    const TENANTS: usize = 4;
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(2, 8);
+    let core = ServerCore::start(ServerConfig {
+        workers,
+        queue_depth: 64,
+        default_quotas: Quotas::unlimited().with_max_inflight(2),
+        tenant_quotas: vec![],
+    });
+    let barrier = std::sync::Barrier::new(THREADS);
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let client = core.client();
+                let payload = match_payload(&format!("tenant-{}", i % TENANTS));
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    (0..REQUESTS)
+                        .map(|_| client.request_parsed(&payload))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(responses.len(), THREADS * REQUESTS);
+    let mut ok = 0;
+    for resp in responses {
+        match resp {
+            Ok(Response::Ok(result)) => {
+                assert_eq!(completions_at(&result), [500000]);
+                ok += 1;
+            }
+            Ok(Response::Err {
+                kind: ErrorKind::Overloaded,
+                retry_after_ms: Some(_),
+                ..
+            }) => {}
+            other => panic!("neither a result nor a typed shed with a retry hint: {other:?}"),
+        }
+    }
+    assert!(ok > 0, "saturation served none of its {} requests", THREADS * REQUESTS);
     core.drain();
 }

@@ -77,15 +77,6 @@ impl Range {
     pub fn is_full(&self) -> bool {
         self.lo <= NEG_INF && self.hi >= INF
     }
-
-    /// Width `hi − lo` (saturating; `INF` when unbounded).
-    pub fn width(&self) -> i64 {
-        if self.is_finite() {
-            self.hi - self.lo
-        } else {
-            INF
-        }
-    }
 }
 
 impl fmt::Debug for Range {
@@ -499,7 +490,6 @@ mod tests {
         );
         assert_eq!(Range::new(0, 4).intersect(&Range::new(5, 6)), None);
         assert!(Range::full().is_full());
-        assert_eq!(Range::new(2, 7).width(), 5);
     }
 
     #[test]
