@@ -19,10 +19,6 @@ fn bench_mining(c: &mut Criterion) {
     group.bench_function("pipeline", |b| {
         b.iter(|| mine_with(&problem, &w.sequence, &PipelineOptions::default()))
     });
-    let pairs = PipelineOptions::builder().pair_screening(true).build();
-    group.bench_function("pipeline_pair_screening", |b| {
-        b.iter(|| mine_with(&problem, &w.sequence, &pairs))
-    });
     group.finish();
 }
 

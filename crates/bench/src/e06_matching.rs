@@ -9,7 +9,11 @@ use tgm_granularity::{periodic, Calendar};
 use tgm_tag::{build_tag, Matcher, MatcherScratch, RunCtx, Tag};
 
 use crate::workloads::{grouped_chain_cet, planted_stock_workload, PlantedWorkload};
-use crate::{print_table, timed};
+use crate::{print_table, timed, warm_median_ms};
+
+/// Timed runs per configuration in tables (1)–(1c), after one untimed
+/// warm-up each.
+const REPS: usize = 5;
 
 /// Runs E6 and prints its tables.
 pub fn run() {
@@ -27,17 +31,18 @@ pub fn run() {
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
         let grans: Vec<_> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
-        let (cols, cols_ms) = timed(|| tgm_events::TickColumns::build(events, &grans));
-        let mut scratch = MatcherScratch::new();
-        let mut ctx = RunCtx {
-            cols: Some((&cols, 0)),
-            ..RunCtx::new(&mut scratch)
-        };
-        let (stats_cols, run_ms) = timed(|| m.run_in(events, false, &mut ctx).stats);
-        let cols_total_ms = cols_ms + run_ms;
-        let (stats, ms) = timed(|| m.run(events, false));
+        let (stats_cols, cols_total_ms) = warm_median_ms(REPS, || {
+            let cols = tgm_events::TickColumns::build(events, &grans);
+            let mut scratch = MatcherScratch::new();
+            let mut ctx = RunCtx {
+                cols: Some((&cols, 0)),
+                ..RunCtx::new(&mut scratch)
+            };
+            m.run_in(events, false, &mut ctx).stats
+        });
+        let (stats, ms) = warm_median_ms(REPS, || m.run(events, false));
         periodic::set_enabled(false);
-        let (stats_off, ms_off) = timed(|| m.run(events, false));
+        let (stats_off, ms_off) = warm_median_ms(REPS, || m.run(events, false));
         periodic::set_enabled(true);
         assert_eq!(stats, stats_off, "compiled tables are semantics-preserving");
         assert_eq!(stats, stats_cols, "columns are semantics-preserving");
@@ -74,10 +79,10 @@ pub fn run() {
         let tag = build_tag(&cet);
         let m = Matcher::new(&tag);
         let events = w.sequence.events();
-        let (_, _) = timed(|| m.run(events, false)); // compile the tables
-        let (stats, ms) = timed(|| m.run(events, false));
+        // The warm-up compiles the tables.
+        let (stats, ms) = warm_median_ms(REPS, || m.run(events, false));
         periodic::set_enabled(false);
-        let (stats_off, ms_off) = timed(|| m.run(events, false));
+        let (stats_off, ms_off) = warm_median_ms(REPS, || m.run(events, false));
         periodic::set_enabled(true);
         assert_eq!(stats, stats_off, "compiled tables are semantics-preserving");
         rows.push(vec![
@@ -97,8 +102,7 @@ pub fn run() {
     // vector per configuration, HashSet dedup) vs the lane engine (flat
     // pooled rows, in-place dedup), with a fresh scratch per run and with
     // one reused scratch, on Example 1 and on the 90-day grouped chain of
-    // (1b). The reference and reused-scratch runs each get one untimed
-    // warm-up. RunStats are asserted bit-identical.
+    // (1b). RunStats are asserted bit-identical.
     let mut inputs: Vec<(&str, PlantedWorkload, Tag)> = [30i64, 120, 480]
         .into_iter()
         .map(|days| {
@@ -114,13 +118,13 @@ pub fn run() {
     for (name, w, tag) in &inputs {
         let m = Matcher::new(tag);
         let events = w.sequence.events();
-        let _ = m.run_reference(events, false); // warm-up
-        let (stats_ref, ms_ref) = timed(|| m.run_reference(events, false));
-        let (stats_fresh, ms_fresh) = timed(|| m.run(events, false));
+        let (stats_ref, ms_ref) = warm_median_ms(REPS, || m.run_reference(events, false));
+        let (stats_fresh, ms_fresh) = warm_median_ms(REPS, || m.run(events, false));
         let mut scratch = MatcherScratch::new();
         let mut ctx = RunCtx::new(&mut scratch);
-        let _ = m.run_in(events, false, &mut ctx).stats; // warm capacity
-        let (stats_reused, ms_reused) = timed(|| m.run_in(events, false, &mut ctx).stats);
+        // The warm-up grows the reused scratch to capacity.
+        let (stats_reused, ms_reused) =
+            warm_median_ms(REPS, || m.run_in(events, false, &mut ctx).stats);
         assert_eq!(stats_ref, stats_fresh, "engines are bit-identical");
         assert_eq!(stats_ref, stats_reused, "scratch reuse is bit-identical");
         rows.push(vec![

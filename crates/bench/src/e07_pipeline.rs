@@ -1,93 +1,56 @@
-//! E7 — §5 steps 1–5: ablation of the optimized discovery pipeline against
-//! the naive algorithm on a stock workload with planted Example-1 events.
-//! The paper claims "in practice, the reduction produced by steps 1–4 makes
-//! the mining process effective".
+//! E7 — §5 steps 1–5: the optimized discovery pipeline against the naive
+//! algorithm on a stock workload with planted Example-1 events, with the
+//! §5 funnel of every run. The paper claims "in practice, the reduction
+//! produced by steps 1–4 makes the mining process effective".
 
 use tgm_core::VarId;
-use tgm_mining::pipeline::{mine_with, PipelineOptions};
+use tgm_mining::pipeline::{mine_with, PipelineOptions, PipelineStats};
 use tgm_mining::{naive, DiscoveryProblem};
 
 use crate::workloads::daily_stock_workload;
-use crate::{print_table, timed};
+use crate::{print_table, warm_median_ms};
 
-/// Runs E7 and prints its table.
+/// Timed runs per row, after one untimed warm-up.
+const REPS: usize = 5;
+
+/// Runs E7 and prints its tables.
 pub fn run() {
-    println!("\n## E7 — Discovery pipeline ablation (naive vs steps 1-4)");
+    println!("\n## E7 — Discovery pipeline (naive vs §5 steps 1-5)");
     let w = daily_stock_workload(365, &["SUN", "DEC"], 0.85, 7);
     // Discovery problem of Example 2: what fills X1..X3 between IBM rises
     // and (constrained) falls? X3 pinned to IBM-fall as in the paper.
     let problem = DiscoveryProblem::new(w.cet.structure().clone(), 0.6, w.types.ibm_rise)
         .with_candidates(VarId(3), [w.types.ibm_fall]);
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let ((naive_sols, nstats), naive_ms) = timed(|| naive::mine(&problem, &w.sequence));
-    rows.push(vec![
+    let ((naive_sols, nstats), naive_ms) =
+        warm_median_ms(REPS, || naive::mine(&problem, &w.sequence));
+    let mut rows: Vec<Vec<String>> = vec![vec![
         "naive (§5 baseline)".into(),
-        nstats.candidates.to_string(),
-        nstats.tag_runs.to_string(),
-        w.sequence.len().to_string(),
+        format!("{0}/{0}", w.sequence.len()),
         "-".into(),
-        format!("{naive_ms:.0}"),
+        format!("{0} → {0} → {0}", nstats.candidates),
+        nstats.tag_runs.to_string(),
+        format!("{naive_ms:.1}"),
         naive_sols.len().to_string(),
-    ]);
+    ]];
 
-    let configs: [(&str, PipelineOptions); 7] = [
-        (
-            "steps 1-5 (full pipeline)",
-            PipelineOptions::default(),
-        ),
-        (
-            "without candidate screening (step 4 off)",
-            PipelineOptions::builder().candidate_screening(false).build(),
-        ),
-        (
-            "without reference pruning (step 3 off)",
-            PipelineOptions::builder().reference_pruning(false).build(),
-        ),
-        (
-            "without sequence reduction (step 2 off)",
-            PipelineOptions::builder().sequence_reduction(false).build(),
-        ),
-        (
-            "full + pair screening (k = 2, windows)",
-            PipelineOptions::builder().pair_screening(true).build(),
-        ),
-        (
-            "full + induced chain screening (k <= 2, TAGs)",
-            PipelineOptions::builder().chain_screening_k(2).build(),
-        ),
-        (
-            "full + induced chain screening (k <= 3, TAGs)",
-            PipelineOptions::builder().chain_screening_k(3).build(),
-        ),
+    let configs = [
+        ("steps 1-5 (default)", 0),
+        ("+ induced chain screening (k <= 2, TAGs)", 2),
+        ("+ induced chain screening (k <= 3, TAGs)", 3),
     ];
-    for (label, opts) in configs {
-        let ((sols, stats), ms) = timed(|| mine_with(&problem, &w.sequence, &opts));
+    for (label, chain_screening_k) in configs {
+        let opts = PipelineOptions { chain_screening_k };
+        let ((sols, stats), ms) = warm_median_ms(REPS, || mine_with(&problem, &w.sequence, &opts));
         assert_eq!(
             sols, naive_sols,
             "pipeline config `{label}` must agree with naive"
         );
-        rows.push(vec![
-            label.into(),
-            stats.candidates_scanned.to_string(),
-            (stats.tag_runs + stats.screening_tag_runs).to_string(),
-            stats.events_kept.to_string(),
-            format!("{}/{}", stats.refs_kept, stats.refs_total),
-            format!("{ms:.0}"),
-            sols.len().to_string(),
-        ]);
+        rows.push(funnel_row(label, &stats, ms, sols.len()));
     }
     print_table(
-        "Ablation on a 365-day daily stock stream, Example-1 pattern planted after 85% of IBM rises (ϑ = 0.6)",
-        &[
-            "configuration",
-            "candidates scanned",
-            "TAG runs",
-            "events scanned",
-            "refs kept",
-            "ms",
-            "solutions",
-        ],
+        "Funnel on a 365-day daily stock stream, Example-1 pattern planted after 85% of IBM rises (ϑ = 0.6)",
+        &FUNNEL_HEADER,
         &rows,
     );
     println!(
@@ -156,31 +119,43 @@ fn weekend_noise_variant() {
     let seq = with_planted(&noise, &[events]);
 
     let problem = DiscoveryProblem::new(s, 0.4, alarm);
-    let full = PipelineOptions::default();
-    let off = PipelineOptions::builder().sequence_reduction(false).reference_pruning(false).build();
-    let ((sols_on, on), ms_on) = timed(|| mine_with(&problem, &seq, &full));
-    let ((sols_off, off_stats), ms_off) = timed(|| mine_with(&problem, &seq, &off));
-    assert_eq!(sols_on, sols_off);
+    let opts = PipelineOptions::default();
+    let ((sols, stats), ms) = warm_median_ms(REPS, || mine_with(&problem, &seq, &opts));
+    assert_eq!(
+        sols,
+        naive::mine(&problem, &seq).0,
+        "pipeline must agree with naive"
+    );
     print_table(
         "Steps 2-3 on a weekend-noise workload (b-day constraint, ϑ = 0.4)",
-        &["configuration", "events scanned", "refs kept", "TAG runs", "ms", "solutions"],
-        &[
-            vec![
-                "steps 2+3 on".into(),
-                format!("{}/{}", on.events_kept, on.events_total),
-                format!("{}/{}", on.refs_kept, on.refs_total),
-                on.tag_runs.to_string(),
-                format!("{ms_on:.0}"),
-                sols_on.len().to_string(),
-            ],
-            vec![
-                "steps 2+3 off".into(),
-                format!("{}/{}", off_stats.events_kept, off_stats.events_total),
-                format!("{}/{}", off_stats.refs_kept, off_stats.refs_total),
-                off_stats.tag_runs.to_string(),
-                format!("{ms_off:.0}"),
-                sols_off.len().to_string(),
-            ],
-        ],
+        &FUNNEL_HEADER,
+        &[funnel_row("steps 1-5 (default)", &stats, ms, sols.len())],
     );
+}
+
+/// The columns of every E7 table: the §5 funnel of one run.
+const FUNNEL_HEADER: [&str; 7] = [
+    "configuration",
+    "events kept",
+    "refs kept",
+    "candidates (initial → k=1 → scanned)",
+    "TAG runs",
+    "ms",
+    "solutions",
+];
+
+/// A [`FUNNEL_HEADER`] row; the TAG runs include chain screening's.
+fn funnel_row(label: &str, stats: &PipelineStats, ms: f64, solutions: usize) -> Vec<String> {
+    vec![
+        label.into(),
+        format!("{}/{}", stats.events_kept, stats.events_total),
+        format!("{}/{}", stats.refs_kept, stats.refs_total),
+        format!(
+            "{} → {} → {}",
+            stats.candidates_initial, stats.candidates_after_var_screen, stats.candidates_scanned
+        ),
+        (stats.tag_runs + stats.screening_tag_runs).to_string(),
+        format!("{ms:.1}"),
+        solutions.to_string(),
+    ]
 }

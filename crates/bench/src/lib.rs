@@ -35,6 +35,16 @@ pub fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Runs `f` once untimed (a warm-up, whose result is returned), then
+/// returns the median of `reps` further timed runs, in milliseconds.
+pub(crate) fn warm_median_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let out = f();
+    let ms = median_ms(reps, || {
+        std::hint::black_box(f());
+    });
+    (out, ms)
+}
+
 /// The observability overhead budget in percent: `OBS_OVERHEAD_BUDGET_PCT`,
 /// default 3.
 pub fn obs_overhead_budget_pct() -> f64 {

@@ -13,12 +13,18 @@
 //! 4. **Candidate reduction** — the induced discovery problems of §5.1:
 //!    for each variable, a type survives only if it appears, often enough
 //!    (w.r.t. *all* reference occurrences), inside the variable's window
-//!    satisfying all derived root-to-variable TCGs; optionally extended to
-//!    variable *pairs* along chains (`k = 2`).
+//!    satisfying all derived root-to-variable TCGs (`k = 1`); optionally
+//!    extended to tuples along root-anchored chains for `k = 2, 3, …`,
+//!    each an induced sub-problem solved with anchored TAGs.
 //! 5. **Final scan** — enumerate the surviving assignments and run one
 //!    anchored TAG per (candidate, reference occurrence), with the scan
 //!    bounded by the derived windows. All candidates advance together in
 //!    one shared multi-TAG pass, split across the host's workers.
+//!
+//! Steps 1–5 always run; none of them changes the answer, only the work
+//! left for step 5. [`PipelineStats`] reports what each step kept (its
+//! [`funnel`](PipelineStats::funnel)). The one option,
+//! [`PipelineOptions::chain_screening_k`], turns on the `k ≥ 2` screens.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,103 +42,23 @@ use crate::bounded::{BoundedMining, Halt};
 use crate::multi_scan::{count_supports, ScanInput, TemplateCache};
 use crate::problem::{DiscoveryProblem, Solution};
 
-/// Ablation switches for pipeline steps 2–4; all enabled by default (`k = 2`
-/// pair screening is opt-in, as the paper presents it as an extension).
-/// Step 1's refutation and step 5's window bound always apply.
-///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`PipelineOptions::default`] or via [`PipelineOptions::builder`], which
-/// keeps call sites source-compatible as knobs are added.
-#[derive(Clone, Copy, Debug)]
-#[non_exhaustive]
+/// The maximum number of variables in a structure the pipeline mines: the
+/// width of the per-event eligibility bitmask of step 2. Callers taking
+/// outside input check it up front; [`mine_with`] and [`mine_bounded`]
+/// panic past it.
+pub const MAX_VARIABLES: usize = 64;
+
+/// The pipeline's one option. Steps 1–5 always run; their effect shows in
+/// the [`PipelineStats`] funnel.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineOptions {
-    /// Step 2: sequence reduction.
-    pub sequence_reduction: bool,
-    /// Step 3: reference-occurrence pruning.
-    pub reference_pruning: bool,
-    /// Step 4: per-variable candidate screening (`k = 1`).
-    pub candidate_screening: bool,
-    /// Step 4 extension: pair screening along chains (`k = 2`), using the
-    /// derived windows (cheap, no automata).
-    pub pair_screening: bool,
     /// Step 4 extension, the paper's full form: solve *induced discovery
     /// problems* on root-anchored sub-chains of up to this many non-root
     /// variables with anchored TAGs, banning infrequent tuples
-    /// ("for each integer k = 2, 3, …" in §5.1). `0` disables; screened-out
-    /// tuples from smaller `k` are never reconsidered at larger `k`.
+    /// ("for each integer k = 2, 3, …" in §5.1). `0` (the default)
+    /// disables; screened-out tuples from smaller `k` are never
+    /// reconsidered at larger `k`.
     pub chain_screening_k: usize,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            sequence_reduction: true,
-            reference_pruning: true,
-            candidate_screening: true,
-            pair_screening: false,
-            chain_screening_k: 0,
-        }
-    }
-}
-
-impl PipelineOptions {
-    /// A builder starting from the defaults (everything on, `k = 2`
-    /// extensions off).
-    ///
-    /// ```
-    /// use tgm_mining::pipeline::PipelineOptions;
-    /// let o = PipelineOptions::builder().pair_screening(true).reference_pruning(false).build();
-    /// assert!(o.pair_screening && !o.reference_pruning && o.candidate_screening);
-    /// ```
-    pub fn builder() -> PipelineOptionsBuilder {
-        PipelineOptionsBuilder::default()
-    }
-
-    /// A builder seeded from this value, for tweaking individual knobs.
-    pub fn to_builder(self) -> PipelineOptionsBuilder {
-        PipelineOptionsBuilder(self)
-    }
-}
-
-/// Builder for [`PipelineOptions`]; see [`PipelineOptions::builder`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PipelineOptionsBuilder(PipelineOptions);
-
-impl PipelineOptionsBuilder {
-    /// Sets step 2 sequence reduction.
-    pub fn sequence_reduction(mut self, on: bool) -> Self {
-        self.0.sequence_reduction = on;
-        self
-    }
-
-    /// Sets step 3 reference-occurrence pruning.
-    pub fn reference_pruning(mut self, on: bool) -> Self {
-        self.0.reference_pruning = on;
-        self
-    }
-
-    /// Sets step 4 per-variable candidate screening.
-    pub fn candidate_screening(mut self, on: bool) -> Self {
-        self.0.candidate_screening = on;
-        self
-    }
-
-    /// Sets the `k = 2` pair-screening extension.
-    pub fn pair_screening(mut self, on: bool) -> Self {
-        self.0.pair_screening = on;
-        self
-    }
-
-    /// Sets the induced-subproblem chain-screening depth (`0` disables).
-    pub fn chain_screening_k(mut self, k: usize) -> Self {
-        self.0.chain_screening_k = k;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> PipelineOptions {
-        self.0
-    }
 }
 
 /// Per-step instrumentation. Every field but `step5_workers` is identical
@@ -154,7 +80,7 @@ pub struct PipelineStats {
     pub candidates_initial: u64,
     /// Candidate assignments after per-variable screening.
     pub candidates_after_var_screen: u64,
-    /// Candidate assignments actually scanned in step 5 (after pair
+    /// Candidate assignments actually scanned in step 5 (after chain
     /// screening).
     pub candidates_scanned: u64,
     /// Anchored TAG runs in step 5.
@@ -163,8 +89,6 @@ pub struct PipelineStats {
     pub screening_tag_runs: usize,
     /// Candidate tuples banned by induced chain screening.
     pub banned_tuples: usize,
-    /// Type pairs banned by pair screening (step 4, k = 2 cheap form).
-    pub banned_pairs: usize,
     /// Threads the step-5 scan ran on, the caller's included (0 when no
     /// assignment was scanned).
     pub step5_workers: usize,
@@ -200,8 +124,8 @@ impl PipelineStats {
                 input: self.candidates_initial,
                 output: self.candidates_scanned,
                 detail: format!(
-                    "assignments ({} after k=1 screen; {} pairs, {} tuples banned)",
-                    self.candidates_after_var_screen, self.banned_pairs, self.banned_tuples
+                    "assignments ({} after k=1 screen; {} tuples banned)",
+                    self.candidates_after_var_screen, self.banned_tuples
                 ),
             },
             FunnelStage {
@@ -235,7 +159,6 @@ impl Observable for PipelineStats {
         out.push(("tag_runs", self.tag_runs.into()));
         out.push(("screening_tag_runs", self.screening_tag_runs.into()));
         out.push(("banned_tuples", self.banned_tuples.into()));
-        out.push(("banned_pairs", self.banned_pairs.into()));
         out.push(("step5_workers", self.step5_workers.into()));
         out.push(("solutions", self.solutions.into()));
     }
@@ -347,8 +270,6 @@ fn mine_core(
     result
 }
 
-/// Type pairs banned by pair screening: `(x, type of x, y, type of y)`.
-type BannedPairs = BTreeSet<(VarId, EventType, VarId, EventType)>;
 /// Tuples banned by chain screening, grouped by the chain they bind.
 type BannedTuples = Vec<(Vec<VarId>, BTreeSet<Vec<EventType>>)>;
 
@@ -468,7 +389,10 @@ fn mine_inner(
     stats: &mut PipelineStats,
 ) -> Result<(Vec<Solution>, Verdict), Halt> {
     let s = &problem.structure;
-    assert!(s.len() <= 64, "pipeline supports at most 64 variables");
+    assert!(
+        s.len() <= MAX_VARIABLES,
+        "pipeline supports at most {MAX_VARIABLES} variables"
+    );
     // A worker panic must be able to cancel its siblings even when the
     // caller supplied no token, so attach one up front.
     let mut eff = limits.cloned();
@@ -518,13 +442,6 @@ fn mine_inner(
         return Ok((Vec::new(), Verdict::Completed));
     }
 
-    let banned_pairs = if opts.pair_screening {
-        pair_screening(&ctx, &red, &bounds, &p, &kept_refs, &candidates)?
-    } else {
-        BannedPairs::new()
-    };
-    stats.banned_pairs = banned_pairs.len();
-
     let input = ScanInput {
         events: &red.events,
         refs: &kept_refs,
@@ -540,7 +457,6 @@ fn mine_inner(
         &ctx,
         &input,
         &candidates,
-        &banned_pairs,
         &banned_tuples,
         &mut templates,
         stats,
@@ -631,7 +547,7 @@ fn reduce_sequence(
                 ctx.check()?;
             }
             let m = eligible(row, e);
-            if !ctx.opts.sequence_reduction || m != 0 {
+            if m != 0 {
                 events.push(*e);
                 masks.push(m);
                 rows.push(row);
@@ -665,7 +581,7 @@ fn screen_references(
     candidates: &mut [Vec<EventType>],
 ) -> Result<Vec<usize>, Interrupt> {
     let _s = span("pipeline.step3_4.screening");
-    let (opts, s) = (ctx.opts, &ctx.problem.structure);
+    let s = &ctx.problem.structure;
     let mut kept_refs: Vec<usize> = Vec::new();
     let mut var_type_support: BTreeMap<(VarId, EventType), usize> = BTreeMap::new();
     for &ridx in &red.refs {
@@ -679,83 +595,20 @@ fn screen_references(
                 any = true;
                 seen_types.insert((v, e.ty));
             }
-            if !any {
-                ok = false;
-                if opts.reference_pruning && !opts.candidate_screening {
-                    break;
-                }
-            }
+            ok &= any;
         }
-        if ok || !opts.reference_pruning {
+        if ok {
             kept_refs.push(ridx);
         }
-        if opts.candidate_screening {
-            for key in seen_types {
-                *var_type_support.entry(key).or_insert(0) += 1;
-            }
+        for key in seen_types {
+            *var_type_support.entry(key).or_insert(0) += 1;
         }
     }
-    if opts.candidate_screening {
-        for v in s.vars().filter(|&v| v != s.root()) {
-            candidates[v.index()]
-                .retain(|&ty| ctx.frequent(var_type_support.get(&(v, ty)).copied().unwrap_or(0)));
-        }
+    for v in s.vars().filter(|&v| v != s.root()) {
+        candidates[v.index()]
+            .retain(|&ty| ctx.frequent(var_type_support.get(&(v, ty)).copied().unwrap_or(0)));
     }
     Ok(kept_refs)
-}
-
-/// Step 4 (`k = 2`, cheap form): along every chain `x → y` of non-root
-/// variables, bans the type pairs bindable together from no more than the
-/// confidence share of references. Derived windows and TCGs only, no
-/// automata.
-fn pair_screening(
-    ctx: &Ctx<'_>,
-    red: &Reduced,
-    bounds: &RootBounds,
-    p: &Propagated,
-    kept_refs: &[usize],
-    candidates: &[Vec<EventType>],
-) -> Result<BannedPairs, Interrupt> {
-    let _s = span("pipeline.step4.pair_screening");
-    let s = &ctx.problem.structure;
-    let chain_pairs: Vec<(VarId, VarId)> = s
-        .vars()
-        .flat_map(|x| {
-            s.vars()
-                .filter(move |&y| x != y && x != s.root() && y != s.root() && x < y)
-                .map(move |y| (x, y))
-        })
-        .filter(|&(x, y)| s.has_path(x, y) || s.has_path(y, x))
-        .map(|(x, y)| if s.has_path(x, y) { (x, y) } else { (y, x) })
-        .collect();
-    let mut banned = BannedPairs::new();
-    for (x, y) in chain_pairs {
-        let xy_tcgs = p.derived_tcgs(x, y);
-        let mut pair_support: BTreeMap<(EventType, EventType), usize> = BTreeMap::new();
-        for &ridx in kept_refs {
-            ctx.check()?;
-            let t0 = red.events[ridx].time;
-            let mut seen: BTreeSet<(EventType, EventType)> = BTreeSet::new();
-            for ex in bounds.bindable(red, x, t0) {
-                for ey in bounds.bindable(red, y, t0) {
-                    if xy_tcgs.iter().all(|c| c.satisfied(ex.time, ey.time)) {
-                        seen.insert((ex.ty, ey.ty));
-                    }
-                }
-            }
-            for k in seen {
-                *pair_support.entry(k).or_insert(0) += 1;
-            }
-        }
-        for &ex_ty in &candidates[x.index()] {
-            for &ey_ty in &candidates[y.index()] {
-                if !ctx.frequent(pair_support.get(&(ex_ty, ey_ty)).copied().unwrap_or(0)) {
-                    banned.insert((x, ex_ty, y, ey_ty));
-                }
-            }
-        }
-    }
-    Ok(banned)
 }
 
 /// Step 4 (`k ≥ 2`, the paper's full form): induced discovery problems on
@@ -853,29 +706,25 @@ fn final_scan(
     ctx: &Ctx<'_>,
     input: &ScanInput<'_>,
     candidates: &[Vec<EventType>],
-    banned_pairs: &BannedPairs,
     banned_tuples: &BannedTuples,
     templates: &mut TemplateCache,
     stats: &mut PipelineStats,
 ) -> Result<(Vec<Solution>, Verdict), WorkerPanic> {
     let _s5 = span("pipeline.step5.scan");
     let (problem, s) = (ctx.problem, &ctx.problem.structure);
+    // The root's candidate list is the reference type alone.
+    let vars: Vec<VarId> = s.vars().collect();
     let mut assignments: Vec<Vec<EventType>> = Vec::new();
     let mut cur = vec![problem.reference_type; s.len()];
-    collect_assignments(
-        candidates,
-        s.root(),
-        0,
-        &mut cur,
-        banned_pairs,
-        &mut assignments,
-    );
-    assignments.retain(|phi| {
-        problem.assignment_admissible(phi)
-            && banned_tuples.iter().all(|(vars, banned)| {
-                let tpl: Vec<EventType> = vars.iter().map(|v| phi[v.index()]).collect();
+    enumerate_tuples(candidates, &vars, 0, &mut cur, &mut |phi| {
+        if problem.assignment_admissible(phi)
+            && banned_tuples.iter().all(|(chain, banned)| {
+                let tpl: Vec<EventType> = chain.iter().map(|v| phi[v.index()]).collect();
                 !banned.contains(&tpl)
             })
+        {
+            assignments.push(phi.to_vec());
+        }
     });
     stats.candidates_scanned = assignments.len() as u64;
 
@@ -1014,38 +863,6 @@ fn tuple_contains_banned(
     false
 }
 
-fn collect_assignments(
-    candidates: &[Vec<EventType>],
-    root: VarId,
-    var: usize,
-    cur: &mut Vec<EventType>,
-    banned: &BannedPairs,
-    out: &mut Vec<Vec<EventType>>,
-) {
-    if var == candidates.len() {
-        out.push(cur.clone());
-        return;
-    }
-    if VarId(var) == root {
-        collect_assignments(candidates, root, var + 1, cur, banned, out);
-        return;
-    }
-    'next: for &ty in &candidates[var] {
-        // Pair-screening check against earlier variables.
-        for (earlier, &assigned) in cur.iter().enumerate().take(var) {
-            if VarId(earlier) == root {
-                continue;
-            }
-            let (a, b) = (VarId(earlier), VarId(var));
-            if banned.contains(&(a, assigned, b, ty)) || banned.contains(&(b, ty, a, assigned)) {
-                continue 'next;
-            }
-        }
-        cur[var] = ty;
-        collect_assignments(candidates, root, var + 1, cur, banned, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use tgm_core::{StructureBuilder, Tcg};
@@ -1098,16 +915,13 @@ mod tests {
     fn all_ablations_agree() {
         let (_reg, seq, p) = world();
         let (reference, _) = naive::mine(&p, &seq);
-        for bits in 0..32u32 {
-            let opts = PipelineOptions {
-                sequence_reduction: bits & 1 != 0,
-                reference_pruning: bits & 2 != 0,
-                candidate_screening: bits & 4 != 0,
-                pair_screening: bits & 8 != 0,
-                chain_screening_k: if bits & 16 != 0 { 2 } else { 0 },
-            };
+        for chain_screening_k in [0, 2, 3] {
+            let opts = PipelineOptions { chain_screening_k };
             let (sols, _) = mine_with(&p, &seq, &opts);
-            assert_eq!(sols, reference, "ablation {bits:05b} changed results");
+            assert_eq!(
+                sols, reference,
+                "chain screening k = {chain_screening_k} changed results"
+            );
         }
     }
 
@@ -1141,68 +955,50 @@ mod tests {
         assert_eq!(stats.tag_runs, 0);
     }
 
+    /// Steps 2 and 3 each drop something the other keeps: step 2 drops
+    /// the weekend events (no business-day tick), step 3 the weekday
+    /// reference with no follow-up on the next business day.
     #[test]
     fn business_day_structure_drops_weekend_events() {
         let mut reg = TypeRegistry::new();
         let a = reg.intern("A");
         let b = reg.intern("B");
+        let c = reg.intern("C");
         let cal = Calendar::standard();
         let mut sb = StructureBuilder::new();
         let x0 = sb.var("X0");
         let x1 = sb.var("X1");
         sb.constrain(x0, x1, Tcg::new(1, 1, cal.get("business-day").unwrap()));
         let s = sb.build().unwrap();
-        let p = DiscoveryProblem::new(s, 0.4, a);
-        // A on Friday day 6 & Saturday day 7 (weekend ref can never match),
-        // B on Monday day 9.
+        let p = DiscoveryProblem::new(s, 0.3, a);
+        // A on Friday day 6 with B on Monday day 9 (the next business
+        // day); A on Saturday day 7 and C on Sunday day 8; A on Tuesday
+        // day 10 with nothing on Wednesday.
         let seq = EventSequence::from_events(vec![
             Event::new(a, 6 * DAY + 100),
             Event::new(a, 7 * DAY + 100),
+            Event::new(c, 8 * DAY + 100),
             Event::new(b, 9 * DAY + 100),
+            Event::new(a, 10 * DAY + 100),
         ]);
         let (sols, stats) = mine(&p, &seq);
-        // Denominator 2 (both A's), support 1 (Friday ref) => 0.5 > 0.4.
+        // Denominator 3 (every A), support 1 (the Friday A) => 1/3 > 0.3.
         assert_eq!(sols.len(), 1);
+        assert_eq!(sols[0].assignment, vec![a, b]);
         assert_eq!(sols[0].support, 1);
-        assert!((sols[0].frequency - 0.5).abs() < 1e-9);
-        // The Saturday A was dropped from scanning but kept in denominator.
-        assert_eq!(stats.refs_total, 2);
-        assert!(stats.events_kept < stats.events_total || stats.refs_kept == 1);
-    }
-
-    #[test]
-    fn pair_screening_consistent_with_reference() {
-        // Chain A -> B -> C where only specific pairs co-occur.
-        let mut reg = TypeRegistry::new();
-        let a = reg.intern("A");
-        let b1 = reg.intern("B1");
-        let c1 = reg.intern("C1");
-        let cal = Calendar::standard();
-        let mut sb = StructureBuilder::new();
-        let x0 = sb.var("X0");
-        let x1 = sb.var("X1");
-        let x2 = sb.var("X2");
-        sb.constrain(x0, x1, Tcg::new(1, 1, cal.get("day").unwrap()));
-        sb.constrain(x1, x2, Tcg::new(1, 1, cal.get("day").unwrap()));
-        let s = sb.build().unwrap();
-        let p = DiscoveryProblem::new(s, 0.5, a);
-        let seq = EventSequence::from_events(vec![
-            Event::new(a, 2 * DAY),
-            Event::new(b1, 3 * DAY),
-            Event::new(c1, 4 * DAY),
-            Event::new(a, 9 * DAY),
-            Event::new(b1, 10 * DAY),
-            Event::new(c1, 11 * DAY),
-        ]);
-        let with_pairs = PipelineOptions {
-            pair_screening: true,
-            ..PipelineOptions::default()
-        };
-        let (sols_pairs, _) = mine_with(&p, &seq, &with_pairs);
-        let (sols_plain, _) = mine(&p, &seq);
-        assert_eq!(sols_pairs, sols_plain);
-        assert_eq!(sols_pairs.len(), 1);
-        assert_eq!(sols_pairs[0].assignment, vec![a, b1, c1]);
+        assert!((sols[0].frequency - 1.0 / 3.0).abs() < 1e-9);
+        let funnel: Vec<(u64, u64)> = stats.funnel().iter().map(|f| (f.input, f.output)).collect();
+        assert_eq!(
+            funnel,
+            [
+                (1, 1), // step 1: consistent
+                (5, 3), // step 2: the Saturday A and the Sunday C dropped
+                (3, 1), // step 3: the Saturday A (step 2) and the Tuesday A
+                (3, 1), // step 4: A, B, C for X1 -> B
+                (1, 1), // step 5: one assignment, one solution
+            ]
+        );
+        assert_eq!(stats.tag_runs, 1);
     }
 
     /// A 21-variable chain over 10 occurring types has 10^20 candidate

@@ -33,6 +33,7 @@ use tgm_events::minijson::{self, write_escaped, Value};
 use tgm_events::{Event, EventType, TypeRegistry};
 use tgm_granularity::Calendar;
 use tgm_limits::Interrupt;
+use tgm_mining::pipeline;
 
 /// The closed set of error kinds a `tgm_serve/v1` response can carry.
 /// Everything a client can observe going wrong maps onto one of these —
@@ -130,7 +131,8 @@ pub enum Request {
     Mine {
         /// The requesting tenant.
         tenant: String,
-        /// The event structure to mine assignments for.
+        /// The event structure to mine assignments for, of at most
+        /// [`pipeline::MAX_VARIABLES`] variables.
         structure: EventStructure,
         /// The events, sorted by time.
         events: Vec<Event>,
@@ -305,6 +307,13 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
         "mine" => {
             let cal = calendar_for(&doc)?;
             let structure = structure_field(&doc, &cal)?;
+            if structure.len() > pipeline::MAX_VARIABLES {
+                return Err(format!(
+                    "`mine` supports at most {} variables, the structure has {}",
+                    pipeline::MAX_VARIABLES,
+                    structure.len()
+                ));
+            }
             let mut registry = TypeRegistry::new();
             let events = events_field(&doc, &mut registry)?;
             let ref_name = str_field(&doc, "reference")?;

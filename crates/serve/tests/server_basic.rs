@@ -114,6 +114,36 @@ fn malformed_payloads_are_bad_requests_not_crashes() {
     core.drain();
 }
 
+/// A `mine` request over a structure of `n` variables: a root with
+/// `n - 1` children.
+fn star_mine_payload(n: usize) -> String {
+    let variables: Vec<String> = (0..n).map(|i| format!("\"X{i}\"")).collect();
+    let constraints: Vec<String> = (1..n)
+        .map(|i| format!(r#"{{"from":0,"to":{i},"lo":0,"hi":1,"granularity":"day"}}"#))
+        .collect();
+    format!(
+        r#"{{"op":"mine","tenant":"t","structure":{{"variables":[{}],"constraints":[{}]}},{EVENTS},"reference":"rise"}}"#,
+        variables.join(","),
+        constraints.join(",")
+    )
+}
+
+#[test]
+fn mine_wider_than_the_pipeline_is_a_bad_request() {
+    let core = small_core();
+    let client = core.client();
+    let resp = client.request_parsed(&star_mine_payload(65)).unwrap();
+    let Response::Err { kind, message, .. } = &resp else {
+        panic!("a 65-variable mine must be refused: {resp:?}");
+    };
+    assert_eq!(*kind, ErrorKind::BadRequest, "{message}");
+    assert!(message.contains("at most 64 variables"), "{message}");
+    // The server is still healthy afterwards.
+    let resp = client.request_parsed(&match_payload("acme")).unwrap();
+    assert!(matches!(resp, Response::Ok(_)), "{resp:?}");
+    core.drain();
+}
+
 #[test]
 fn tcp_round_trip_is_bit_identical_to_in_process() {
     let server = Server::bind(

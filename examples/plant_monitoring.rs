@@ -41,8 +41,7 @@ fn main() {
 
     // Which (X1, X2) type pairs complete the cascade for >= 70% of spikes?
     let problem = DiscoveryProblem::new(s, 0.7, temp);
-    let opts = pipeline::PipelineOptions::builder().pair_screening(true).build();
-    let (solutions, stats) = pipeline::mine_with(&problem, &seq, &opts);
+    let (solutions, stats) = pipeline::mine(&problem, &seq);
     println!(
         "candidates {} -> {} after screening; {} TAG runs over {} spikes",
         stats.candidates_initial,

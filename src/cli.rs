@@ -460,6 +460,13 @@ fn cmd_mine(args: &[String]) -> Result<String, String> {
         return Err("mine needs <structure.json> <events.json>".into());
     };
     let s = load_structure(spath, &cal)?;
+    if s.len() > pipeline::MAX_VARIABLES {
+        return Err(format!(
+            "mine supports at most {} variables, the structure has {}",
+            pipeline::MAX_VARIABLES,
+            s.len()
+        ));
+    }
     let (reg, seq) = load_events(epath)?;
     let ref_name = flag_value(args, "--reference").ok_or("missing --reference <type>")?;
     let reference = reg

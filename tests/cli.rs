@@ -426,3 +426,31 @@ fn pinning_the_root_is_rejected() {
     .unwrap_err();
     assert!(err.contains("root variable"), "{err}");
 }
+
+/// A structure of `n` variables: a root with `n - 1` children.
+fn star_structure(n: usize) -> String {
+    let variables: Vec<String> = (0..n).map(|i| format!("\"X{i}\"")).collect();
+    let constraints: Vec<String> = (1..n)
+        .map(|i| format!(r#"{{"from": 0, "to": {i}, "lo": 0, "hi": 1, "granularity": "day"}}"#))
+        .collect();
+    format!(
+        r#"{{"variables": [{}], "constraints": [{}]}}"#,
+        variables.join(", "),
+        constraints.join(", ")
+    )
+}
+
+#[test]
+fn mine_rejects_structures_wider_than_the_pipeline() {
+    let spath = temp_file("star65.json", &star_structure(65));
+    let epath = temp_file("events_star.json", EVENTS);
+    let err = run(&args(&[
+        "mine",
+        spath.to_str().unwrap(),
+        epath.to_str().unwrap(),
+        "--reference",
+        "rise",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("at most 64 variables"), "{err}");
+}
