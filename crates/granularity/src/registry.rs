@@ -85,17 +85,6 @@ impl Gran {
         self.inner.id
     }
 
-    /// Builds a granularity from a prose-like calendar expression — see
-    /// [`parse::from_expr`](crate::parse::from_expr) for the grammar.
-    ///
-    /// ```
-    /// use tgm_granularity::Gran;
-    /// let fy = Gran::from_expr("fiscal-years starting apr").unwrap();
-    /// ```
-    pub fn from_expr(expr: &str) -> Result<Gran, crate::parse::ParseError> {
-        crate::parse::from_expr(expr)
-    }
-
     /// The compiled periodic table for this granularity, compiling it on
     /// first use. `None` if the periodic fast path is disabled or the
     /// granularity did not compile, in which case every query runs on the

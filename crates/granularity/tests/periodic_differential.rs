@@ -1,5 +1,5 @@
 //! Differential tests for the compiled periodic fast path, the one
-//! acceleration layer of a `Gran`: every builtin and DSL granularity must
+//! acceleration layer of a `Gran`: every builtin and parsed granularity must
 //! compile (zero fallbacks), and every answer served from a compiled
 //! table — resolution, next-tick, and tick conversion — must agree
 //! bit-for-bit with the raw interval arithmetic (periodic fast path
@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use tgm_granularity::parse::parse_granularity;
 use tgm_granularity::{
     builtin, convert_tick, periodic, tick_covers, Calendar, Gran, Granularity, PeriodicTable, Tick,
 };
@@ -21,24 +22,27 @@ const DAY: i64 = 86_400;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// DSL expressions exercising every compiler shape: uniform, anchored
-/// uniform, month-based, filtered days with exceptions, day windows, and
-/// grouped granularities.
-const DSL_CORPUS: &[&str] = &[
+/// Specs exercising every compiler shape: uniform, anchored uniform,
+/// month-based, filtered days with exceptions, day windows, and grouped
+/// granularities.
+const SPEC_CORPUS: &[&str] = &[
     "weeks starting wed",
     "fiscal-years starting apr",
     "quarters starting feb",
     "90 minutes",
+    "90 minute",
     "days mon,wed,fri",
+    "days(mon,wed,fri)",
     "business-days except 2000-01-17,2000-07-04",
     "weekends",
+    "days(sat,sun) into week",
     "hours 9..17 of business-days",
     "trading-hours except 2000-01-17",
 ];
 
 /// Shared handles (compiled once for the whole binary): the standard
-/// calendar with holidays, the DSL corpus, and builtins and legacy specs
-/// the calendar does not register.
+/// calendar with holidays, the spec corpus, and builtins the calendar does
+/// not register.
 fn corpus() -> &'static [Gran] {
     static CORPUS: OnceLock<Vec<Gran>> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -46,8 +50,8 @@ fn corpus() -> &'static [Gran] {
             .iter()
             .cloned()
             .collect();
-        for expr in DSL_CORPUS {
-            grans.push(Gran::from_expr(expr).unwrap());
+        for spec in SPEC_CORPUS {
+            grans.push(parse_granularity(spec).unwrap());
         }
         grans.push(Gran::new(builtin::trading_hours(vec![4, 17])));
         grans.push(Gran::new(builtin::Months::with_anchor(
@@ -55,9 +59,6 @@ fn corpus() -> &'static [Gran] {
             12,
             3,
         )));
-        for spec in ["90 minute", "days(mon,wed,fri)", "days(sat,sun) into week"] {
-            grans.push(tgm_granularity::parse::parse_granularity(spec).unwrap());
-        }
         grans
     })
 }
@@ -83,7 +84,7 @@ fn exhaustive_ticks(t: &PeriodicTable) -> Vec<Tick> {
 /// granularity: each walked tick's compiled intervals equal the raw ones,
 /// and the compiled covering tick equals the raw one at each interval's
 /// start − 1, start, end and end + 1. The raw side is
-/// [`Gran::granularity`] with the fast path off, so composite DSL
+/// [`Gran::granularity`] with the fast path off, so composite parsed
 /// granularities resolve their children raw too.
 #[test]
 fn compiled_tables_are_exact_on_every_period_kind() {
@@ -123,7 +124,7 @@ fn compiled_tables_are_exact_on_every_period_kind() {
     periodic::set_enabled(true);
 }
 
-/// Every granularity of the default registry and the DSL corpus compiles —
+/// Every granularity of the default registry and the spec corpus compiles —
 /// the raw path serves only outside a table's domain, and nothing falls
 /// back.
 #[test]
@@ -138,9 +139,9 @@ fn every_standard_granularity_compiles() {
             g.name()
         );
     }
-    for expr in DSL_CORPUS {
-        let g = Gran::from_expr(expr).unwrap();
-        assert!(g.compiled().is_some(), "{expr} fell back to the raw path");
+    for spec in SPEC_CORPUS {
+        let g = parse_granularity(spec).unwrap();
+        assert!(g.compiled().is_some(), "{spec} fell back to the raw path");
     }
     let stats = periodic::stats();
     assert_eq!(stats.fallback, 0, "unexpected fallbacks: {stats:?}");
@@ -217,7 +218,7 @@ proptest! {
 #[test]
 fn disabling_mid_stream_keeps_results_identical() {
     let _serial = TEST_LOCK.lock();
-    let g = Gran::from_expr("hours 9..17 of business-days except 2000-01-17").unwrap();
+    let g = parse_granularity("hours 9..17 of business-days except 2000-01-17").unwrap();
     periodic::set_enabled(true);
     assert!(g.compiled().is_some());
     for t in (-40 * DAY..40 * DAY).step_by(7_919) {

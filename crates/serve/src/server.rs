@@ -543,7 +543,7 @@ fn execute(job: Job) -> String {
                 None => "completed".to_string(),
                 Some(i) => format!("{i:?}"),
             };
-            let mut fields = stats_json(&stats);
+            let mut fields = format!("\"completions\":{},{}", stats.completions, stats_json(&stats));
             fields.push_str(",\"verdict\":");
             write_escaped(&mut fields, &verdict);
             ok_response(&fields)
@@ -586,12 +586,14 @@ fn completions_json(completions: &[Completion]) -> String {
     out
 }
 
+/// A session's counters. The cumulative completion count is left to
+/// `session.close`: a `session.push` answer's `completions` is the array
+/// of new completions, and one object carries each key once.
 fn stats_json(s: &SessionStats) -> String {
     format!(
-        "\"events\":{},\"completions\":{},\"frontier\":{},\"peak_frontier\":{},\
+        "\"events\":{},\"frontier\":{},\"peak_frontier\":{},\
          \"expansions\":{},\"evicted_rows\":{},\"evictions\":{}",
-        s.events, s.completions, s.frontier, s.peak_frontier, s.expansions, s.evicted_rows,
-        s.evictions
+        s.events, s.frontier, s.peak_frontier, s.expansions, s.evicted_rows, s.evictions
     )
 }
 

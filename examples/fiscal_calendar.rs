@@ -1,10 +1,11 @@
-//! Custom calendars via the calendar expression DSL: a fiscal year starting
+//! Custom calendars via the granularity grammar: a fiscal year starting
 //! in April, fiscal quarters, and discovery relative to "the beginning of a
 //! fiscal quarter" (the paper's §6 generalized-reference extension).
 //!
 //! Run with `cargo run --release --example fiscal_calendar`.
 
 use tgm::events::stats::render_summary;
+use tgm::granularity::builtin::Months;
 use tgm::granularity::parse::parse_granularity;
 use tgm::granularity::format_instant;
 use tgm::mining::{mine_with_reference, Reference};
@@ -16,14 +17,15 @@ const HOUR: i64 = 3_600;
 fn main() {
     // A fiscal calendar: FY starts April 1st, quarters follow it.
     let mut cal = Calendar::standard();
-    let fy = Gran::from_expr("fiscal-years starting apr").expect("valid expression");
-    let fq = Gran::from_expr("quarters starting apr").expect("valid expression");
+    let fy = parse_granularity("fiscal-years starting apr").expect("valid spec");
+    let fq = parse_granularity("quarters starting apr").expect("valid spec");
     cal.register(fy.clone()).unwrap();
     cal.register(fq.clone()).unwrap();
-    // The DSL expressions are sugar for the core spec grammar — same ticks.
-    let fq_spec = parse_granularity("3 month @ 2000-04").expect("valid spec");
+    // Both lower to the month-grouping builtin anchored at April 2000 —
+    // same ticks.
+    let fq_builtin = Gran::new(Months::with_anchor("fiscal-quarter", 3, 3));
     for z in [-4, 1, 2, 9] {
-        assert_eq!(fq.tick_intervals(z), fq_spec.tick_intervals(z));
+        assert_eq!(fq.tick_intervals(z), fq_builtin.tick_intervals(z));
     }
     println!(
         "fiscal year 1:    {} .. {}",

@@ -27,9 +27,10 @@ pub(crate) const USAGE: &str = "usage:
 global flags (all commands):
   --calendar <file>       load a calendar config (holiday/gran directives)
   --holiday <day-index>   add a holiday to the business calendar (repeatable)
-  --gran <spec>           register a custom granularity from the spec DSL,
-                          e.g. --gran '3 month' --gran '12 month @ 2000-04'
-                          --gran 'days(mon,wed,fri)' (repeatable)";
+  --gran <spec>           register a custom granularity from the granularity
+                          grammar, e.g. --gran '3 month' --gran '12 month @ 2000-04'
+                          --gran 'days(mon,wed,fri)'
+                          --gran 'hours 9..17 of business-days' (repeatable)";
 
 /// Dispatches a CLI invocation; returns the text to print.
 pub fn run(args: &[String]) -> Result<String, String> {
@@ -101,8 +102,8 @@ fn calendar_from(args: &[String]) -> Result<Calendar, String> {
             Calendar::with_holidays(holidays.map_err(|e| format!("bad --holiday value: {e}"))?)
         }
     };
-    // Custom granularities from the spec DSL, e.g.
-    //   --gran "3 month"  --gran "days(mon,wed,fri)"  --gran "12 month @ 2000-04"
+    // Custom granularities from the granularity grammar, e.g.
+    //   --gran "3 month"  --gran "days(mon,wed,fri)"  --gran "fiscal-years starting apr"
     for spec in flag_values(args, "--gran") {
         let g = tgm_granularity::parse::parse_granularity(spec).map_err(|e| e.to_string())?;
         cal.register(g).map_err(|e| e.to_string())?;

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use tgm::core::propagate::propagate;
 use tgm::granularity::builtin::{self, GroupInto, SECONDS_PER_DAY};
 use tgm::granularity::convert_tick;
+use tgm::granularity::parse::parse_granularity;
 use tgm::prelude::*;
 
 const DAY: i64 = SECONDS_PER_DAY;
@@ -29,8 +30,8 @@ fn holidays_change_business_day_semantics() {
 #[test]
 fn custom_semester_granularity_in_constraints() {
     let mut cal = Calendar::standard();
-    let semester = Gran::from_expr("6 months").unwrap();
-    // Differential: the DSL expression matches the hand-rolled builtin.
+    let semester = parse_granularity("6 months").unwrap();
+    // Differential: the parsed spec matches the hand-rolled builtin.
     let hand_rolled = Gran::new(builtin::n_month(6));
     for z in [-3, 1, 2, 8] {
         assert_eq!(semester.tick_intervals(z), hand_rolled.tick_intervals(z));
@@ -62,8 +63,8 @@ fn custom_semester_granularity_in_constraints() {
 #[test]
 fn grouped_business_quarter_composes() {
     let bq =
-        Gran::from_expr("business-days except 2000-01-04,2000-01-11 into quarters").unwrap();
-    // Differential: the DSL grouping matches the hand-rolled composition
+        parse_granularity("business-days except 2000-01-04,2000-01-11 into quarters").unwrap();
+    // Differential: the parsed grouping matches the hand-rolled composition
     // (holiday day-indices 3 and 10 are those dates).
     let bday: Arc<dyn Granularity> = Arc::new(builtin::business_day(vec![3, 10]));
     let quarter: Arc<dyn Granularity> = Arc::new(builtin::n_month(3));

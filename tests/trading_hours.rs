@@ -1,16 +1,17 @@
 //! End-to-end test over an *intra-day* granularity: trading hours
-//! (09:30–16:00 on business days), exercising the full stack — calendar
-//! expression DSL → TCG → propagation → TAG → mining — on an order/fill
+//! (09:30–16:00 on business days), exercising the full stack — granularity
+//! grammar → TCG → propagation → TAG → mining — on an order/fill
 //! workload.
 
 use tgm::granularity::builtin;
 use tgm::granularity::instant;
+use tgm::granularity::parse::parse_granularity;
 use tgm::prelude::*;
 
 #[test]
 fn same_trading_day_fill_discovery() {
-    let th = Gran::from_expr("trading-hours").unwrap();
-    // Differential: the DSL expression matches the hand-rolled builtin
+    let th = parse_granularity("trading-hours").unwrap();
+    // Differential: the parsed spec matches the hand-rolled builtin
     // window, tick for tick.
     let hand_rolled = Gran::new(builtin::trading_hours(Vec::new()));
     for z in [-7, 1, 2, 30] {
@@ -71,7 +72,7 @@ fn same_trading_day_fill_discovery() {
 #[test]
 fn cross_session_constraint() {
     // "Next trading session" via tick distance 1 on trading-hours.
-    let th = Gran::from_expr("hours 9..16 of business-days").unwrap();
+    let th = parse_granularity("hours 9..16 of business-days").unwrap();
     let next_session = Tcg::new(1, 1, th);
     // Friday 2000-01-07 10:00 -> Monday 2000-01-10 10:00: next session
     // (the weekend has no sessions).
