@@ -292,15 +292,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(ch) = s.chars().next() else {
-                        return Err(self.err("unexpected end of input"));
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so the run of a &str
+                    // input ends on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -419,6 +420,16 @@ mod tests {
         let mut out = String::new();
         write_escaped(&mut out, "a\"b\\c\ndé🦀\u{1}");
         assert_eq!(parse(&out).unwrap().as_str(), Some("a\"b\\c\ndé🦀\u{1}"));
+    }
+
+    #[test]
+    fn long_unescaped_runs_copy_whole() {
+        let text = "dé🦀 ".repeat(50_000);
+        let v = parse(&format!(r#"["{text}", "xA{text}"]"#)).unwrap();
+        let a = v.as_array().unwrap();
+        assert_eq!(a[0].as_str(), Some(text.as_str()));
+        assert_eq!(a[1].as_str(), Some(format!("xA{text}").as_str()));
+        assert!(parse("\"a\u{1}b\"").is_err());
     }
 
     #[test]
