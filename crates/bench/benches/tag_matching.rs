@@ -1,7 +1,7 @@
 //! Criterion bench for E6: TAG matching over event streams (Theorem 4),
-//! including the engine ablation (reference per-`Config` engine vs the
-//! lane engine with a reused scratch) on both the Example 1 workload and
-//! the grouped-granularity chain.
+//! with a reused scratch, on both the Example 1 workload (direct,
+//! raw-granularity and column-reading resolution) and the
+//! grouped-granularity chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tgm_bench::workloads::planted_stock_workload;
@@ -25,14 +25,6 @@ fn bench_matching(c: &mut Criterion) {
                 let mut scratch = MatcherScratch::new();
                 let mut ctx = RunCtx::new(&mut scratch);
                 b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted)
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("example1_full_scan_reference", events.len()),
-            &events.len(),
-            |b, _| {
-                let m = Matcher::new(&tag);
-                b.iter(|| m.run_reference(events, false).accepted)
             },
         );
         group.bench_with_input(
@@ -67,7 +59,7 @@ fn bench_matching(c: &mut Criterion) {
     group.finish();
 
     // The acceptance-criterion workload: the E6 grouped-granularity chain
-    // ([0,1] business-week -> [0,1] business-month), engine on vs off.
+    // ([0,1] business-week -> [0,1] business-month).
     let cal = Calendar::standard();
     let mut group = c.benchmark_group("tag_matching_grouped");
     for days in [30i64, 90, 270] {
@@ -93,14 +85,6 @@ fn bench_matching(c: &mut Criterion) {
                 let mut scratch = MatcherScratch::new();
                 let mut ctx = RunCtx::new(&mut scratch);
                 b.iter(|| m.run_in(events, false, &mut ctx).stats.accepted)
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("reference", events.len()),
-            &events.len(),
-            |b, _| {
-                let m = Matcher::new(&tag);
-                b.iter(|| m.run_reference(events, false).accepted)
             },
         );
     }

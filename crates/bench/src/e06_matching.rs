@@ -98,11 +98,11 @@ pub fn run() {
         &rows,
     );
 
-    // (1c) Engine ablation: the reference per-`Config` engine (one heap
-    // vector per configuration, HashSet dedup) vs the lane engine (flat
-    // pooled rows, in-place dedup), with a fresh scratch per run and with
-    // one reused scratch, on Example 1 and on the 90-day grouped chain of
-    // (1b). RunStats are asserted bit-identical.
+    // (1c) Scratch reuse: the lane engine (flat pooled rows, in-place
+    // dedup) with a fresh scratch per run and with one reused scratch, on
+    // Example 1 and on the 90-day grouped chain of (1b). RunStats are
+    // asserted bit-identical; the reference engine that pins them lives in
+    // the `tgm-tag` tests.
     let mut inputs: Vec<(&str, PlantedWorkload, Tag)> = [30i64, 120, 480]
         .into_iter()
         .map(|days| {
@@ -118,33 +118,27 @@ pub fn run() {
     for (name, w, tag) in &inputs {
         let m = Matcher::new(tag);
         let events = w.sequence.events();
-        let (stats_ref, ms_ref) = warm_median_ms(REPS, || m.run_reference(events, false));
         let (stats_fresh, ms_fresh) = warm_median_ms(REPS, || m.run(events, false));
         let mut scratch = MatcherScratch::new();
         let mut ctx = RunCtx::new(&mut scratch);
         // The warm-up grows the reused scratch to capacity.
         let (stats_reused, ms_reused) =
             warm_median_ms(REPS, || m.run_in(events, false, &mut ctx).stats);
-        assert_eq!(stats_ref, stats_fresh, "engines are bit-identical");
-        assert_eq!(stats_ref, stats_reused, "scratch reuse is bit-identical");
+        assert_eq!(stats_fresh, stats_reused, "scratch reuse is bit-identical");
         rows.push(vec![
             name.to_string(),
             events.len().to_string(),
-            format!("{ms_ref:.1}"),
             format!("{ms_fresh:.1}"),
             format!("{ms_reused:.1}"),
-            format!("{:.1}x", ms_ref / ms_reused.max(0.001)),
         ]);
     }
     print_table(
-        "Engine ablation: reference vs lane engine",
+        "Scratch reuse: lane engine with a fresh vs a reused scratch",
         &[
             "TAG",
             "events",
-            "ms (reference)",
             "ms (lane, fresh scratch)",
             "ms (lane, reused scratch)",
-            "engine speedup",
         ],
         &rows,
     );

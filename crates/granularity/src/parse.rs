@@ -39,7 +39,7 @@
 //! times. Outside a window, `day` and `days` are the uniform unit and take
 //! no except-list; weeks start on Monday and every other unit at the epoch
 //! unless anchored; `a` and `b` are whole hours with `0 <= a < b <= 24`;
-//! `n >= 1`.
+//! `n >= 1`, and a counted tick spans at most 1,000 years.
 //!
 //! A granularity is named by its spec text with each whitespace run read as
 //! one space and `except` between single spaces. Some forms are named
@@ -67,6 +67,12 @@ use crate::registry::Gran;
 /// building, evaluating and dropping the granularity all recurse through,
 /// so an unbounded chain from outside the program could overflow the stack.
 const MAX_INTO: usize = 4;
+/// The longest tick a counted unit may span, in years of at most 366
+/// days. Tick arithmetic on longer periods overflows `i64` over the
+/// instants the library converts, so the grammar refuses them.
+const MAX_PERIOD_YEARS: i64 = 1_000;
+/// The most characters of input an error message quotes (see [`quote`]).
+const QUOTE_CHARS: usize = 64;
 const DAY: i64 = builtin::SECONDS_PER_DAY;
 const HOUR: i64 = 3_600;
 const BUSINESS: [bool; 7] = [true, true, true, true, true, false, false];
@@ -104,6 +110,16 @@ impl fmt::Debug for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// `s` in backquotes for an error message. Past [`QUOTE_CHARS`]
+/// characters only its prefix and its byte length are quoted, so a
+/// message stays short whatever the input.
+fn quote(s: &str) -> String {
+    match s.char_indices().nth(QUOTE_CHARS) {
+        None => format!("`{s}`"),
+        Some((end, _)) => format!("`{}…` ({} bytes)", &s[..end], s.len()),
+    }
+}
+
 /// Parses a granularity spec of the [module grammar](self).
 ///
 /// ```
@@ -119,7 +135,7 @@ impl std::error::Error for ParseError {}
 /// ```
 pub fn parse_granularity(spec: &str) -> Result<Gran, ParseError> {
     let spec = spec.trim();
-    parse_spec(spec).map_err(|e| ParseError::new(format!("`{spec}`: {}", e.message)))
+    parse_spec(spec).map_err(|e| ParseError::new(format!("{}: {}", quote(spec), e.message)))
 }
 
 /// `atom (into atom)*`, grouped to the right.
@@ -149,7 +165,7 @@ fn parse_atom(spec: &str) -> Result<Gran, ParseError> {
     let (head, except) = split_except(spec);
     if let Some(g) = parse_units(head)? {
         return match except {
-            Some(_) => Err(ParseError::new(format!("`{head}` takes no except-list"))),
+            Some(_) => Err(ParseError::new(format!("{} takes no except-list", quote(head)))),
             None => Ok(g),
         };
     }
@@ -186,12 +202,12 @@ fn parse_window(window: &str, days: &str) -> Result<Gran, ParseError> {
     let (name, start, end) = match strip_word(window, "hours") {
         Some(range) => {
             let (a, b) = range.split_once("..").ok_or_else(|| {
-                ParseError::new(format!("bad window `{window}` (want hours a..b)"))
+                ParseError::new(format!("bad window {} (want hours a..b)", quote(window)))
             })?;
             let hour = |s: &str| {
                 s.trim()
                     .parse::<i64>()
-                    .map_err(|_| ParseError::new(format!("bad hour `{s}`")))
+                    .map_err(|_| ParseError::new(format!("bad hour {}", quote(s))))
             };
             let (a, b) = (hour(a)?, hour(b)?);
             if !(0..24).contains(&a) || !(1..=24).contains(&b) || a >= b {
@@ -208,11 +224,11 @@ fn parse_window(window: &str, days: &str) -> Result<Gran, ParseError> {
         }
         None => {
             let (start, end) = window.split_once('-').ok_or_else(|| {
-                ParseError::new(format!("bad window `{window}` (want HH:MM-HH:MM)"))
+                ParseError::new(format!("bad window {} (want HH:MM-HH:MM)", quote(window)))
             })?;
             let (start, end) = (time_of_day(start.trim())?, time_of_day(end.trim())? - 1);
             if start > end {
-                return Err(ParseError::new(format!("empty window `{window}`")));
+                return Err(ParseError::new(format!("empty window {}", quote(window))));
             }
             (format!("{window} of {days}"), start, end)
         }
@@ -225,15 +241,15 @@ fn parse_window(window: &str, days: &str) -> Result<Gran, ParseError> {
 fn time_of_day(s: &str) -> Result<i64, ParseError> {
     let (h, m) = s
         .split_once(':')
-        .ok_or_else(|| ParseError::new(format!("bad time `{s}` (want HH:MM)")))?;
+        .ok_or_else(|| ParseError::new(format!("bad time {} (want HH:MM)", quote(s))))?;
     let h: i64 = h
         .parse()
-        .map_err(|_| ParseError::new(format!("bad hour in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad hour in {}", quote(s))))?;
     let m: i64 = m
         .parse()
-        .map_err(|_| ParseError::new(format!("bad minute in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad minute in {}", quote(s))))?;
     if !(0..24).contains(&h) || !(0..60).contains(&m) {
-        return Err(ParseError::new(format!("time `{s}` out of range")));
+        return Err(ParseError::new(format!("time {} out of range", quote(s))));
     }
     Ok(h * HOUR + m * 60)
 }
@@ -291,12 +307,13 @@ fn parse_units(spec: &str) -> Result<Option<Gran>, ParseError> {
         None => (rest.trim(), None),
     };
     let (len, plural) =
-        unit(word).ok_or_else(|| ParseError::new(format!("unknown unit `{word}`")))?;
+        unit(word).ok_or_else(|| ParseError::new(format!("unknown unit {}", quote(word))))?;
     let name = match (plural, anchor) {
         (true, None) => format!("{count} {word}"),
         (true, Some(_)) => {
             return Err(ParseError::new(format!(
-                "`{word}` takes no anchor (anchor a singular unit: `{n} month @ 2000-04`)"
+                "{} takes no anchor (anchor a singular unit: `{n} month @ 2000-04`)",
+                quote(word)
             )))
         }
         (false, Some(a)) => format!("{n} {word} @ {a}"),
@@ -305,13 +322,21 @@ fn parse_units(spec: &str) -> Result<Option<Gran>, ParseError> {
     counted(name, n, len, anchor).map(Some)
 }
 
-/// `n` units per tick. The anchor is the first day (uniform units) or
-/// month (month units) of tick 1.
+/// `n` units per tick, at most [`MAX_PERIOD_YEARS`] long. The anchor is
+/// the first day (uniform units) or month (month units) of tick 1.
 fn counted(name: String, n: i64, len: Len, anchor: Option<&str>) -> Result<Gran, ParseError> {
-    let too_long = || ParseError::new(format!("`{name}` is too long a period"));
+    let too_long = || {
+        ParseError::new(format!(
+            "{} is too long a period (at most {MAX_PERIOD_YEARS} years)",
+            quote(&name)
+        ))
+    };
     Ok(match len {
         Len::Seconds(per) => {
-            let period = n.checked_mul(per).ok_or_else(too_long)?;
+            let period = n
+                .checked_mul(per)
+                .filter(|&p| p <= MAX_PERIOD_YEARS * 366 * DAY)
+                .ok_or_else(too_long)?;
             let anchor = match anchor {
                 Some(a) => parse_date(a)? * DAY,
                 // Weeks start on Monday like the builtin; others at the epoch.
@@ -321,7 +346,10 @@ fn counted(name: String, n: i64, len: Len, anchor: Option<&str>) -> Result<Gran,
             Gran::new(Uniform::new(name, period, anchor))
         }
         Len::Months(per) => {
-            let per_tick = n.checked_mul(per).ok_or_else(too_long)?;
+            let per_tick = n
+                .checked_mul(per)
+                .filter(|&m| m <= MAX_PERIOD_YEARS * 12)
+                .ok_or_else(too_long)?;
             let anchor = anchor.map(parse_month).transpose()?.unwrap_or(0);
             Gran::new(Months::with_anchor(name, per_tick, anchor))
         }
@@ -344,7 +372,8 @@ fn parse_starting(name: &str, units: &str, at: &str) -> Result<Gran, ParseError>
             Ok(Gran::new(Months::with_anchor(name, per_tick, anchor)))
         }
         other => Err(ParseError::new(format!(
-            "`{other}` does not take `starting` (want weeks, years, fiscal-years or quarters)"
+            "{} does not take `starting` (want weeks, years, fiscal-years or quarters)",
+            quote(other)
         ))),
     }
 }
@@ -378,7 +407,7 @@ fn parse_weekdays(head: &str) -> Result<[bool; 7], ParseError> {
         .strip_prefix("days(")
         .and_then(|s| s.strip_suffix(')'))
         .or_else(|| strip_word(head, "days"))
-        .ok_or_else(|| ParseError::new(format!("unknown granularity `{head}`")))?;
+        .ok_or_else(|| ParseError::new(format!("unknown granularity {}", quote(head))))?;
     let mut keep = [false; 7];
     for wd in list.split(',') {
         keep[name_index(&WEEKDAYS, wd.trim(), "weekday")?] = true;
@@ -427,26 +456,26 @@ fn name_index(table: &[&str], word: &str, what: &str) -> Result<usize, ParseErro
     table
         .iter()
         .position(|&n| n == word)
-        .ok_or_else(|| ParseError::new(format!("unknown {what} `{word}`")))
+        .ok_or_else(|| ParseError::new(format!("unknown {what} {}", quote(word))))
 }
 
 /// Parses `YYYY-MM-DD` into a day index (0 = 2000-01-01).
 fn parse_date(s: &str) -> Result<i64, ParseError> {
     let parts: Vec<&str> = s.split('-').collect();
     let [y, m, d] = parts.as_slice() else {
-        return Err(ParseError::new(format!("bad date `{s}` (want YYYY-MM-DD)")));
+        return Err(ParseError::new(format!("bad date {} (want YYYY-MM-DD)", quote(s))));
     };
     let year: i32 = y
         .parse()
-        .map_err(|_| ParseError::new(format!("bad year in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad year in {}", quote(s))))?;
     let month: u8 = m
         .parse()
-        .map_err(|_| ParseError::new(format!("bad month in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad month in {}", quote(s))))?;
     let day: u8 = d
         .parse()
-        .map_err(|_| ParseError::new(format!("bad day in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad day in {}", quote(s))))?;
     if !(1..=12).contains(&month) || !(1..=days_in_month(year, month)).contains(&day) {
-        return Err(ParseError::new(format!("date `{s}` out of range")));
+        return Err(ParseError::new(format!("date {} out of range", quote(s))));
     }
     Ok(days_from_civil(CivilDate::new(year, month, day)))
 }
@@ -455,16 +484,16 @@ fn parse_date(s: &str) -> Result<i64, ParseError> {
 fn parse_month(s: &str) -> Result<i64, ParseError> {
     let parts: Vec<&str> = s.split('-').collect();
     let [y, m] = parts.as_slice() else {
-        return Err(ParseError::new(format!("bad month `{s}` (want YYYY-MM)")));
+        return Err(ParseError::new(format!("bad month {} (want YYYY-MM)", quote(s))));
     };
     let year: i32 = y
         .parse()
-        .map_err(|_| ParseError::new(format!("bad year in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad year in {}", quote(s))))?;
     let month: u8 = m
         .parse()
-        .map_err(|_| ParseError::new(format!("bad month in `{s}`")))?;
+        .map_err(|_| ParseError::new(format!("bad month in {}", quote(s))))?;
     if !(1..=12).contains(&month) {
-        return Err(ParseError::new(format!("month `{s}` out of range")));
+        return Err(ParseError::new(format!("month {} out of range", quote(s))));
     }
     Ok(months_from_civil(year, month))
 }
@@ -493,8 +522,9 @@ pub fn calendar_from_config(text: &str) -> Result<crate::Calendar, ParseError> {
             specs.push(spec.trim());
         } else {
             return Err(ParseError::new(format!(
-                "line {}: unknown directive `{line}`",
-                lineno + 1
+                "line {}: unknown directive {}",
+                lineno + 1,
+                quote(line)
             )));
         }
     }
@@ -731,6 +761,16 @@ mod tests {
     }
 
     #[test]
+    fn long_specs_are_quoted_by_prefix() {
+        assert_eq!(quote("fortnight"), "`fortnight`");
+        let junk = "x".repeat(50_000);
+        assert_eq!(quote(&junk), format!("`{}…` (50000 bytes)", &junk[..QUOTE_CHARS]));
+        // Multibyte input is cut on a character boundary.
+        let wide = "é".repeat(1_000);
+        assert_eq!(quote(&wide), format!("`{}…` (2000 bytes)", "é".repeat(QUOTE_CHARS)));
+    }
+
+    #[test]
     fn errors() {
         for spec in [
             "",
@@ -765,8 +805,18 @@ mod tests {
             "9223372036854775807 year",
             "1317624576693539401 weeks",
             "3074457345618258603 quarters",
+            // Counted periods past 1,000 years.
+            "9223372036854775807 second",
+            "768614336404564650 year",
+            "1001 year",
+            "12001 months",
+            "52300 weeks",
+            "366001 days",
         ] {
             assert!(parse_granularity(spec).is_err(), "{spec:?}");
+        }
+        for spec in ["1000 year", "12000 months", "52000 weeks", "366000 days"] {
+            assert!(parse_granularity(spec).is_ok(), "{spec:?}");
         }
         // Leap days are real dates.
         assert!(parse_granularity("business-day except 2000-02-29").is_ok());

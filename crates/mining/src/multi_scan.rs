@@ -60,13 +60,7 @@ impl TemplateCache {
 /// The miner's matcher configuration (anchored, lazy updates)
 /// applied to a whole candidate set.
 fn anchored_multi(tags: &[Tag]) -> MultiMatcher<'_> {
-    MultiMatcher::with_options(
-        tags.iter().collect(),
-        MatchOptions::builder()
-            .anchored(true)
-            .strict_updates(false)
-            .build(),
-    )
+    MultiMatcher::with_options(tags.iter().collect(), MatchOptions { anchored: true })
 }
 
 /// What every anchored run reads: the (reduced) event list, the reference

@@ -184,13 +184,7 @@ fn enumerate(
 
 /// The miner's matcher configuration: anchored, lazy updates.
 fn anchored_matcher(tag: &Tag) -> Matcher<'_> {
-    Matcher::with_options(
-        tag,
-        MatchOptions::builder()
-            .anchored(true)
-            .strict_updates(false)
-            .build(),
-    )
+    Matcher::with_options(tag, MatchOptions { anchored: true })
 }
 
 /// Counts distinct reference occurrences from which the TAG accepts,

@@ -497,10 +497,16 @@ fn execute(job: Job) -> String {
             let Some(mut slot) = tenant.sessions.lock().remove(&session) else {
                 return unknown_session(&tenant, session);
             };
-            // Re-intern the batch into the session's own type universe.
+            // Map the batch into the session's own type universe. A name
+            // outside the pattern's alphabet becomes the one id no pattern
+            // transition consumes, so unique names never grow the slot.
+            let other = EventType(slot.registry.len() as u32);
             let mapped: Vec<Event> = events
                 .iter()
-                .map(|e| Event::new(slot.registry.intern(&names[e.ty.index()]), e.time))
+                .map(|e| {
+                    let ty = slot.registry.get(&names[e.ty.index()]).unwrap_or(other);
+                    Event::new(ty, e.time)
+                })
                 .collect();
             if mapped.first().is_some_and(|e| e.time < slot.watermark) {
                 let watermark = slot.watermark;
@@ -703,5 +709,74 @@ fn serve_conn(stream: TcpStream, core: &Arc<ServerCore>) {
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tgm_events::minijson::Value;
+
+    use super::*;
+    use crate::proto::Response;
+
+    const OPEN: &str = r#"{"op":"session.open","tenant":"t","structure":{
+      "variables": ["rise", "report", "fall"],
+      "constraints": [
+        {"from": 0, "to": 1, "lo": 1, "hi": 1, "granularity": "business-day"},
+        {"from": 1, "to": 2, "lo": 0, "hi": 1, "granularity": "week"}
+      ]},"types":["rise","report","fall"]}"#;
+
+    fn ok(client: &Client, payload: &str) -> Value {
+        match client.request_parsed(payload).unwrap() {
+            Response::Ok(v) => v,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Opens a session and pushes 10,000 events in batches of 1,000: a
+    /// rise, report and fall a day apart every three days, every other
+    /// event named by `noise(i)`. Returns the session id and the
+    /// completion times.
+    fn push_stream(core: &Arc<ServerCore>, noise: impl Fn(usize) -> String) -> (u64, Vec<i64>) {
+        let client = core.client();
+        let id = ok(&client, OPEN).get("session").and_then(Value::as_i64).unwrap() as u64;
+        let mut at = Vec::new();
+        for batch in 0..10 {
+            let items: Vec<String> = (batch * 1_000..(batch + 1) * 1_000)
+                .map(|i| {
+                    let ty = match i % 300 {
+                        0 => "rise".to_owned(),
+                        100 => "report".to_owned(),
+                        200 => "fall".to_owned(),
+                        _ => noise(i),
+                    };
+                    // 100 events a day from Monday 2000-01-03.
+                    format!(r#"{{"ty":"{ty}","time":{}}}"#, 2 * 86_400 + i as i64 * 864)
+                })
+                .collect();
+            let push = format!(
+                r#"{{"op":"session.push","tenant":"t","session":{id},"events":[{}]}}"#,
+                items.join(",")
+            );
+            let result = ok(&client, &push);
+            let completions = result.get("completions").and_then(Value::as_array).unwrap();
+            at.extend(completions.iter().filter_map(|c| c.get("at").and_then(Value::as_i64)));
+        }
+        (id, at)
+    }
+
+    #[test]
+    fn unique_push_names_do_not_grow_the_session() {
+        let core = ServerCore::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let (unique, unique_at) = push_stream(&core, |i| format!("noise-{i}"));
+        let (_, repeated_at) = push_stream(&core, |_| "noise".to_owned());
+        let registry_len = core.tenant("t").sessions.lock()[&unique].registry.len();
+        assert_eq!(registry_len, 3, "only the pattern's types");
+        assert!(!unique_at.is_empty());
+        assert_eq!(unique_at, repeated_at);
+        core.drain();
     }
 }

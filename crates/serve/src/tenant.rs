@@ -52,8 +52,9 @@ pub struct SessionSlot {
     pub tag: Arc<Tag>,
     /// The suspended matcher.
     pub state: SessionState,
-    /// The session's type-name universe (push batches arrive with their
-    /// own names and are re-interned into this registry).
+    /// The pattern's type names. Push batches arrive with their own
+    /// names and are looked up here; every other name maps to the one id
+    /// past this registry.
     pub registry: TypeRegistry,
     /// High-water timestamp; pushes regressing below it are rejected.
     pub watermark: i64,

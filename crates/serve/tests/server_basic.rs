@@ -122,11 +122,15 @@ fn malformed_grans_are_bad_requests() {
     let core = small_core();
     let client = core.client();
     let deep = vec!["day"; 100_000].join(" into ");
+    let junk = "x".repeat(50_000);
     for spec in [
         "business-day except 2000-02-30",
         "9223372036854775807 week",
         "9223372036854775807 year",
+        "9223372036854775807 second",
+        "768614336404564650 year",
         deep.as_str(),
+        junk.as_str(),
     ] {
         let payload = format!(
             r#"{{"op":"match","tenant":"t","grans":["{spec}"],{STRUCTURE},"types":["rise","report","fall"],{EVENTS}}}"#
@@ -136,7 +140,9 @@ fn malformed_grans_are_bad_requests() {
             panic!("{spec:?} must be refused: {resp:?}");
         };
         assert_eq!(*kind, ErrorKind::BadRequest, "{spec:?}: {message}");
-        assert!(message.contains(spec), "{spec:?}: {message}");
+        // The message names the spec by a bounded prefix, never in full.
+        assert!(message.len() < 1024, "{} bytes: {message}", message.len());
+        assert!(message.contains(&spec[..spec.len().min(64)]), "{spec:?}: {message}");
     }
     // The server is still healthy afterwards.
     let resp = client.request_parsed(&match_payload("acme")).unwrap();

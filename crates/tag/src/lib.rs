@@ -28,8 +28,9 @@
 //! implementation evaluates clocks *lazily*: a guard consulting a clock
 //! whose granularity does not cover the current event (or its reset point)
 //! fails, but events in gaps can still be *skipped*. On pre-filtered
-//! sequences the two semantics coincide; [`MatchOptions::strict_updates`]
-//! restores the paper's strict behaviour.
+//! sequences the two semantics coincide (a property test in
+//! `tests/unsaturated_oracle.rs` pins this against a strict oracle), so
+//! lazy updates are the only semantics the matchers implement.
 //!
 //! # Simultaneous-event semantics
 //!
@@ -57,9 +58,7 @@ pub use automaton::{StateId, Symbol, Tag, TagBuilder, Transition};
 pub use chains::{greedy_chain_cover, is_valid_cover, minimal_chain_cover, Chain};
 pub use constraint::{ClockConstraint, ClockId};
 pub use construct::{build_tag, build_tag_for_structure, build_tag_with_cover, TagTemplate};
-pub use matcher::{
-    BoundedRun, MatchOptions, MatchOptionsBuilder, Matcher, MatcherScratch, RunCtx, RunStats,
-};
+pub use matcher::{BoundedRun, MatchOptions, Matcher, MatcherScratch, RunCtx, RunStats};
 pub use multi::{MultiMatcher, MultiRun};
 pub use session::{Completion, MatchSession, Push, SessionState, SessionStats};
 

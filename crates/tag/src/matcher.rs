@@ -26,17 +26,16 @@
 //!
 //! [`find_occurrence`](Matcher::find_occurrence) keeps its own search over
 //! a back-pointer arena (the only caller that needs provenance), built on
-//! the same deduplication helper. The per-`Config` engine of the
-//! `*_reference` methods is independent of all of this: it is the
-//! differential oracle and the E6 engine ablation. Both engines always
-//! saturate; the unsaturated semantics is pinned by an oracle in
-//! `tests/unsaturated_oracle.rs`.
+//! the same deduplication helper. Both always saturate. Two independent
+//! oracles live in the crate's tests: a per-`Config` reference engine
+//! (`tests/common/reference.rs`) pins `RunStats` and witnesses bit for
+//! bit, and `tests/unsaturated_oracle.rs` pins saturation and the paper's
+//! strict clock updates on pre-filtered input.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use tgm_events::{Event, TickColumns};
-use tgm_granularity::{Granularity, Second, Tick};
+use tgm_granularity::Tick;
 use tgm_limits::{Interrupt, Limits, Verdict};
 use tgm_obs::metrics::{self, Histogram};
 use tgm_obs::{Observable, ObsValue};
@@ -48,64 +47,16 @@ use crate::session::MatchSession;
 
 /// Matching options.
 ///
-/// The struct is `#[non_exhaustive]`: construct it through
-/// [`MatchOptions::default`] or [`MatchOptions::builder`] so adding a knob
-/// is never a breaking change for downstream call sites.
+/// Clock updates are always *lazy* (see the crate docs):
+/// [`MatchOptions::default`] is unanchored matching, used by sessions, the
+/// CLI and the server; the miner sets `anchored`.
 #[derive(Clone, Copy, Debug, Default)]
-#[non_exhaustive]
 pub struct MatchOptions {
     /// Anchored matching: skip transitions are disallowed until the first
     /// pattern transition has fired, so the pattern's root must match the
     /// *first* event of the input. Used by the miner, which starts one
     /// automaton per reference-event occurrence (§5).
     pub anchored: bool,
-    /// The paper's strict clock-update semantics: a configuration dies on
-    /// any event not covered by *every* clock granularity (instead of the
-    /// default lazy semantics where only guards consulting such clocks
-    /// fail).
-    pub strict_updates: bool,
-}
-
-impl MatchOptions {
-    /// A builder starting from the defaults (lazy, unanchored).
-    pub fn builder() -> MatchOptionsBuilder {
-        MatchOptionsBuilder::default()
-    }
-
-    /// A builder seeded from this value, for tweaking individual knobs.
-    pub fn to_builder(self) -> MatchOptionsBuilder {
-        MatchOptionsBuilder(self)
-    }
-}
-
-/// Builder for [`MatchOptions`]; every knob defaults to
-/// [`MatchOptions::default`].
-///
-/// ```
-/// use tgm_tag::MatchOptions;
-/// let opts = MatchOptions::builder().anchored(true).build();
-/// assert!(opts.anchored && !opts.strict_updates);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MatchOptionsBuilder(MatchOptions);
-
-impl MatchOptionsBuilder {
-    /// Sets [`MatchOptions::anchored`].
-    pub fn anchored(mut self, on: bool) -> Self {
-        self.0.anchored = on;
-        self
-    }
-
-    /// Sets [`MatchOptions::strict_updates`].
-    pub fn strict_updates(mut self, on: bool) -> Self {
-        self.0.strict_updates = on;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> MatchOptions {
-        self.0
-    }
 }
 
 /// Instrumentation counters from a matcher run (the quantities of the
@@ -234,8 +185,9 @@ pub(crate) fn pack_tick(t: Option<Tick>) -> i64 {
 
 /// The canonical saturated reset `cur - cap - 1`, computed without
 /// overflow and clamped one above [`NONE_TICK`] so a defined reset can
-/// never collide with the undefined encoding. Used identically by both
-/// engines so saturated rows stay bit-comparable.
+/// never collide with the undefined encoding. The reference engine in the
+/// crate's tests repeats this formula, so saturated rows stay
+/// bit-comparable.
 #[inline]
 pub(crate) fn saturate_reset(cur: i64, cap: i64) -> i64 {
     cur.saturating_sub(cap)
@@ -249,8 +201,7 @@ pub(crate) fn saturate_reset(cur: i64, cap: i64) -> i64 {
 ///
 /// All arithmetic is saturating: near-`i64` extremes a reading past
 /// every guard constant stays past every guard constant, and the
-/// representative is clamped away from the [`NONE_TICK`] encoding
-/// (mirrored exactly in the reference engine's `canonicalize`).
+/// representative is clamped away from the [`NONE_TICK`] encoding.
 #[inline]
 pub(crate) fn saturate_row(row: &mut [i64], ticks: &[i64], caps: &[i64]) {
     for (x, r) in row.iter_mut().enumerate() {
@@ -758,9 +709,6 @@ impl<'a> Matcher<'a> {
             }
             ls.fill_ticks(self.tag, e, row_of(eidx));
             let ticks = &ls.ticks;
-            if self.opts.strict_updates && ticks.contains(&NONE_TICK) {
-                return Ok(None);
-            }
             nx_idx.clear();
             ls.table.reset();
             for &node in fr_idx.iter() {
@@ -822,401 +770,6 @@ impl<'a> Matcher<'a> {
             }
         }
         Ok(None)
-    }
-
-    pub(crate) fn clock_tick(&self, x: ClockId, t: Second) -> Option<Tick> {
-        self.tag.clocks[x.index()].1.covering_tick(t)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference engine (pre-packed-representation), kept for differential
-// testing and the E6 engine ablation
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Config {
-    state: StateId,
-    started: bool,
-    /// Covering tick of each clock's granularity at its last reset.
-    resets: Vec<Option<Tick>>,
-}
-
-impl<'a> Matcher<'a> {
-    /// Option-based variant of `saturate_row` for the reference engine.
-    fn canonicalize(&self, resets: &mut [Option<Tick>], cur_ticks: &[Option<Tick>]) {
-        for (x, r) in resets.iter_mut().enumerate() {
-            if let (Some(cur), Some(res)) = (cur_ticks[x], *r) {
-                let cap = self.lane.max_consts[x];
-                if cur.saturating_sub(res) > cap {
-                    *r = Some(saturate_reset(cur, cap));
-                }
-            }
-        }
-    }
-
-    /// The pre-packed-engine [`run`](Self::run): one `Vec<Option<Tick>>`
-    /// per configuration, frontier deduplicated by cloning into a
-    /// `HashSet`. Produces bit-identical [`RunStats`] to the lane engine
-    /// (asserted by differential tests); exists for those tests and for the
-    /// E6 engine ablation.
-    pub fn run_reference(&self, events: &[Event], early_exit: bool) -> RunStats {
-        self.run_reference_core(events, early_exit, None).stats
-    }
-
-    /// [`run_reference`](Self::run_reference) under [`Limits`]: polls and
-    /// budget-caps at exactly the same points as
-    /// [`run_in`](Self::run_in) under limits, so bounded runs of the two
-    /// engines interrupt identically (differentially tested).
-    pub fn run_reference_bounded(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        limits: &Limits,
-    ) -> BoundedRun {
-        self.run_reference_core(events, early_exit, Some(limits))
-    }
-
-    fn run_reference_core(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        self.run_core_reference(
-            events,
-            early_exit,
-            |_, e| {
-                (0..self.tag.clocks.len())
-                    .map(|i| self.clock_tick(ClockId(i), e.time))
-                    .collect()
-            },
-            limits,
-        )
-    }
-
-    /// Column-reading variant of [`run_reference`](Self::run_reference).
-    pub fn run_columns_reference(
-        &self,
-        events: &[Event],
-        cols: &TickColumns,
-        offset: usize,
-        early_exit: bool,
-    ) -> RunStats {
-        assert!(
-            offset + events.len() <= cols.len(),
-            "event slice [{offset}, {}) exceeds the {} column rows",
-            offset + events.len(),
-            cols.len()
-        );
-        let clock_cols: Vec<Option<usize>> = self
-            .tag
-            .clocks
-            .iter()
-            .map(|(_, g)| cols.index_of(g))
-            .collect();
-        self.run_core_reference(
-            events,
-            early_exit,
-            |i, e| {
-                clock_cols
-                    .iter()
-                    .enumerate()
-                    .map(|(x, c)| match c {
-                        Some(c) => cols.tick(*c, offset + i),
-                        None => self.clock_tick(ClockId(x), e.time),
-                    })
-                    .collect()
-            },
-            None,
-        )
-        .stats
-    }
-
-    /// Per-event completion oracle on the reference engine: the indices
-    /// of events at which some occurrence *completes* (a pattern
-    /// transition into an accepting state fires). These are exactly the
-    /// completion events a [`MatchSession`](crate::MatchSession) reports
-    /// while replaying the sequence, computed by an independent engine —
-    /// the session differential and eviction-soundness tests compare
-    /// against this.
-    pub fn completions_reference(&self, events: &[Event]) -> Vec<usize> {
-        let mut out = Vec::new();
-        if events.is_empty() {
-            return out;
-        }
-        let mut stats = RunStats::default();
-        let mut frontier = self.initial_frontier_reference(events[0].time);
-        for (i, e) in events.iter().enumerate() {
-            let cur_ticks: Vec<Option<Tick>> = (0..self.tag.clocks.len())
-                .map(|x| self.clock_tick(ClockId(x), e.time))
-                .collect();
-            let (next, reached) =
-                self.advance_with_reference(&frontier, e, &cur_ticks, &mut stats);
-            frontier = next;
-            if reached {
-                out.push(i);
-            }
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        out
-    }
-
-    /// The pre-packed-engine
-    /// [`find_occurrence`](Self::find_occurrence), kept to pin witness
-    /// indices: the provenance arena must return exactly the same occurrence.
-    pub fn find_occurrence_reference(&self, events: &[Event]) -> Option<Vec<usize>> {
-        if events.is_empty() {
-            return None;
-        }
-        // Arena of configurations with provenance: (config, parent index,
-        // event index, was-pattern-transition).
-        struct Node {
-            cfg: Config,
-            parent: usize, // usize::MAX for roots
-            event: usize,
-            pattern: bool,
-        }
-        let mut arena: Vec<Node> = Vec::new();
-        let mut frontier: Vec<usize> = Vec::new();
-        for cfg in self.initial_frontier_reference(events[0].time) {
-            arena.push(Node {
-                cfg,
-                parent: usize::MAX,
-                event: usize::MAX,
-                pattern: false,
-            });
-            frontier.push(arena.len() - 1);
-        }
-        let n_clocks = self.tag.clocks.len();
-        for (eidx, e) in events.iter().enumerate() {
-            let cur_ticks: Vec<Option<Tick>> = (0..n_clocks)
-                .map(|i| self.clock_tick(ClockId(i), e.time))
-                .collect();
-            if self.opts.strict_updates && cur_ticks.iter().any(Option::is_none) {
-                return None;
-            }
-            let mut next: Vec<usize> = Vec::new();
-            let mut seen: HashSet<Config> = HashSet::new();
-            for &node_idx in &frontier {
-                let cfg = arena[node_idx].cfg.clone();
-                for tr in self.tag.transitions_from(cfg.state) {
-                    if !tr.symbol.matches(e.ty) {
-                        continue;
-                    }
-                    if self.opts.anchored && !cfg.started && tr.is_skip {
-                        continue;
-                    }
-                    let value = |x: ClockId| -> Option<i64> {
-                        match (cur_ticks[x.index()], cfg.resets[x.index()]) {
-                            (Some(cur), Some(reset)) => Some(cur.saturating_sub(reset)),
-                            _ => None,
-                        }
-                    };
-                    if tr.guard.eval(&value) != Some(true) {
-                        continue;
-                    }
-                    let mut resets = cfg.resets.clone();
-                    for &x in &tr.resets {
-                        resets[x.index()] = cur_ticks[x.index()];
-                    }
-                    self.canonicalize(&mut resets, &cur_ticks);
-                    let nc = Config {
-                        state: tr.to,
-                        started: cfg.started || !tr.is_skip,
-                        resets,
-                    };
-                    if self.tag.is_accepting(nc.state) && !tr.is_skip {
-                        // Backtrack through pattern transitions.
-                        let mut out = vec![eidx];
-                        let mut cur = node_idx;
-                        while cur != usize::MAX {
-                            let node = &arena[cur];
-                            if node.pattern {
-                                out.push(node.event);
-                            }
-                            cur = node.parent;
-                        }
-                        out.reverse();
-                        return Some(out);
-                    }
-                    if seen.insert(nc.clone()) {
-                        arena.push(Node {
-                            cfg: nc,
-                            parent: node_idx,
-                            event: eidx,
-                            pattern: !tr.is_skip,
-                        });
-                        next.push(arena.len() - 1);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                return None;
-            }
-        }
-        None
-    }
-
-    /// Initial configurations, with clocks reading 0 at instant `t0`.
-    fn initial_frontier_reference(&self, t0: Second) -> Vec<Config> {
-        let init_resets: Vec<Option<Tick>> = (0..self.tag.clocks.len())
-            .map(|i| self.clock_tick(ClockId(i), t0))
-            .collect();
-        self.initial_frontier_with_reference(init_resets)
-    }
-
-    /// Initial configurations from pre-resolved clock ticks at the first
-    /// instant.
-    fn initial_frontier_with_reference(&self, init_resets: Vec<Option<Tick>>) -> Vec<Config> {
-        let mut seen: HashSet<Config> = HashSet::new();
-        let mut frontier = Vec::new();
-        for &s in self.tag.start_states() {
-            let c = Config {
-                state: s,
-                started: false,
-                resets: init_resets.clone(),
-            };
-            if seen.insert(c.clone()) {
-                frontier.push(c);
-            }
-        }
-        frontier
-    }
-
-    /// Advances the reference frontier by one event given its pre-resolved
-    /// clock ticks. Returns the next frontier and whether any *newly
-    /// created* configuration is accepting.
-    fn advance_with_reference(
-        &self,
-        frontier: &[Config],
-        e: &Event,
-        cur_ticks: &[Option<Tick>],
-        stats: &mut RunStats,
-    ) -> (Vec<Config>, bool) {
-        stats.events += 1;
-        let strict_dead = self.opts.strict_updates && cur_ticks.iter().any(Option::is_none);
-        let mut next: Vec<Config> = Vec::new();
-        let mut next_seen: HashSet<Config> = HashSet::new();
-        let mut reached_accepting = false;
-        if !strict_dead {
-            for cfg in frontier {
-                for tr in self.tag.transitions_from(cfg.state) {
-                    if !tr.symbol.matches(e.ty) {
-                        continue;
-                    }
-                    if self.opts.anchored && !cfg.started && tr.is_skip {
-                        continue;
-                    }
-                    let value = |x: ClockId| -> Option<i64> {
-                        match (cur_ticks[x.index()], cfg.resets[x.index()]) {
-                            (Some(cur), Some(reset)) => Some(cur.saturating_sub(reset)),
-                            _ => None,
-                        }
-                    };
-                    if tr.guard.eval(&value) != Some(true) {
-                        continue;
-                    }
-                    stats.expansions += 1;
-                    let mut resets = cfg.resets.clone();
-                    for &x in &tr.resets {
-                        resets[x.index()] = cur_ticks[x.index()];
-                    }
-                    self.canonicalize(&mut resets, cur_ticks);
-                    let nc = Config {
-                        state: tr.to,
-                        started: cfg.started || !tr.is_skip,
-                        resets,
-                    };
-                    if self.tag.is_accepting(nc.state) && !tr.is_skip {
-                        reached_accepting = true;
-                    }
-                    if next_seen.insert(nc.clone()) {
-                        next.push(nc);
-                    } else {
-                        stats.dedup_hits += 1;
-                    }
-                }
-            }
-        }
-        stats.peak_configs = stats.peak_configs.max(next.len());
-        (next, reached_accepting)
-    }
-
-    /// The reference NFA simulation, parameterized over how each event's
-    /// clock ticks are obtained.
-    fn run_core_reference(
-        &self,
-        events: &[Event],
-        early_exit: bool,
-        mut ticks_at: impl FnMut(usize, &Event) -> Vec<Option<Tick>>,
-        limits: Option<&Limits>,
-    ) -> BoundedRun {
-        let mut stats = RunStats::default();
-
-        // Empty input: accepted iff a start state is accepting.
-        if events.is_empty() {
-            stats.accepted = self
-                .tag
-                .start_states()
-                .iter()
-                .any(|&s| self.tag.is_accepting(s));
-            return BoundedRun {
-                stats,
-                verdict: Verdict::Completed,
-            };
-        }
-
-        let mut frontier = self.initial_frontier_with_reference(ticks_at(0, &events[0]));
-        if early_exit && frontier.iter().any(|c| self.tag.is_accepting(c.state)) {
-            stats.accepted = true;
-            return BoundedRun {
-                stats,
-                verdict: Verdict::Completed,
-            };
-        }
-
-        for (i, e) in events.iter().enumerate() {
-            // Same poll points as the lane engine's replay.
-            if let Some(l) = limits {
-                if let Err(int) = l.check() {
-                    return BoundedRun {
-                        stats,
-                        verdict: int.into(),
-                    };
-                }
-            }
-            let cur_ticks = ticks_at(i, e);
-            let (next, reached_accepting) =
-                self.advance_with_reference(&frontier, e, &cur_ticks, &mut stats);
-            frontier = next;
-            if early_exit && reached_accepting {
-                stats.accepted = true;
-                return BoundedRun {
-                    stats,
-                    verdict: Verdict::Completed,
-                };
-            }
-            if frontier.is_empty() {
-                break;
-            }
-            if let Some(l) = limits {
-                if l.budget_exceeded(stats.peak_configs as u64) {
-                    return BoundedRun {
-                        stats,
-                        verdict: Interrupt::BudgetExhausted.into(),
-                    };
-                }
-            }
-        }
-        stats.accepted = frontier.iter().any(|c| self.tag.is_accepting(c.state));
-        BoundedRun {
-            stats,
-            verdict: Verdict::Completed,
-        }
     }
 }
 
@@ -1285,13 +838,7 @@ mod tests {
     #[test]
     fn anchored_requires_root_first() {
         let tag = next_day_tag();
-        let anchored = Matcher::with_options(
-            &tag,
-            MatchOptions {
-                anchored: true,
-                ..Default::default()
-            },
-        );
+        let anchored = Matcher::with_options(&tag, MatchOptions { anchored: true });
         // Noise before A: anchored matching must fail...
         let seq = [ev(7, 2 * DAY), ev(0, 2 * DAY + 100), ev(1, 3 * DAY)];
         assert!(!anchored.accepts(&seq));
@@ -1307,49 +854,6 @@ mod tests {
         let m = Matcher::new(&tag);
         let seq = [ev(0, 0), ev(0, 2 * DAY), ev(1, 3 * DAY)];
         assert!(m.accepts(&seq));
-    }
-
-    #[test]
-    fn strict_updates_kill_on_gaps() {
-        let cal = Calendar::standard();
-        let mut b = TagBuilder::new();
-        let x = b.clock("x_bday", cal.get("business-day").unwrap());
-        let s0 = b.state("s0");
-        let s1 = b.state("s1");
-        let s2 = b.state("s2");
-        b.start(s0).accepting(s2);
-        b.transition(s0, s1, Symbol::Exact(EventType(0)), ClockConstraint::True, vec![x]);
-        b.transition(s1, s2, Symbol::Exact(EventType(1)), ClockConstraint::eq(x, 1), vec![]);
-        b.skip_loop(s0);
-        b.skip_loop(s1);
-        b.skip_loop(s2);
-        let tag = b.build();
-
-        // A on Monday (day 2), noise on Saturday (day 7), B next Monday:
-        // b-day distance Monday->Monday is 5, so no match either way, but
-        // A Thursday(5)->B Friday(6) with Saturday noise in between:
-        let seq = [ev(0, 5 * DAY), ev(9, 7 * DAY + 100), ev(1, 8 * DAY)];
-        // Wait: day 5 is Thursday 2000-01-06, day 6 Friday, day 7 Saturday,
-        // day 8 Sunday. Use Friday -> Monday instead:
-        let seq2 = [ev(0, 6 * DAY), ev(9, 7 * DAY + 100), ev(1, 9 * DAY)];
-        let lazy = Matcher::new(&tag);
-        // Lazy semantics: the Saturday noise is skippable.
-        assert!(lazy.accepts(&seq2));
-        let strict = Matcher::with_options(
-            &tag,
-            MatchOptions {
-                strict_updates: true,
-                ..Default::default()
-            },
-        );
-        // Strict semantics (paper): the Saturday event has no business-day
-        // tick, killing every run.
-        assert!(!strict.accepts(&seq2));
-        // Without weekend noise both agree.
-        let clean = [ev(0, 6 * DAY), ev(1, 9 * DAY)];
-        assert!(lazy.accepts(&clean));
-        assert!(strict.accepts(&clean));
-        let _ = seq;
     }
 
     #[test]
@@ -1446,9 +950,9 @@ mod tests {
 
     #[test]
     fn find_occurrence_witness_pinned() {
-        // Regression: the provenance arena must report exactly the same witness
-        // indices as the reference engine, with noise interleaved and a
-        // nondeterministic earlier A that cannot complete.
+        // Regression: the provenance arena reports the completing A's
+        // witness, with noise interleaved and a nondeterministic earlier A
+        // that cannot complete.
         let tag = next_day_tag();
         let m = Matcher::new(&tag);
         let seq = [
@@ -1460,11 +964,9 @@ mod tests {
         ];
         let got = m.find_occurrence(&seq);
         assert_eq!(got, Some(vec![1, 3]));
-        assert_eq!(got, m.find_occurrence_reference(&seq));
         // No occurrence.
         let seq2 = [ev(0, 2 * DAY), ev(1, 4 * DAY)];
         assert_eq!(m.find_occurrence(&seq2), None);
-        assert_eq!(m.find_occurrence_reference(&seq2), None);
         // Scratch reuse returns the same witness.
         let mut scratch = MatcherScratch::new();
         let mut ctx = RunCtx::new(&mut scratch);
@@ -1472,19 +974,8 @@ mod tests {
         assert_eq!(m.find_occurrence_in(&seq2, &mut ctx), Ok(None));
     }
 
-    /// All four `MatchOptions` combinations.
-    fn all_option_combos() -> Vec<MatchOptions> {
-        let mut out = Vec::new();
-        for bits in 0..4u32 {
-            out.push(MatchOptions {
-                anchored: bits & 1 != 0,
-                strict_updates: bits & 2 != 0,
-            });
-        }
-        out
-    }
-
-    /// A business-day TAG (gapped granularity) for strict-semantics tests.
+    /// A business-day TAG (gapped granularity): A, then B one business
+    /// day later.
     fn bday_tag() -> crate::Tag {
         let cal = Calendar::standard();
         let mut b = TagBuilder::new();
@@ -1502,13 +993,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_updates_parity_between_run_and_find_occurrence() {
-        // Pinned semantics: for TAGs whose start states are NOT accepting
-        // (every constructed TAG — an occurrence needs at least one pattern
-        // transition), `find_occurrence` succeeds iff `matches_within`
-        // accepts, under every option combination — including strict
-        // updates over sequences with gap (weekend) events, where both
-        // treat the first uncovered event as killing every run.
+    fn find_occurrence_parity_with_matches_within() {
+        // For TAGs whose start states are not accepting (every constructed
+        // TAG), `find_occurrence` succeeds iff `matches_within` accepts,
+        // anchored or not, over sequences with gap (weekend) events: lazy
+        // updates let a gap event be skipped, never consulted.
         //
         // Day 6 = Friday, day 7 = Saturday (gap), day 9 = Monday.
         let sequences: Vec<Vec<Event>> = vec![
@@ -1519,29 +1008,26 @@ mod tests {
             vec![ev(0, 6 * DAY)],                                       // incomplete
         ];
         let tag = bday_tag();
-        for opts in all_option_combos() {
-            let m = Matcher::with_options(&tag, opts);
+        let lazy = Matcher::new(&tag);
+        assert!(lazy.accepts(&sequences[0]), "the Saturday noise is skippable");
+        for anchored in [false, true] {
+            let m = Matcher::with_options(&tag, MatchOptions { anchored });
             for (i, seq) in sequences.iter().enumerate() {
-                let within = m.matches_within(seq);
-                let occ = m.find_occurrence(seq);
                 assert_eq!(
-                    occ.is_some(),
-                    within,
-                    "opts {opts:?}, sequence {i}: find_occurrence/matches_within parity"
+                    m.find_occurrence(seq).is_some(),
+                    m.matches_within(seq),
+                    "anchored {anchored}, sequence {i}"
                 );
-                // And the reference engine pins the same semantics.
-                assert_eq!(occ, m.find_occurrence_reference(seq), "opts {opts:?}, seq {i}");
             }
         }
     }
 
     #[test]
-    fn strict_updates_accepting_start_divergence_pinned() {
+    fn accepting_start_divergence_pinned() {
         // The one intended divergence: a TAG whose start state is already
         // accepting (empty pattern). `matches_within` accepts before
         // consuming any event, while `find_occurrence` requires a
-        // completing pattern transition and returns None — even under
-        // strict updates where the gap event would kill the run.
+        // completing pattern transition and returns None.
         let cal = Calendar::standard();
         let mut b = TagBuilder::new();
         let _x = b.clock("x_bday", cal.get("business-day").unwrap());
@@ -1550,22 +1036,13 @@ mod tests {
         b.skip_loop(s0);
         let tag = b.build();
         let gap_only = [ev(0, 7 * DAY)]; // Saturday: no business-day tick
-        for opts in all_option_combos() {
-            let m = Matcher::with_options(&tag, opts);
-            assert!(m.matches_within(&gap_only), "opts {opts:?}");
-            assert_eq!(m.find_occurrence(&gap_only), None, "opts {opts:?}");
+        for anchored in [false, true] {
+            let m = Matcher::with_options(&tag, MatchOptions { anchored });
+            assert!(m.matches_within(&gap_only), "anchored {anchored}");
+            assert_eq!(m.find_occurrence(&gap_only), None, "anchored {anchored}");
             // Full-sequence acceptance differs from prefix acceptance when
-            // the run cannot consume the gap event: strict updates kill it,
-            // and anchored matching forbids the pre-start skip loop.
-            let full = m.run(&gap_only, false).accepted;
-            assert_eq!(
-                full,
-                !opts.strict_updates && !opts.anchored,
-                "opts {opts:?}"
-            );
-            // Reference engine: identical on all of the above.
-            assert_eq!(m.run_reference(&gap_only, false), m.run(&gap_only, false));
-            assert_eq!(m.run_reference(&gap_only, true), m.run(&gap_only, true));
+            // anchored matching forbids the pre-start skip loop.
+            assert_eq!(m.run(&gap_only, false).accepted, !anchored);
         }
     }
 }

@@ -152,10 +152,7 @@ fn anchored_acceptance_pins_root_occurrence() {
     let bt = EventType(1);
     let cet = ComplexEventType::new(s, vec![a, bt]);
     let tag = build_tag(&cet);
-    let m = Matcher::with_options(
-        &tag,
-        tgm_tag::MatchOptions::builder().anchored(true).build(),
-    );
+    let m = Matcher::with_options(&tag, tgm_tag::MatchOptions { anchored: true });
     let events = vec![
         Event::new(a, 0),
         Event::new(a, 5 * DAY),

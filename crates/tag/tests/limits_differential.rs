@@ -1,38 +1,21 @@
 //! Differential tests for bounded matcher runs: with [`Limits::none`] the
 //! bounded lane-engine runs are bit-identical to the unbounded reference
-//! engine under every `MatchOptions` combination, direct and
+//! engine, anchored and unanchored, direct and
 //! column-reading; with a tight budget or deadline they stop
 //! deterministically with a typed [`Verdict`] instead of running away; and
 //! the lane and reference engines interrupt identically.
 
 use std::time::{Duration, Instant};
 
+mod common;
+
+use common::reference::Reference;
+use common::{all_option_combos, grans, DAY};
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
-use tgm_granularity::{Calendar, Gran};
+use tgm_granularity::Gran;
 use tgm_limits::{CancelToken, Interrupt, Limits, Verdict};
-use tgm_tag::{build_tag, BoundedRun, MatchOptions, Matcher, MatcherScratch, RunCtx, Tag};
-
-const DAY: i64 = 86_400;
-
-fn grans() -> Vec<Gran> {
-    let cal = Calendar::standard();
-    ["hour", "day", "week", "business-day"]
-        .iter()
-        .map(|n| cal.get(n).unwrap())
-        .collect()
-}
-
-fn all_option_combos() -> Vec<MatchOptions> {
-    (0..4u32)
-        .map(|bits| {
-            MatchOptions::builder()
-                .anchored(bits & 1 != 0)
-                .strict_updates(bits & 2 != 0)
-                .build()
-        })
-        .collect()
-}
+use tgm_tag::{build_tag, BoundedRun, Matcher, MatcherScratch, RunCtx, Tag};
 
 /// A three-variable chain over mixed granularities with enough events to
 /// make the matcher do real frontier work.
@@ -89,13 +72,14 @@ fn none_limits_bit_identical_all_combos() {
     let none = Limits::none();
     for opts in all_option_combos() {
         let m = Matcher::with_options(&tag, opts);
+        let r = Reference::new(&tag, opts);
         for early_exit in [false, true] {
-            let free = m.run_reference(&events, early_exit);
+            let free = r.run(&events, early_exit);
             let run = bounded(&m, &events, None, early_exit, &none);
             assert_eq!(run.verdict, Verdict::Completed, "{opts:?}");
             assert_eq!(run.stats, free, "direct {opts:?} early_exit={early_exit}");
 
-            let free_cols = m.run_columns_reference(&events, &cols, 0, early_exit);
+            let free_cols = r.run_columns(&events, &cols, 0, early_exit);
             let bounded_cols = bounded(&m, &events, Some((&cols, 0)), early_exit, &none);
             assert_eq!(bounded_cols.verdict, Verdict::Completed);
             assert_eq!(
@@ -103,12 +87,11 @@ fn none_limits_bit_identical_all_combos() {
                 "columns {opts:?} early_exit={early_exit}"
             );
 
-            let free_ref = m.run_reference(&events, early_exit);
-            let bounded_ref = m.run_reference_bounded(&events, early_exit, &none);
+            let bounded_ref = r.run_bounded(&events, early_exit, &none);
             assert_eq!(bounded_ref.verdict, Verdict::Completed);
-            assert_eq!(bounded_ref.stats, free_ref, "reference {opts:?}");
+            assert_eq!(bounded_ref.stats, free, "reference {opts:?}");
         }
-        let free = m.find_occurrence_reference(&events);
+        let free = r.find_occurrence(&events);
         let found = find_bounded(&m, &events, &none).expect("no limits, no interrupt");
         assert_eq!(found, free, "find_occurrence {opts:?}");
     }
@@ -135,11 +118,12 @@ fn tiny_budget_exhausts_deterministically() {
 #[test]
 fn lane_and_reference_interrupt_identically() {
     let (tag, events) = fixture();
+    let m = Matcher::new(&tag);
+    let r = Reference::new(&tag, Default::default());
     for budget in [1u64, 2, 4, 8, 1 << 40] {
         let limits = Limits::none().with_budget(budget);
-        let m = Matcher::new(&tag);
         let lane = bounded(&m, &events, None, false, &limits);
-        let reference = m.run_reference_bounded(&events, false, &limits);
+        let reference = r.run_bounded(&events, false, &limits);
         assert_eq!(lane.verdict, reference.verdict, "budget={budget}");
         assert_eq!(lane.stats, reference.stats, "budget={budget}");
     }
@@ -179,7 +163,7 @@ fn generous_limits_complete_identically() {
     let limits = Limits::none()
         .with_timeout(Duration::from_secs(600))
         .with_budget(1 << 40);
-    let free = m.run_reference(&events, false);
+    let free = Reference::new(&tag, Default::default()).run(&events, false);
     let run = bounded(&m, &events, None, false, &limits);
     assert_eq!(run.verdict, Verdict::Completed);
     assert_eq!(run.stats, free);

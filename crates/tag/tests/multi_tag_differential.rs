@@ -3,40 +3,21 @@
 //! structure, optionally mixed with a structurally different tag so runs
 //! span several lanes), [`MultiMatcher`] must produce *bit-identical*
 //! per-candidate [`RunStats`](tgm_tag::RunStats) to running the
-//! independent reference engine — the oracle — one tag at a time, under
-//! every `MatchOptions` combination, for direct, column-reading,
-//! early-exit, and suffix-offset runs alike, and under bounded execution
-//! with typed verdicts.
+//! independent reference engine — the oracle — one tag at a time,
+//! anchored and unanchored, for direct, column-reading, early-exit, and
+//! suffix-offset runs alike, and under bounded execution with typed
+//! verdicts.
 
+mod common;
+
+use common::reference::Reference;
+use common::{all_option_combos, events_from, grans, DAY};
 use proptest::prelude::*;
 use tgm_core::{StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
-use tgm_granularity::{Calendar, Gran};
+use tgm_granularity::Gran;
 use tgm_limits::{Interrupt, Limits};
-use tgm_tag::{
-    MatchOptions, Matcher, MatcherScratch, MultiMatcher, MultiRun, RunCtx, Tag, TagTemplate,
-};
-
-const DAY: i64 = 86_400;
-
-fn grans() -> Vec<Gran> {
-    let cal = Calendar::standard();
-    ["hour", "day", "week", "business-day"]
-        .iter()
-        .map(|n| cal.get(n).unwrap())
-        .collect()
-}
-
-fn all_option_combos() -> Vec<MatchOptions> {
-    (0..4u32)
-        .map(|bits| {
-            MatchOptions::builder()
-                .anchored(bits & 1 != 0)
-                .strict_updates(bits & 2 != 0)
-                .build()
-        })
-        .collect()
-}
+use tgm_tag::{MatchOptions, MatcherScratch, MultiMatcher, MultiRun, RunCtx, Tag, TagTemplate};
 
 /// A random chain-structure template: `chain_len` variables, random
 /// granularities and bounds on the arcs.
@@ -63,10 +44,10 @@ fn oracle_runs(
 ) -> Vec<tgm_tag::RunStats> {
     tags.iter()
         .map(|t| {
-            let m = Matcher::with_options(t, opts);
+            let r = Reference::new(t, opts);
             match cols {
-                Some((cols, offset)) => m.run_columns_reference(events, cols, offset, early_exit),
-                None => m.run_reference(events, early_exit),
+                Some((cols, offset)) => r.run_columns(events, cols, offset, early_exit),
+                None => r.run(events, early_exit),
             }
         })
         .collect()
@@ -118,11 +99,7 @@ proptest! {
                 EventType(3),
             ]));
         }
-        let mut events: Vec<Event> = raw_events
-            .iter()
-            .map(|&(ty, step)| Event::new(EventType(ty), 2 * DAY + step * 6 * 3_600))
-            .collect();
-        events.sort_by_key(|e| e.time);
+        let events = events_from(&raw_events);
         // Columns over the union of every candidate's clock granularities.
         let mut all_grans: Vec<Gran> = Vec::new();
         for t in &tags {
@@ -195,19 +172,39 @@ proptest! {
             .filter(|(i, _)| subset_mask & (1 << i) != 0)
             .map(|(_, t)| t)
             .collect();
-        let mut events: Vec<Event> = raw_events
-            .iter()
-            .map(|&(ty, step)| Event::new(EventType(ty), 2 * DAY + step * 6 * 3_600))
-            .collect();
-        events.sort_by_key(|e| e.time);
+        let events = events_from(&raw_events);
         let opts = MatchOptions::default();
         let mm = MultiMatcher::with_options(tags.clone(), opts);
         let got = multi_run(&mm, &events, true, &mut MatcherScratch::new(), None, None).stats;
         for (k, t) in tags.iter().enumerate() {
-            let want = Matcher::with_options(t, opts).run_reference(&events, true);
+            let want = Reference::new(t, opts).run(&events, true);
             prop_assert_eq!(got[k], want, "member {}", k);
         }
         tgm_obs::set_enabled(false);
+    }
+}
+
+/// Shared scan over sibling candidates == per-candidate runs, on a fixed
+/// small world: one day-bounded chain instantiated for six types, with
+/// events every eight hours.
+#[test]
+fn sibling_candidates_bit_identical() {
+    let template = build_template(2, &[1], &[(0, 2)]);
+    let tys: Vec<EventType> = (0..6).map(EventType).collect();
+    let tags: Vec<Tag> = tys
+        .iter()
+        .map(|&t| template.instantiate(&[tys[0], t]))
+        .collect();
+    let events: Vec<Event> = (0..40)
+        .map(|i| Event::new(tys[(i % 5) as usize], i * DAY / 3 + 2 * DAY))
+        .collect();
+    for opts in all_option_combos() {
+        let mm = MultiMatcher::with_options(tags.iter().collect(), opts);
+        for early_exit in [false, true] {
+            let got = multi_run(&mm, &events, early_exit, &mut MatcherScratch::new(), None, None);
+            let want = oracle_runs(&tags, opts, &events, None, early_exit);
+            assert_eq!(got.stats, want, "early_exit={early_exit}, {opts:?}");
+        }
     }
 }
 

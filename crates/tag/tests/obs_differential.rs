@@ -1,9 +1,12 @@
 //! Differential tests for observability: enabling the process-wide obs
 //! switch (and routing emission through scopes) must not change any
 //! matching result — `RunStats` stays bit-identical and
-//! occurrence witnesses stay equal across all 4 `MatchOptions` combos,
+//! occurrence witnesses stay equal, anchored and unanchored,
 //! for direct, column-reading, early-exit, and scratch-reusing runs.
 
+mod common;
+
+use common::{all_option_combos, DAY};
 use parking_lot::Mutex;
 use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
@@ -14,21 +17,8 @@ use tgm_tag::{build_tag, MatchOptions, Matcher, MatcherScratch, RunCtx, RunStats
 /// runs tests concurrently in one process).
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-const DAY: i64 = 86_400;
-
-fn all_option_combos() -> Vec<MatchOptions> {
-    (0..4u32)
-        .map(|bits| {
-            MatchOptions::builder()
-                .anchored(bits & 1 != 0)
-                .strict_updates(bits & 2 != 0)
-                .build()
-        })
-        .collect()
-}
-
-/// A two-granularity chain TAG (business-day + week) so strict-update
-/// gap handling and multi-clock canonicalization are both exercised.
+/// A two-granularity chain TAG (business-day + week) so gap handling and
+/// multi-clock canonicalization are both exercised.
 fn chain_tag() -> Tag {
     let cal = Calendar::standard();
     let mut b = StructureBuilder::new();

@@ -1,75 +1,21 @@
 //! Differential tests for [`MatchSession`]: replaying a stream through a
 //! session must be *bit-identical* — stats and completion occurrences —
-//! to the independent reference engine (`run_reference`,
-//! `run_columns_reference`, `completions_reference`) and to the batch
-//! entry points under every `MatchOptions` combination and any
-//! push-chunking; suspending and resuming at any cut point must not change
-//! anything; and horizon eviction must never lose a completion while
-//! keeping the frontier within the Theorem 4 bound.
+//! to the independent reference engine (`Reference::run`,
+//! `Reference::run_columns`, `Reference::completions`) and to the batch
+//! entry points, anchored and unanchored, under any push-chunking;
+//! suspending and resuming at any cut point must not change anything; and
+//! horizon eviction must never lose a completion while keeping the
+//! frontier within the Theorem 4 bound.
 
+mod common;
+
+use common::reference::Reference;
+use common::{all_option_combos, build_random_tag, events_from, DAY};
 use proptest::prelude::*;
-use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
 use tgm_events::{Event, EventType, TickColumns};
-use tgm_granularity::{Calendar, Gran};
+use tgm_granularity::Gran;
 use tgm_limits::{Limits, Verdict};
-use tgm_tag::{build_tag, MatchOptions, MatchSession, Matcher, Push, Tag};
-
-const DAY: i64 = 86_400;
-
-fn grans() -> Vec<Gran> {
-    let cal = Calendar::standard();
-    ["hour", "day", "week", "business-day"]
-        .iter()
-        .map(|n| cal.get(n).unwrap())
-        .collect()
-}
-
-fn all_option_combos() -> Vec<MatchOptions> {
-    (0..4u32)
-        .map(|bits| {
-            MatchOptions::builder()
-                .anchored(bits & 1 != 0)
-                .strict_updates(bits & 2 != 0)
-                .build()
-        })
-        .collect()
-}
-
-fn build_random_tag(
-    chain_len: usize,
-    gran_picks: &[usize],
-    bounds: &[(u64, u64)],
-    phi_picks: &[u32],
-) -> Tag {
-    let gs = grans();
-    let mut b = StructureBuilder::new();
-    let vars: Vec<_> = (0..chain_len).map(|i| b.var(format!("X{i}"))).collect();
-    for i in 1..chain_len {
-        let (lo, w) = bounds[i - 1];
-        let g = gs[gran_picks[i - 1] % gs.len()].clone();
-        b.constrain(vars[i - 1], vars[i], Tcg::new(lo, lo + w, g));
-    }
-    let s = b.build().unwrap();
-    let phi: Vec<EventType> = (0..chain_len)
-        .map(|i| {
-            if i == 0 {
-                EventType(0)
-            } else {
-                EventType(phi_picks[i - 1])
-            }
-        })
-        .collect();
-    build_tag(&ComplexEventType::new(s, phi))
-}
-
-fn events_from(raw: &[(u32, i64)]) -> Vec<Event> {
-    let mut events: Vec<Event> = raw
-        .iter()
-        .map(|&(ty, step)| Event::new(EventType(ty), 2 * DAY + step * 6 * 3_600))
-        .collect();
-    events.sort_by_key(|e| e.time);
-    events
-}
+use tgm_tag::{MatchSession, Matcher, Push};
 
 /// Splits `events` into chunks whose sizes cycle through `chunking`
 /// (zero sizes are bumped to one), covering the whole slice.
@@ -88,7 +34,7 @@ fn push_chunked(session: &mut MatchSession<'_>, events: &[Event], chunking: &[us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The acceptance-criteria differential: for every MatchOptions combo,
+    /// The acceptance-criteria differential: anchored and unanchored,
     /// a session replay of the stream — under an arbitrary push-chunking —
     /// finalizes to the reference engine's run (and the batch `run`), its
     /// completion indices equal the reference engine's, and the
@@ -113,9 +59,10 @@ proptest! {
 
         for opts in all_option_combos() {
             let m = Matcher::with_options(&tag, opts);
+            let r = Reference::new(&tag, opts);
 
             // Direct-resolution push vs the reference run.
-            let batch = m.run_reference(&events, false);
+            let batch = r.run(&events, false);
             prop_assert_eq!(m.run(&events, false), batch, "batch run, opts {:?}", opts);
             let mut session = MatchSession::with_options(&tag, opts);
             push_chunked(&mut session, &events, &chunking);
@@ -123,7 +70,7 @@ proptest! {
                 session.completed().map(|c| c.index as usize).collect();
             prop_assert_eq!(
                 &completions,
-                &m.completions_reference(&events),
+                &r.completions(&events),
                 "completions, opts {:?}", opts
             );
             let run = session.finalize();
@@ -132,7 +79,7 @@ proptest! {
 
             // Column-reading push_row vs the reference column run (suffix
             // offset).
-            let batch_cols = m.run_columns_reference(slice, &cols, start, false);
+            let batch_cols = r.run_columns(slice, &cols, start, false);
             let mut session = MatchSession::with_options(&tag, opts);
             for (i, &e) in slice.iter().enumerate() {
                 if !matches!(
@@ -159,7 +106,7 @@ proptest! {
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
         phi_picks in proptest::collection::vec(0u32..3, 3),
         raw_events in proptest::collection::vec((0u32..4, 0i64..200), 1..60),
-        opts_pick in 0usize..4,
+        opts_pick in 0usize..2,
         evict in any::<bool>(),
         budget in (any::<bool>(), 0u64..16),
         cuts in proptest::collection::vec(any::<bool>(), 1..8),
@@ -226,8 +173,7 @@ proptest! {
         let events = events_from(&raw_events);
 
         for opts in all_option_combos() {
-            let m = Matcher::with_options(&tag, opts);
-            let expected = m.completions_reference(&events);
+            let expected = Reference::new(&tag, opts).completions(&events);
             let mut session = MatchSession::with_options(&tag, opts).with_eviction();
             push_chunked(&mut session, &events, &chunking);
             let got: Vec<usize> = session.completed().map(|c| c.index as usize).collect();

@@ -8,17 +8,23 @@
 //! deduplicated only on exact equality. On randomized TAGs and short
 //! inputs, [`Matcher::run`] acceptance (full and early-exit) and
 //! [`MatchSession`] per-event completions (plain and evicting) must equal
-//! the oracle's, under every `MatchOptions` combination.
+//! the oracle's, anchored and unanchored.
+//!
+//! The oracle also implements the paper's *strict* clock updates (§4): a
+//! configuration dies on any event some clock granularity does not cover.
+//! The engines implement only the lazy semantics, which coincides with the
+//! strict one on input pre-filtered to events every clock granularity
+//! covers (the miner's step 2); the second property pins that.
+
+mod common;
 
 use std::collections::HashSet;
 
+use common::{all_option_combos, build_random_tag, events_from};
 use proptest::prelude::*;
-use tgm_core::{ComplexEventType, StructureBuilder, Tcg};
-use tgm_events::{Event, EventType};
-use tgm_granularity::{Calendar, Gran, Granularity, Tick};
-use tgm_tag::{build_tag, ClockId, MatchOptions, MatchSession, Matcher, StateId, Tag};
-
-const DAY: i64 = 86_400;
+use tgm_events::Event;
+use tgm_granularity::{Granularity, Tick};
+use tgm_tag::{ClockId, MatchOptions, MatchSession, Matcher, StateId, Tag};
 
 /// An unsaturated configuration: state, started flag, exact reset ticks.
 type Config = (StateId, bool, Vec<Option<Tick>>);
@@ -35,8 +41,9 @@ struct OracleRun {
     prefix_accepted: bool,
 }
 
-/// The unsaturated, unabstracted forward simulation of `tag` over `events`.
-fn oracle(tag: &Tag, opts: MatchOptions, events: &[Event]) -> OracleRun {
+/// The unsaturated, unabstracted forward simulation of `tag` over
+/// `events`, with strict clock updates when `strict` is set.
+fn oracle(tag: &Tag, opts: MatchOptions, strict: bool, events: &[Event]) -> OracleRun {
     let ticks_at = |t| -> Vec<Option<Tick>> {
         tag.clocks()
             .iter()
@@ -61,7 +68,7 @@ fn oracle(tag: &Tag, opts: MatchOptions, events: &[Event]) -> OracleRun {
     for (i, e) in events.iter().enumerate() {
         let cur = ticks_at(e.time);
         let mut next = HashSet::new();
-        if !(opts.strict_updates && cur.contains(&None)) {
+        if !(strict && cur.contains(&None)) {
             for (state, started, resets) in &frontier {
                 for tr in tag.transitions_from(*state) {
                     if !tr.symbol.matches(e.ty) || (opts.anchored && !started && tr.is_skip) {
@@ -98,54 +105,6 @@ fn oracle(tag: &Tag, opts: MatchOptions, events: &[Event]) -> OracleRun {
     }
 }
 
-fn grans() -> Vec<Gran> {
-    let cal = Calendar::standard();
-    ["hour", "day", "week", "business-day"]
-        .iter()
-        .map(|n| cal.get(n).unwrap())
-        .collect()
-}
-
-fn all_option_combos() -> Vec<MatchOptions> {
-    (0..4u32)
-        .map(|bits| {
-            MatchOptions::builder()
-                .anchored(bits & 1 != 0)
-                .strict_updates(bits & 2 != 0)
-                .build()
-        })
-        .collect()
-}
-
-/// Builds a chain-structured complex event type and its TAG from the
-/// proptest-drawn parameters.
-fn build_random_tag(
-    chain_len: usize,
-    gran_picks: &[usize],
-    bounds: &[(u64, u64)],
-    phi_picks: &[u32],
-) -> Tag {
-    let gs = grans();
-    let mut b = StructureBuilder::new();
-    let vars: Vec<_> = (0..chain_len).map(|i| b.var(format!("X{i}"))).collect();
-    for i in 1..chain_len {
-        let (lo, w) = bounds[i - 1];
-        let g = gs[gran_picks[i - 1] % gs.len()].clone();
-        b.constrain(vars[i - 1], vars[i], Tcg::new(lo, lo + w, g));
-    }
-    let s = b.build().unwrap();
-    let phi: Vec<EventType> = (0..chain_len)
-        .map(|i| {
-            if i == 0 {
-                EventType(0)
-            } else {
-                EventType(phi_picks[i - 1])
-            }
-        })
-        .collect();
-    build_tag(&ComplexEventType::new(s, phi))
-}
-
 /// Per-event completion indices of a session replaying `events`.
 fn session_completions(mut session: MatchSession<'_>, events: &[Event]) -> Vec<usize> {
     (0..events.len())
@@ -169,13 +128,9 @@ proptest! {
         // so business-day gaps occur and readings outgrow every guard
         // constant (the saturating engines then merge what the oracle
         // keeps apart).
-        let mut events: Vec<Event> = raw_events
-            .iter()
-            .map(|&(ty, step)| Event::new(EventType(ty), 2 * DAY + step * 6 * 3_600))
-            .collect();
-        events.sort_by_key(|e| e.time);
+        let events = events_from(&raw_events);
         for opts in all_option_combos() {
-            let want = oracle(&tag, opts, &events);
+            let want = oracle(&tag, opts, false, &events);
             let m = Matcher::with_options(&tag, opts);
             prop_assert_eq!(m.run(&events, false).accepted, want.accepted, "full run, {:?}", opts);
             prop_assert_eq!(
@@ -200,4 +155,72 @@ proptest! {
             );
         }
     }
+}
+
+/// The miner's step 2: keeps the events every clock granularity of `tag`
+/// covers.
+fn prefilter(tag: &Tag, events: Vec<Event>) -> Vec<Event> {
+    events
+        .into_iter()
+        .filter(|e| tag.clocks().iter().all(|(_, g)| g.covering_tick(e.time).is_some()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lazy engines ≡ the strict oracle on pre-filtered input: full and
+    /// early-exit acceptance and per-event session completions.
+    #[test]
+    fn lazy_engines_agree_with_strict_oracle_on_covered_input(
+        chain_len in 2usize..4,
+        gran_picks in proptest::collection::vec(0usize..4, 3),
+        bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
+        phi_picks in proptest::collection::vec(0u32..3, 3),
+        raw_events in proptest::collection::vec((0u32..4, 0i64..60), 0..24),
+    ) {
+        let tag = build_random_tag(chain_len, &gran_picks, &bounds, &phi_picks);
+        let events = prefilter(&tag, events_from(&raw_events));
+        for opts in all_option_combos() {
+            let want = oracle(&tag, opts, true, &events);
+            let m = Matcher::with_options(&tag, opts);
+            prop_assert_eq!(m.run(&events, false).accepted, want.accepted, "full run, {:?}", opts);
+            prop_assert_eq!(
+                m.run(&events, true).accepted,
+                want.prefix_accepted,
+                "early exit, {:?}",
+                opts
+            );
+            let session = MatchSession::with_options(&tag, opts);
+            prop_assert_eq!(
+                &session_completions(session, &events),
+                &want.completions,
+                "session completions, {:?}",
+                opts
+            );
+        }
+    }
+}
+
+/// The strict oracle is not the lazy one: an event in a business-day gap
+/// kills every strict run but is skipped lazily, and dropping it (the
+/// pre-filter) makes the two agree again.
+#[test]
+fn strict_oracle_kills_runs_on_gaps() {
+    // X0 -> X1 exactly one business day apart, φ = (type 0, type 1).
+    let tag = build_random_tag(2, &[3], &[(1, 0)], &[1]);
+    // Quarter-day steps from Monday 2000-01-03: A on Friday 2000-01-07,
+    // noise on Saturday, B on Monday 2000-01-10.
+    let events = events_from(&[(0, 16), (2, 20), (1, 28)]);
+    let lazy = oracle(&tag, MatchOptions::default(), false, &events);
+    let strict = oracle(&tag, MatchOptions::default(), true, &events);
+    assert_eq!(lazy.completions, vec![2]);
+    assert!(strict.completions.is_empty() && !strict.accepted);
+    assert!(Matcher::new(&tag).accepts(&events));
+
+    let covered = prefilter(&tag, events);
+    assert_eq!(covered.len(), 2);
+    let strict = oracle(&tag, MatchOptions::default(), true, &covered);
+    assert_eq!(strict.completions, vec![1]);
+    assert!(Matcher::new(&tag).accepts(&covered));
 }

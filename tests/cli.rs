@@ -79,7 +79,7 @@ fn malformed_specs_exit_1_naming_the_spec() {
         ("--gran", "9223372036854775807 week", "9223372036854775807 week"),
         ("--gran", "9223372036854775807 year", "9223372036854775807 year"),
         ("--calendar", cfg.to_str().unwrap(), "2000-02-30"),
-        ("--gran", deep.as_str(), deep.as_str()),
+        ("--gran", deep.as_str(), &deep[..64]),
         ("--calendar", deep_cfg.to_str().unwrap(), "more than 4 `into`s"),
     ];
     for (flag, value, named) in cases {
@@ -91,6 +91,47 @@ fn malformed_specs_exit_1_naming_the_spec() {
         assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
         assert!(stderr.starts_with("error: "), "{stderr}");
         assert!(stderr.contains(named), "{flag} {value}: {stderr}");
+        let error_line = stderr.lines().next().unwrap_or_default();
+        assert!(error_line.len() < 1024, "{flag}: a {}-byte error line", error_line.len());
+    }
+}
+
+/// Counted periods past 1,000 years are refused before any tick
+/// arithmetic: neither a wrapped answer nor a panic.
+#[test]
+fn overlong_counted_periods_exit_1() {
+    let cases: [&[&str]; 2] = [
+        &[
+            "convert",
+            "0",
+            "1",
+            "9223372036854775807 second",
+            "--to",
+            "day",
+            "--gran",
+            "9223372036854775807 second",
+        ],
+        &[
+            "convert",
+            "0",
+            "1",
+            "3 month",
+            "--to",
+            "768614336404564650 year",
+            "--gran",
+            "768614336404564650 year",
+            "--gran",
+            "3 month",
+        ],
+    ];
+    for argv in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tgm"))
+            .args(argv)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains("too long a period"), "{argv:?}: {stderr}");
     }
 }
 
