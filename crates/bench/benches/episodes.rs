@@ -42,13 +42,6 @@ fn bench_episodes(c: &mut Criterion) {
             session.stats().completions
         })
     });
-    group.bench_function("session_full_year_evicting", |b| {
-        b.iter(|| {
-            let mut session = MatchSession::new(&tag).with_eviction();
-            session.push_batch(seq.events());
-            session.stats().completions
-        })
-    });
     group.finish();
 }
 

@@ -11,7 +11,7 @@
 //! override with `OBS_OVERHEAD_BUDGET_PCT`) on three modes — the plain
 //! enabled path and the scoped path (obs on + a scope entered) of the
 //! Example 1 scan, and the session-scope mode (a scoped metric domain
-//! attached to an evicting streaming session, section
+//! attached to a streaming session, section
 //! `obs.session_scope`) — and validates the emitted JSON against the
 //! `tgm_obs_report/v1` schema (parsed back with the workspace's own
 //! `minijson`), exiting nonzero on any violation.
@@ -73,7 +73,7 @@ impl Observable for SessionScope {
     }
 }
 
-/// Live telemetry on the streaming session: an evicting `MatchSession` on
+/// Live telemetry on the streaming session: a `MatchSession` on
 /// the grouped business-week/business-month chain replays a seeded
 /// 120 000-event stream in three interleaved modes — obs disabled, a
 /// scoped metric domain attached (counters and spans routed to the
@@ -87,7 +87,7 @@ fn measure_session_scope(rounds: usize) -> SessionScope {
     let scope = ObsScope::with_recorder(256);
     let modes = interleaved_overhead(3, rounds, 5, |mode| {
         tgm_obs::set_enabled(mode > 0);
-        let mut session = MatchSession::new(&chain).with_eviction();
+        let mut session = MatchSession::new(&chain);
         if mode > 0 {
             session = session.with_scope(scope.clone()).with_stats_every(EXPORT_EVERY);
         }
@@ -334,7 +334,6 @@ fn validate_stream(text: &str) -> Vec<String> {
                     "frontier",
                     "events_total",
                     "events_per_sec",
-                    "evicted_rows_total",
                     "watermark_lag",
                 ] {
                     let ok = gauges
@@ -485,7 +484,7 @@ fn main() {
 
     let session = measure_session_scope(rounds);
     eprintln!(
-        "session-scope obs overhead ({SESSION_EVENTS} events, evicting session): \
+        "session-scope obs overhead ({SESSION_EVENTS} events, streaming session): \
          off {:.3} ms, scoped {:.3} ms => {:+.2}% (budget {budget}%); \
          exporting {:.3} ms => {:+.2}%; recorder write {:.1} ns",
         session.scoped.base_ms,

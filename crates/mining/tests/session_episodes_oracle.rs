@@ -47,11 +47,8 @@ fn stream(n: usize, seed: u64) -> Vec<Event> {
 }
 
 /// Completion timestamps of a session over the stream, pushed in chunks.
-fn session_completions(tag: &Tag, events: &[Event], chunk: usize, evict: bool) -> Vec<i64> {
+fn session_completions(tag: &Tag, events: &[Event], chunk: usize) -> Vec<i64> {
     let mut session = MatchSession::new(tag);
-    if evict {
-        session = session.with_eviction();
-    }
     for c in events.chunks(chunk.max(1)) {
         session.push_batch(c);
     }
@@ -64,7 +61,7 @@ fn completions_cover_minimal_occurrences() {
         let events = stream(n, seed);
         let seq = EventSequence::from_events(events.clone());
         let tag = window_tag(w);
-        let completions = session_completions(&tag, &events, 64, false);
+        let completions = session_completions(&tag, &events, 64);
 
         // Every MINEPI minimal occurrence of A→B whose span fits the
         // window must complete the session at its end event…
@@ -112,10 +109,10 @@ fn completions_match_brute_force_window_scan() {
         })
         .map(|(_, e)| e.time)
         .collect();
-    // The oracle must hold for any chunking and with eviction on or off.
-    for (chunk, evict) in [(1, false), (17, false), (600, false), (64, true), (1, true)] {
-        let got = session_completions(&tag, &events, chunk, evict);
-        assert_eq!(got, expected, "chunk {chunk}, evict {evict}");
+    // The oracle must hold for any chunking.
+    for chunk in [1, 17, 64, 600] {
+        let got = session_completions(&tag, &events, chunk);
+        assert_eq!(got, expected, "chunk {chunk}");
     }
 }
 
@@ -127,7 +124,7 @@ fn frequency_positive_iff_session_completes() {
         let events = stream(250, seed);
         let seq = EventSequence::from_events(events.clone());
         let tag = window_tag(w);
-        let completions = session_completions(&tag, &events, 32, false);
+        let completions = session_completions(&tag, &events, 32);
         // A window of length w+1 seconds contains both endpoints of any
         // occurrence with span <= w, and conversely; a 1-second shift
         // makes the window grid dense, so containment implies a counted

@@ -3,7 +3,7 @@
 //! Every [`ObsScope`](crate::scope::ObsScope) built with
 //! [`with_recorder`](crate::scope::ObsScope::with_recorder) keeps the last
 //! N structured events — span enter/exit, counter deltas, histogram
-//! samples, eviction passes, limit verdicts — in a ring buffer. When a
+//! samples, limit verdicts, contained panics — in a ring buffer. When a
 //! `*_bounded` entry point returns a non-`Ok` verdict or a worker panic
 //! is contained, the ring is dumped into a [`FlightDump`] retrievable via
 //! [`ObsScope::take_dump`](crate::scope::ObsScope::take_dump), so every
@@ -55,13 +55,6 @@ pub enum RecEvent {
         /// Samples in the merged batch.
         count: u64,
     },
-    /// A session eviction pass ran.
-    Eviction {
-        /// Frontier rows before the pass.
-        before: u64,
-        /// Frontier rows after it.
-        after: u64,
-    },
     /// A limits check produced a non-`Ok` verdict.
     Verdict {
         /// The observing call site (e.g. `"limits.check"`).
@@ -92,9 +85,6 @@ impl RecEvent {
             RecEvent::Counter { name, delta } => format!("count {name} +{delta}"),
             RecEvent::Sample { name, value } => format!("hist  {name} <- {value}"),
             RecEvent::Merge { name, count } => format!("hist  {name} <- batch of {count}"),
-            RecEvent::Eviction { before, after } => {
-                format!("evict frontier {before} -> {after}")
-            }
             RecEvent::Verdict { site, interrupt } => {
                 format!("limit {interrupt} at {site}")
             }

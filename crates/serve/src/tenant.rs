@@ -60,9 +60,6 @@ pub struct SessionSlot {
     pub watermark: i64,
     /// Live frontier rows after the last push (for the tenant gauge).
     pub frontier: usize,
-    /// Cumulative evicted rows already folded into the tenant totals
-    /// (pushes report deltas against this).
-    pub evicted_seen: u64,
 }
 
 /// One tenant's standing state inside a server.
@@ -83,7 +80,6 @@ pub struct Tenant {
     pub sessions: Mutex<BTreeMap<u64, SessionSlot>>,
     next_session: AtomicU64,
     events_total: AtomicU64,
-    evicted_total: AtomicU64,
     shed_total: AtomicU64,
     requests_total: AtomicU64,
     panics_total: AtomicU64,
@@ -115,7 +111,6 @@ impl Tenant {
             sessions: Mutex::new(BTreeMap::new()),
             next_session: AtomicU64::new(1),
             events_total: AtomicU64::new(0),
-            evicted_total: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
             panics_total: AtomicU64::new(0),
@@ -185,10 +180,9 @@ impl Tenant {
         }
     }
 
-    /// Bumps the tenant's event/eviction totals after an engine op.
-    pub fn account(&self, events: usize, evicted_delta: u64) {
+    /// Bumps the tenant's event total after an engine op.
+    pub fn account(&self, events: usize) {
         self.events_total.fetch_add(events as u64, Ordering::Relaxed);
-        self.evicted_total.fetch_add(evicted_delta, Ordering::Relaxed);
     }
 
     /// Records a contained worker panic on this tenant's behalf.
@@ -216,10 +210,6 @@ impl Tenant {
         frame.set_gauge(
             "events_per_sec",
             if secs > 0.0 { events as f64 / secs } else { 0.0 },
-        );
-        frame.set_gauge(
-            "evicted_rows_total",
-            self.evicted_total.load(Ordering::Acquire) as f64,
         );
         // The serve layer has no wall-clock watermark; emit the same -1
         // sentinel `tgm stream` uses before its first watermark.
@@ -287,14 +277,13 @@ mod tests {
     #[test]
     fn stats_frame_is_labelled_and_has_required_gauges() {
         let t = Tenant::new("acme", Quotas::unlimited());
-        t.account(42, 3);
+        t.account(42);
         let line = t.stats_frame(false);
         assert!(line.contains("\"labels\":{\"tenant\":\"acme\"}"), "{line}");
         for g in [
             "\"frontier\":",
             "\"events_total\":",
             "\"events_per_sec\":",
-            "\"evicted_rows_total\":",
             "\"watermark_lag\":",
             "\"inflight\":",
             "\"shed_total\":",

@@ -459,7 +459,6 @@ fn stats_frames_are_labelled_per_tenant() {
         "\"frontier\":",
         "\"events_total\":5",
         "\"events_per_sec\":",
-        "\"evicted_rows_total\":",
         "\"watermark_lag\":",
     ] {
         assert!(frame.contains(gauge), "missing {gauge} in {frame}");

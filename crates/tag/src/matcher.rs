@@ -24,12 +24,16 @@
 //! [`MatcherScratch`] passed through a [`RunCtx`], so repeated runs
 //! allocate nothing once the scratch is warm.
 //!
-//! [`find_occurrence`](Matcher::find_occurrence) keeps its own search over
+//! [`find_occurrence`](Matcher::find_occurrence) keeps its own search with
 //! a back-pointer arena (the only caller that needs provenance), built on
-//! the same deduplication helper. Both always saturate. Two independent
-//! oracles live in the crate's tests: a per-`Config` reference engine
-//! (`tests/common/reference.rs`) pins `RunStats` and witnesses bit for
-//! bit, and `tests/unsaturated_oracle.rs` pins saturation and the paper's
+//! the lane's frontier buffers, successor rule and deduplication helper.
+//! Every staged successor is canonicalized by location-based clock
+//! extrapolation: readings are saturated against the target state's
+//! residual guard constants, and rows at states that cannot reach
+//! acceptance are dropped. Two independent oracles live in the crate's
+//! tests: a per-`Config` reference engine (`tests/common/reference.rs`)
+//! pins `RunStats` and witnesses bit for bit, and
+//! `tests/unsaturated_oracle.rs` pins the extrapolation and the paper's
 //! strict clock updates on pre-filtered input.
 
 use std::sync::Arc;
@@ -189,7 +193,7 @@ pub(crate) fn pack_tick(t: Option<Tick>) -> i64 {
 /// crate's tests repeats this formula, so saturated rows stay
 /// bit-comparable.
 #[inline]
-pub(crate) fn saturate_reset(cur: i64, cap: i64) -> i64 {
+fn saturate_reset(cur: i64, cap: i64) -> i64 {
     cur.saturating_sub(cap)
         .saturating_sub(1)
         .max(NONE_TICK + 1)
@@ -340,9 +344,9 @@ impl DedupTable {
 /// (its last `n` words) under meta word `m`, against the rows `table`
 /// holds from this generation. A new row is kept (`m` is pushed to `meta`)
 /// and `None` returned; a duplicate is un-staged and the index of the
-/// equal row returned. Every frontier build — seeding, advancing,
-/// eviction, the lane engine and the provenance arena — goes through
-/// here. Requires `rows.len() == (meta.len() + 1) * n`.
+/// equal row returned. Every frontier build — seeding and advancing, in
+/// the lane engine and in the provenance search — goes through here.
+/// Requires `rows.len() == (meta.len() + 1) * n`.
 pub(crate) fn dedup_tail(
     table: &mut DedupTable,
     meta: &mut Vec<u64>,
@@ -392,9 +396,7 @@ struct Prov {
 #[derive(Default)]
 pub struct MatcherScratch {
     pub(crate) lanes: Vec<LaneScratch>,
-    // `find_occurrence` arena (configurations with provenance).
-    arena_meta: Vec<u64>,
-    arena_rows: Vec<i64>,
+    // `find_occurrence` arena: the provenance of every configuration kept.
     arena_prov: Vec<Prov>,
     fr_idx: Vec<u32>,
     nx_idx: Vec<u32>,
@@ -465,13 +467,14 @@ impl<'c> RunCtx<'c> {
 #[derive(Clone)]
 pub struct Matcher<'a> {
     pub(crate) tag: &'a Tag,
-    pub(crate) opts: MatchOptions,
-    /// The TAG compiled as a one-member lane. Its `max_consts` holds, per
-    /// clock, the largest constant the clock is compared against in any
-    /// guard: readings beyond it are indistinguishable now and forever
-    /// (readings only grow between resets), so every staged configuration
-    /// is canonicalized by saturating such resets — this is what keeps the
-    /// frontier bounded by `(|V|·K)^p` instead of `|σ|` (Theorem 4).
+    /// The TAG compiled as a one-member lane. Its residual constants hold,
+    /// per state and clock, the largest constant the clock is compared
+    /// against on any path from the state before a reset: readings beyond
+    /// it are indistinguishable now and forever (readings only grow
+    /// between resets), so every staged configuration is canonicalized by
+    /// saturating such resets, and rows at states that cannot reach
+    /// acceptance are dropped — this is what keeps the frontier bounded by
+    /// `(|V|·K)^p` instead of `|σ|` (Theorem 4).
     pub(crate) lane: Arc<Lane>,
 }
 
@@ -486,7 +489,6 @@ impl<'a> Matcher<'a> {
         ensure_interrupt_observer();
         Matcher {
             tag,
-            opts,
             lane: Arc::new(Lane::single(tag, opts)),
         }
     }
@@ -643,7 +645,7 @@ impl<'a> Matcher<'a> {
             // pays over plain acceptance runs.
             metrics::histogram_record(
                 "tag.matcher.find_arena_configs",
-                ctx.scratch.arena_meta.len() as u64,
+                ctx.scratch.arena_prov.len() as u64,
             );
             if let Err(i) = &out {
                 count_interrupt(*i);
@@ -653,7 +655,9 @@ impl<'a> Matcher<'a> {
     }
 
     /// The uninstrumented search behind
-    /// [`find_occurrence_in`](Self::find_occurrence_in).
+    /// [`find_occurrence_in`](Self::find_occurrence_in): the lane
+    /// engine's frontier buffers and [`Lane::stage`] rule, plus one
+    /// provenance record per configuration ever kept.
     fn find_occurrence_loop(
         &self,
         events: &[Event],
@@ -664,13 +668,10 @@ impl<'a> Matcher<'a> {
         }
         ctx.check_columns(events.len());
         let n = self.tag.clocks.len();
-        let caps = &self.lane.max_consts[..];
         let (cols, limits) = (ctx.cols, ctx.limits);
         let row_of = |i: usize| cols.map(|(cols, offset)| (cols, offset + i));
         let MatcherScratch {
             lanes,
-            arena_meta,
-            arena_rows,
             arena_prov,
             fr_idx,
             nx_idx,
@@ -679,8 +680,6 @@ impl<'a> Matcher<'a> {
             lanes.push(LaneScratch::default());
         }
         let ls = &mut lanes[0];
-        arena_meta.clear();
-        arena_rows.clear();
         arena_prov.clear();
         fr_idx.clear();
         if let Some((cols, _)) = cols {
@@ -689,17 +688,18 @@ impl<'a> Matcher<'a> {
 
         // Initial configurations: clocks read 0 at the first instant.
         ls.fill_ticks(self.tag, &events[0], row_of(0));
+        ls.meta.clear();
+        ls.rows.clear();
         ls.table.reset();
         for &s in self.tag.start_states() {
-            let idx = arena_meta.len() as u32;
-            arena_rows.extend_from_slice(&ls.ticks);
-            if dedup_tail(&mut ls.table, arena_meta, arena_rows, n, pack_meta(s, false)).is_none() {
+            ls.rows.extend_from_slice(&ls.ticks);
+            if dedup_tail(&mut ls.table, &mut ls.meta, &mut ls.rows, n, pack_meta(s, false)).is_none() {
+                fr_idx.push(arena_prov.len() as u32);
                 arena_prov.push(Prov {
                     parent: u32::MAX,
                     event: u32::MAX,
                     pattern: false,
                 });
-                fr_idx.push(idx);
             }
         }
 
@@ -708,17 +708,27 @@ impl<'a> Matcher<'a> {
                 l.check()?;
             }
             ls.fill_ticks(self.tag, e, row_of(eidx));
-            let ticks = &ls.ticks;
+            let LaneScratch {
+                meta,
+                rows,
+                next_meta,
+                next_rows,
+                table,
+                ticks,
+                ..
+            } = &mut *ls;
+            next_meta.clear();
+            next_rows.clear();
             nx_idx.clear();
-            ls.table.reset();
-            for &node in fr_idx.iter() {
-                let m = arena_meta[node as usize];
-                let (state, started) = (meta_state(m), meta_started(m));
-                let row_start = node as usize * n;
+            table.reset();
+            for (fi, &node) in fr_idx.iter().enumerate() {
+                let (state, started) = (meta_state(meta[fi]), meta_started(meta[fi]));
+                let row = &rows[fi * n..fi * n + n];
                 for tr in self.tag.transitions_from(state) {
+                    // Skip what does not fire or is dropped; the search
+                    // counts no expansions.
                     if !tr.symbol.matches(e.ty)
-                        || (self.opts.anchored && !started && tr.is_skip)
-                        || !guard_holds(tr, ticks, &arena_rows[row_start..row_start + n])
+                        || self.lane.stage(tr, started, ticks, row, next_rows) != Some(true)
                     {
                         continue;
                     }
@@ -736,27 +746,22 @@ impl<'a> Matcher<'a> {
                         out.reverse();
                         return Ok(Some(out));
                     }
-                    // Stage the successor at the arena tail; keep it only
-                    // if it is new among this event's configurations (the
-                    // reference engine's per-event dedup scope).
-                    let idx = arena_meta.len() as u32;
-                    arena_rows.extend_from_within(row_start..row_start + n);
-                    let staged = &mut arena_rows[idx as usize * n..];
-                    for &x in &tr.resets {
-                        staged[x.index()] = ticks[x.index()];
-                    }
-                    saturate_row(staged, ticks, caps);
+                    // Keep the staged successor only if it is new among
+                    // this event's configurations (the reference engine's
+                    // per-event dedup scope).
                     let nm = pack_meta(tr.to, started || !tr.is_skip);
-                    if dedup_tail(&mut ls.table, arena_meta, arena_rows, n, nm).is_none() {
+                    if dedup_tail(table, next_meta, next_rows, n, nm).is_none() {
+                        nx_idx.push(arena_prov.len() as u32);
                         arena_prov.push(Prov {
                             parent: node,
                             event: eidx as u32,
                             pattern: !tr.is_skip,
                         });
-                        nx_idx.push(idx);
                     }
                 }
             }
+            std::mem::swap(meta, next_meta);
+            std::mem::swap(rows, next_rows);
             std::mem::swap(fr_idx, nx_idx);
             if fr_idx.is_empty() {
                 return Ok(None);
@@ -764,7 +769,7 @@ impl<'a> Matcher<'a> {
             // Row budget: the back-pointer arena holds every configuration
             // ever created this search.
             if let Some(l) = limits {
-                if l.budget_exceeded(arena_meta.len() as u64) {
+                if l.budget_exceeded(arena_prov.len() as u64) {
                     return Err(Interrupt::BudgetExhausted);
                 }
             }

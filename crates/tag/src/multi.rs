@@ -146,8 +146,15 @@ pub(crate) struct Lane {
     /// Per event type in the lane's alphabet: for each flat Exact slot,
     /// the mask of members whose transition consumes that type.
     type_masks: HashMap<EventType, Box<[u64]>>,
-    /// Largest guard constant per clock (identical across members).
+    /// Largest guard constant per clock: the Theorem 4 frontier bound's
+    /// `K` (identical across members, like the per-state tables below).
     pub(crate) max_consts: Vec<i64>,
+    /// Per state: whether an accepting state is graph-reachable.
+    can_accept: Vec<bool>,
+    /// Per `state * n_clocks + clock`: the largest constant the clock is
+    /// compared against on any path from the state before the clock is
+    /// reset; `-1` when none (the reading is inert).
+    fut: Vec<i64>,
     pub(crate) n_clocks: usize,
     n_exact: usize,
     /// Some start state is accepting (length-0 prefix acceptance).
@@ -188,17 +195,53 @@ impl Lane {
             pure &= plan.uniform.len() == 1;
             plans.push(plan);
         }
-        let mut max_consts = vec![0i64; rep.clocks.len()];
-        for tr in rep.transitions() {
-            collect_guard_consts(&tr.guard, &mut max_consts);
+        // Location-based extrapolation tables. `can_accept` is reverse
+        // reachability of accepting states (symbols and guards
+        // over-approximated as satisfiable); `fut` is the residual
+        // constants fixpoint. Guards read pre-reset values, so a
+        // transition's own guard constants always count at its source, and
+        // its target's residuals count unless it resets the clock.
+        let n = rep.clocks.len();
+        let trs: Vec<&Transition> = rep.transitions().collect();
+        let mut own = vec![-1i64; trs.len() * n];
+        for (i, tr) in trs.iter().enumerate() {
+            collect_guard_consts(&tr.guard, &mut own[i * n..i * n + n]);
         }
+        let mut can_accept = rep.accepting.clone();
+        let mut fut = vec![-1i64; rep.n_states * n];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, tr) in trs.iter().enumerate() {
+                let (s, to) = (tr.from.index(), tr.to.index());
+                if can_accept[to] && !can_accept[s] {
+                    can_accept[s] = true;
+                    changed = true;
+                }
+                for x in 0..n {
+                    let mut c = own[i * n + x];
+                    if !tr.resets.iter().any(|r| r.index() == x) {
+                        c = c.max(fut[to * n + x]);
+                    }
+                    if c > fut[s * n + x] {
+                        fut[s * n + x] = c;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let max_consts = (0..n)
+            .map(|x| (0..trs.len()).map(|i| own[i * n + x]).fold(0, i64::max))
+            .collect();
         Lane {
             opts,
             members: Vec::new(),
             plans,
             type_masks: HashMap::new(),
             max_consts,
-            n_clocks: rep.clocks.len(),
+            can_accept,
+            fut,
+            n_clocks: n,
             n_exact,
             start_accepting: rep
                 .start_states()
@@ -221,6 +264,49 @@ impl Lane {
     /// [`MatchSession::resume`](crate::MatchSession::resume)).
     pub(crate) fn n_states(&self) -> usize {
         self.plans.len()
+    }
+
+    /// The residual constants `fut[state]` of every clock.
+    pub(crate) fn residual(&self, state: usize) -> &[i64] {
+        let n = self.n_clocks;
+        &self.fut[state * n..state * n + n]
+    }
+
+    /// The successor rule of both forward simulations ([`FireCtx::fire`]
+    /// and [`Matcher::find_occurrence`](crate::Matcher::find_occurrence)):
+    /// whether `tr` fires from a configuration (`started`, reset row
+    /// `row`) at tick row `ticks` — the anchoring gate, then the guard —
+    /// and if it does, its canonical successor. A successor whose target
+    /// cannot reach an accepting state is dropped; any other is staged at
+    /// the tail of `out` with `tr`'s resets applied and every reading
+    /// saturated against the target's residual constants `fut[to]`
+    /// (location-based extrapolation; an inert clock's defined reading
+    /// collapses to 0). `None`: `tr` does not fire; `Some(staged)`: it
+    /// fires, which counts as an expansion either way.
+    #[inline]
+    pub(crate) fn stage(
+        &self,
+        tr: &Transition,
+        started: bool,
+        ticks: &[i64],
+        row: &[i64],
+        out: &mut Vec<i64>,
+    ) -> Option<bool> {
+        if (self.opts.anchored && !started && tr.is_skip) || !guard_holds(tr, ticks, row) {
+            return None;
+        }
+        let to = tr.to.index();
+        if !self.can_accept[to] {
+            return Some(false);
+        }
+        let base = out.len();
+        out.extend_from_slice(row);
+        let staged = &mut out[base..];
+        for &x in &tr.resets {
+            staged[x.index()] = ticks[x.index()];
+        }
+        saturate_row(staged, ticks, self.residual(to));
+        Some(true)
     }
 
     /// Registers `tag` (global candidate index `ci`) as the next member:
@@ -320,17 +406,14 @@ impl Lane {
             live_cnt[c] = 0;
         }
         let mut ctx = FireCtx {
+            lane: self,
             next_meta,
             next_cands,
             next_rows,
             table,
             live_cnt,
             stats,
-            members: &self.members,
             ticks,
-            caps: &self.max_consts,
-            n,
-            anchored: self.opts.anchored,
             reached: 0,
             next_all_started: true,
             merged: 0,
@@ -500,18 +583,14 @@ impl LaneScratch {
 /// sinks, so [`fire`](FireCtx::fire) can stage successors while the caller
 /// iterates the current frontier.
 struct FireCtx<'x> {
+    lane: &'x Lane,
     next_meta: &'x mut Vec<u64>,
     next_cands: &'x mut Vec<u64>,
     next_rows: &'x mut Vec<i64>,
     table: &'x mut DedupTable,
     live_cnt: &'x mut [u32],
     stats: &'x mut [RunStats],
-    members: &'x [usize],
     ticks: &'x [i64],
-    /// Saturation caps per clock.
-    caps: &'x [i64],
-    n: usize,
-    anchored: bool,
     /// Members that reached an accepting state via a pattern transition
     /// this event.
     reached: u64,
@@ -521,28 +600,25 @@ struct FireCtx<'x> {
 }
 
 impl FireCtx<'_> {
-    /// Fires `tr` from a row for the member set `mask`: guard check,
-    /// per-member expansion counting, successor staging with reset +
-    /// canonicalization, and the member-set merge on deduplication.
+    /// Fires `tr` from a row for the member set `mask`: the
+    /// [`stage`](Lane::stage) rule, per-member expansion counting, and the
+    /// member-set merge on deduplication.
     fn fire(&mut self, rep: &Tag, tr: &Transition, mask: u64, started: bool, row: &[i64]) {
-        if (self.anchored && !started && tr.is_skip) || !guard_holds(tr, self.ticks, row) {
+        let lane = self.lane;
+        let Some(staged) = lane.stage(tr, started, self.ticks, row, self.next_rows) else {
+            return;
+        };
+        for c in bits(mask) {
+            self.stats[lane.members[c]].expansions += 1;
+        }
+        if !staged {
             return;
         }
-        for c in bits(mask) {
-            self.stats[self.members[c]].expansions += 1;
-        }
-        let base = self.next_rows.len();
-        self.next_rows.extend_from_slice(row);
-        let staged = &mut self.next_rows[base..];
-        for &x in &tr.resets {
-            staged[x.index()] = self.ticks[x.index()];
-        }
-        saturate_row(staged, self.ticks, self.caps);
         let nm = pack_meta(tr.to, started || !tr.is_skip);
         if rep.is_accepting(tr.to) && !tr.is_skip {
             self.reached |= mask;
         }
-        match dedup_tail(self.table, self.next_meta, self.next_rows, self.n, nm) {
+        match dedup_tail(self.table, self.next_meta, self.next_rows, lane.n_clocks, nm) {
             None => {
                 self.next_cands.push(mask);
                 self.next_all_started &= meta_started(nm);
@@ -556,7 +632,7 @@ impl FireCtx<'_> {
                 // hit (their own frontier would have rejected the
                 // duplicate); first arrivals gain a live row.
                 for c in bits(mask & ex) {
-                    self.stats[self.members[c]].dedup_hits += 1;
+                    self.stats[lane.members[c]].dedup_hits += 1;
                 }
                 for c in bits(mask & !ex) {
                     self.live_cnt[c] += 1;

@@ -18,35 +18,28 @@
 //! loop can push a batch and then react to everything that fired inside
 //! it.
 //!
-//! # Horizon eviction
+//! # Per-state extrapolation
 //!
-//! A long-running session with [`with_eviction`](MatchSession::with_eviction)
-//! periodically ages out frontier rows that can no longer influence any
-//! future completion:
+//! A session never needs a clean-up pass to stay bounded over an
+//! unbounded stream: every lane step canonicalizes each successor it
+//! stages (the lane engine's one successor rule, shared with batch runs):
 //!
 //! * rows at states from which no accepting state is graph-reachable are
 //!   dropped outright;
-//! * each surviving row is re-canonicalized against the *per-state*
-//!   residual guard constants: `fut[s][x]` is the largest constant clock
-//!   `x` is compared against on any path from state `s` before `x` is
-//!   reset (a location-based bounds fixpoint). A reading past `fut[s][x]`
-//!   can never again satisfy a `≤`-window and always satisfies the `≥`
-//!   side, so it is saturated to the canonical representative
-//!   `fut[s][x] + 1` and merged with its duplicates.
+//! * each surviving row is saturated against its *state's* residual guard
+//!   constants: `fut[s][x]` is the largest constant clock `x` is compared
+//!   against on any path from state `s` before `x` is reset (a
+//!   location-based bounds fixpoint). A reading past `fut[s][x]` can never
+//!   again satisfy a `≤`-window and always satisfies the `≥` side, so it
+//!   is saturated to the canonical representative `fut[s][x] + 1` and
+//!   merged with its duplicates; a clock no guard from `s` reads again
+//!   (`fut = −1`) collapses to 0.
 //!
-//! The pass runs deterministically in *event time*, never wall-clock: it
-//! triggers when the stream has advanced past the session's **horizon** —
-//! the largest `maxsize(μ, K+1)` over clocks (the [`SizeTable`] bound of
-//! Theorem 4: once `maxsize(μ, K+1)` seconds elapse, the tick distance in
-//! `μ` provably exceeds the largest guard constant `K`) — or when the
-//! frontier doubles since the last pass. Eviction is sound for completions
-//! (proptested under arbitrary push-chunking, and against the unsaturated
-//! oracle of `tests/unsaturated_oracle.rs`) but merges rows earlier than
-//! the lane's global saturation would, so [`RunStats`] counters like
-//! `peak_configs` may differ from a batch run; the batch wrappers
-//! therefore never enable it.
-//!
-//! [`SizeTable`]: tgm_granularity::SizeTable
+//! The live frontier therefore stays within the Theorem 4 bound
+//! [`frontier_bound`](MatchSession::frontier_bound) however long the
+//! stream runs, and a session is bit-identical to a batch run in stats
+//! and completions (pinned against the reference engine and the
+//! unsaturated oracle of `tests/unsaturated_oracle.rs`).
 
 use std::sync::Arc;
 
@@ -54,12 +47,11 @@ use tgm_events::{Event, TickColumns};
 use tgm_granularity::Second;
 use tgm_limits::{Interrupt, Limits, Verdict};
 use tgm_obs::metrics::{self, Histogram};
-use tgm_obs::{Observable, ObsScope, ObsValue, RecEvent};
+use tgm_obs::{Observable, ObsScope, ObsValue};
 
 use crate::automaton::Tag;
 use crate::matcher::{
-    collect_guard_consts, dedup_tail, meta_state, saturate_row, BoundedRun, MatchOptions, Matcher,
-    MatcherScratch, RunStats, NONE_TICK,
+    meta_state, BoundedRun, MatchOptions, Matcher, MatcherScratch, RunStats, NONE_TICK,
 };
 use crate::multi::{Lane, LaneScratch, LaneState};
 
@@ -73,9 +65,12 @@ pub enum Push {
         /// Whether a pattern transition into an accepting state fired.
         completed: bool,
     },
-    /// The event was *not* consumed: every configuration died earlier (an
-    /// anchored frontier that ran out), so no future event can complete an
-    /// occurrence. [`MatchSession::reset`] re-arms the session.
+    /// The event was *not* consumed: every configuration died earlier, so
+    /// no future event can complete an occurrence — an anchored frontier
+    /// that ran out, or any frontier once no accepting state is reachable
+    /// (an unanchored session whose TAG has no reachable accepting state
+    /// dies at its first event). [`MatchSession::reset`] re-arms the
+    /// session.
     Dead,
     /// The event was *not* consumed: the session was interrupted by its
     /// [`Limits`] (sticky — every later push reports the same interrupt).
@@ -109,15 +104,16 @@ pub struct SessionStats {
     pub completions: u64,
     /// Current live frontier rows.
     pub frontier: usize,
-    /// Peak frontier rows (post-advance, pre-eviction).
+    /// Peak frontier rows (post-advance).
     pub peak_frontier: usize,
     /// Total configuration expansions.
     pub expansions: u64,
     /// Successors rejected by per-event deduplication.
     pub dedup_hits: u64,
-    /// Frontier rows dropped or merged by horizon eviction passes.
+    /// Always 0: every lane step canonicalizes the frontier, so no
+    /// eviction pass exists. Kept for the benchmark harness that reads it.
     pub evicted_rows: u64,
-    /// Eviction passes run.
+    /// Always 0, like [`evicted_rows`](Self::evicted_rows).
     pub evictions: u64,
     /// Why the session stopped early, if it did.
     pub interrupted: Option<Interrupt>,
@@ -131,134 +127,8 @@ impl Observable for SessionStats {
         out.push(("peak_frontier", self.peak_frontier.into()));
         out.push(("expansions", self.expansions.into()));
         out.push(("dedup_hits", self.dedup_hits.into()));
-        out.push(("evicted_rows", self.evicted_rows.into()));
-        out.push(("evictions", self.evictions.into()));
     }
 }
-
-/// Precomputed eviction tables: accepting-state reachability plus the
-/// per-state residual guard constants (see the module docs).
-struct EvictionPlan {
-    /// Per state: whether an accepting state is graph-reachable.
-    can_accept: Vec<bool>,
-    /// Per `state * n_clocks + clock`: the largest constant the clock is
-    /// compared against on any path from the state before the clock is
-    /// reset; `-1` when no such comparison exists (the reading is inert).
-    fut_consts: Vec<i64>,
-    /// Event-time horizon in seconds: the largest `maxsize(μ, K+1)` over
-    /// clocks. `None` when the TAG has no clocks.
-    horizon: Option<i64>,
-    /// Evict when event time passes this point…
-    next_at: Option<Second>,
-    /// …or when the frontier reaches this many rows.
-    watermark: usize,
-}
-
-/// Frontier rows below which growth-triggered eviction is not worth it.
-const EVICT_MIN_WATERMARK: usize = 64;
-
-impl EvictionPlan {
-    fn new(tag: &Tag) -> Self {
-        let n_states = tag.n_states();
-        let n = tag.clocks().len();
-
-        // Reverse reachability of accepting states over the transition
-        // graph (symbols and guards over-approximated as satisfiable).
-        let mut can_accept: Vec<bool> = (0..n_states)
-            .map(|s| tag.is_accepting(crate::automaton::StateId(s)))
-            .collect();
-        loop {
-            let mut changed = false;
-            for s in 0..n_states {
-                if can_accept[s] {
-                    continue;
-                }
-                if tag
-                    .transitions_from(crate::automaton::StateId(s))
-                    .iter()
-                    .any(|tr| can_accept[tr.to.index()])
-                {
-                    can_accept[s] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Location-based clock bounds fixpoint: fut[s][x] is the largest
-        // constant x is compared against, reachable from s without an
-        // intervening reset of x. Guards fire with pre-reset readings, so
-        // a transition's own guard always counts; its target's residuals
-        // count unless the transition resets x.
-        let mut fut_consts = vec![-1i64; n_states * n.max(1)];
-        if n > 0 {
-            let mut local = vec![-1i64; n];
-            let mut per_tr: Vec<(usize, usize, Vec<i64>, Vec<bool>)> = Vec::new();
-            for s in 0..n_states {
-                for tr in tag.transitions_from(crate::automaton::StateId(s)) {
-                    local.iter_mut().for_each(|c| *c = -1);
-                    // collect_guard_consts takes max against the slice, and
-                    // every guard constant is >= 0, so -1 means "none".
-                    collect_guard_consts(&tr.guard, &mut local);
-                    let mut resets = vec![false; n];
-                    for &x in &tr.resets {
-                        resets[x.index()] = true;
-                    }
-                    per_tr.push((s, tr.to.index(), local.clone(), resets));
-                }
-            }
-            loop {
-                let mut changed = false;
-                for (s, to, consts, resets) in &per_tr {
-                    for x in 0..n {
-                        let mut c = consts[x];
-                        if !resets[x] {
-                            c = c.max(fut_consts[to * n + x]);
-                        }
-                        if c > fut_consts[s * n + x] {
-                            fut_consts[s * n + x] = c;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-        }
-
-        // The Theorem 4 horizon: once maxsize(μ, K+1) seconds elapse, the
-        // tick distance in μ provably exceeds K, the largest constant the
-        // clock is ever compared against — every un-reset reading is then
-        // saturated, so one pass per horizon keeps the frontier canonical.
-        let mut global_consts = vec![0i64; n];
-        for tr in tag.transitions() {
-            collect_guard_consts(&tr.guard, &mut global_consts);
-        }
-        let horizon = tag
-            .clocks()
-            .iter()
-            .zip(&global_consts)
-            .map(|((_, g), &k)| g.sizes().max_size(k.saturating_add(1).max(1) as u64))
-            .max();
-
-        EvictionPlan {
-            can_accept,
-            fut_consts,
-            horizon,
-            next_at: None,
-            watermark: EVICT_MIN_WATERMARK,
-        }
-    }
-
-    /// The residual constants of `state`'s `n` clocks.
-    fn residual(&self, state: usize, n: usize) -> &[i64] {
-        &self.fut_consts[state * n..state * n + n]
-    }
-}
-
 
 /// A suspended [`MatchSession`]: every piece of session state except the
 /// borrow of the [`Tag`] — including the compiled lane and the pooled
@@ -287,19 +157,15 @@ pub struct SessionState {
     events_pushed: u64,
     completions: Vec<Completion>,
     total_completions: u64,
-    evicted_rows: u64,
-    evictions: u64,
-    eviction: Option<EvictionPlan>,
     /// Per-event frontier histogram (metrics only). Batch wrappers thread
     /// their own through [`for_batch`](MatchSession::for_batch) and merge
     /// it under the historical `tag.matcher.*` names; sessions finalize it
     /// under `tag.session.frontier`.
     hist: Option<Histogram>,
     /// Scoped metric domain: when set, every emission block (the
-    /// `session.push` span, eviction counters and recorder events, the
-    /// finalize merge) runs with this scope entered, isolating the
-    /// session's telemetry from the default registry and from other
-    /// sessions on the same thread.
+    /// `session.push` span and counters, the finalize merge) runs with
+    /// this scope entered, isolating the session's telemetry from the
+    /// default registry and from other sessions on the same thread.
     scope: Option<ObsScope>,
     /// Emit a live-stats frame every this many events (see
     /// [`stats_due`](MatchSession::stats_due)).
@@ -326,7 +192,8 @@ impl SessionState {
 
 /// A long-lived incremental matcher for one TAG: the engine behind every
 /// batch entry point, usable directly for streams. The `session` module
-/// docs describe the lifecycle and eviction semantics.
+/// docs describe the lifecycle and the per-state extrapolation that keeps
+/// the frontier bounded.
 ///
 /// ```
 /// use tgm_core::examples::{example_1, figure_1a_witness};
@@ -355,13 +222,12 @@ pub struct MatchSession<'a> {
 }
 
 impl<'a> MatchSession<'a> {
-    /// A session with default options, no limits, eviction off.
+    /// A session with default options and no limits.
     pub fn new(tag: &'a Tag) -> Self {
         Self::with_options(tag, MatchOptions::default())
     }
 
-    /// A session with explicit options. Without
-    /// [`with_eviction`](Self::with_eviction) the replayed stream is
+    /// A session with explicit options. The replayed stream is
     /// bit-identical to a batch [`Matcher::run`] over the same events.
     pub fn with_options(tag: &'a Tag, opts: MatchOptions) -> Self {
         let hist = tgm_obs::enabled().then(Histogram::new);
@@ -369,8 +235,7 @@ impl<'a> MatchSession<'a> {
     }
 
     /// A session running `matcher`'s compiled lane in the donated scratch
-    /// (the batch entry points' constructor): externally owned histogram,
-    /// eviction off.
+    /// (the batch entry points' constructor): externally owned histogram.
     pub(crate) fn for_batch(
         matcher: &Matcher<'a>,
         mut scratch: MatcherScratch,
@@ -391,9 +256,6 @@ impl<'a> MatchSession<'a> {
                 events_pushed: 0,
                 completions: Vec::new(),
                 total_completions: 0,
-                evicted_rows: 0,
-                evictions: 0,
-                eviction: None,
                 hist,
                 scope: None,
                 stats_every: None,
@@ -421,11 +283,10 @@ impl<'a> MatchSession<'a> {
         self
     }
 
-    /// Enables deterministic horizon eviction (see the `session` module
-    /// docs). Sound for completions under any push-chunking
-    /// (proptested); [`RunStats`] counters may differ from a batch run.
-    pub fn with_eviction(mut self) -> Self {
-        self.s.eviction = Some(EvictionPlan::new(self.tag));
+    /// A no-op, kept for the benchmark harness that calls it: every lane
+    /// step already canonicalizes the frontier (see the `session` module
+    /// docs), so there is nothing left to evict.
+    pub fn with_eviction(self) -> Self {
         self
     }
 
@@ -476,11 +337,10 @@ impl<'a> MatchSession<'a> {
     /// The Theorem 4 watermark-lag gauge: over all live frontier rows and
     /// defined clock readings, the largest number of ticks a reading
     /// still has to age before it saturates at its horizon — the distance
-    /// canonicalization waits out. A plain session saturates every
-    /// reading at its clock's `K + 1`; an evicting one saturates a row at
-    /// its state's residual constant `fut[s][x] + 1`, so that is its
-    /// horizon, and a clock no guard from the row's state ever reads
-    /// again (`fut = −1`) is inert and contributes 0. `0` means the whole
+    /// canonicalization waits out. A row saturates at its state's residual
+    /// constant `fut[s][x] + 1`, so that is its horizon, and a clock no
+    /// guard from the row's state ever reads again (`fut = −1`) is inert
+    /// and contributes 0. `0` means the whole
     /// frontier is saturated; `None` when the TAG has no clocks, the
     /// session is unseeded, or the frontier is empty. Monitoring loops
     /// export this as `watermark_lag`.
@@ -492,10 +352,7 @@ impl<'a> MatchSession<'a> {
         }
         let mut lag = 0u64;
         for (ci, &m) in ls.meta.iter().enumerate() {
-            let caps = match &self.s.eviction {
-                Some(plan) => plan.residual(meta_state(m).index(), n),
-                None => &self.s.lane.max_consts[..],
-            };
+            let caps = self.s.lane.residual(meta_state(m).index());
             for (x, &reset) in ls.rows[ci * n..ci * n + n].iter().enumerate() {
                 let cur = ls.ticks[x];
                 if reset == NONE_TICK || cur == NONE_TICK {
@@ -613,9 +470,6 @@ impl<'a> MatchSession<'a> {
         }
         s.events_pushed += 1;
         s.total_completions += u64::from(completed);
-        if s.eviction.is_some() && s.run.active != 0 {
-            self.maybe_evict(e.time);
-        }
         // Death before budget: a dead session has nothing left to cap.
         if !self.is_dead() {
             if let Some(l) = &self.s.limits {
@@ -625,92 +479,6 @@ impl<'a> MatchSession<'a> {
             }
         }
         Push::Advanced { completed }
-    }
-
-    // -- eviction -----------------------------------------------------------
-
-    /// Runs the eviction pass when the event-time horizon has elapsed or
-    /// the frontier doubled since the last pass (both deterministic in the
-    /// pushed events).
-    fn maybe_evict(&mut self, now: Second) {
-        let frontier = self.lane().meta.len();
-        let Some(plan) = &mut self.s.eviction else {
-            return;
-        };
-        let time_due = match (plan.horizon, plan.next_at) {
-            (Some(h), Some(at)) => {
-                if now >= at {
-                    plan.next_at = Some(now.saturating_add(h));
-                    true
-                } else {
-                    false
-                }
-            }
-            (Some(h), None) => {
-                plan.next_at = Some(now.saturating_add(h));
-                false
-            }
-            (None, _) => false,
-        };
-        if time_due || frontier >= plan.watermark {
-            self.evict();
-        }
-    }
-
-    /// One deterministic eviction pass: drop rows that cannot reach an
-    /// accepting state, saturate each survivor against its state's
-    /// residual guard constants, and merge the duplicates that creates.
-    fn evict(&mut self) {
-        let _scope = self.s.scope.as_ref().map(ObsScope::enter);
-        let _span = tgm_obs::span::span("session.evict");
-        let s = &mut self.s;
-        let Some(plan) = &mut s.eviction else {
-            return;
-        };
-        let n = s.lane.n_clocks;
-        let ls = &mut s.scratch.lanes[0];
-        let before = ls.meta.len();
-        ls.next_meta.clear();
-        ls.next_cands.clear();
-        ls.next_rows.clear();
-        ls.table.reset();
-        for ci in 0..before {
-            let m = ls.meta[ci];
-            let state = meta_state(m).index();
-            if !plan.can_accept[state] {
-                continue;
-            }
-            let base = ls.next_rows.len();
-            ls.next_rows.extend_from_slice(&ls.rows[ci * n..ci * n + n]);
-            // `ticks` still holds the current event's row; clocks in a gap
-            // right now keep their reset (their reading is undefined until
-            // the next covered event, when a later pass can revisit them).
-            saturate_row(&mut ls.next_rows[base..], &ls.ticks, plan.residual(state, n));
-            // The session's lane has one member, so every row holds the
-            // same member set and a merged duplicate needs no update.
-            if dedup_tail(&mut ls.table, &mut ls.next_meta, &mut ls.next_rows, n, m).is_none() {
-                ls.next_cands.push(ls.cands[ci]);
-            }
-        }
-        std::mem::swap(&mut ls.meta, &mut ls.next_meta);
-        std::mem::swap(&mut ls.cands, &mut ls.next_cands);
-        std::mem::swap(&mut ls.rows, &mut ls.next_rows);
-        let after = ls.meta.len();
-        ls.live_cnt[0] = after as u32;
-        if after == 0 {
-            s.run.active = 0;
-        }
-        s.evicted_rows += (before - after) as u64;
-        s.evictions += 1;
-        plan.watermark = EVICT_MIN_WATERMARK.max(after * 2);
-        if tgm_obs::enabled() {
-            metrics::counter_add("tag.session.evictions", 1);
-            metrics::counter_add("tag.session.evicted_rows", (before - after) as u64);
-            tgm_obs::recorder::record(RecEvent::Eviction {
-                before: before as u64,
-                after: after as u64,
-            });
-        }
     }
 
     // -- inspection ---------------------------------------------------------
@@ -730,8 +498,8 @@ impl<'a> MatchSession<'a> {
             peak_frontier: s.stats.peak_configs,
             expansions: s.stats.expansions,
             dedup_hits: s.stats.dedup_hits,
-            evicted_rows: s.evicted_rows,
-            evictions: s.evictions,
+            evicted_rows: 0,
+            evictions: 0,
             interrupted: s.interrupt,
         }
     }
@@ -765,13 +533,7 @@ impl<'a> MatchSession<'a> {
         s.events_pushed = 0;
         s.completions.clear();
         s.total_completions = 0;
-        s.evicted_rows = 0;
-        s.evictions = 0;
         s.last_stats_at = 0;
-        if let Some(plan) = &mut s.eviction {
-            plan.next_at = None;
-            plan.watermark = EVICT_MIN_WATERMARK;
-        }
     }
 
     // -- suspend / resume ---------------------------------------------------
@@ -786,8 +548,8 @@ impl<'a> MatchSession<'a> {
 
     /// Reattaches a suspended session to its automaton and continues
     /// exactly where [`suspend`](Self::suspend) left off: frontier, stats,
-    /// buffered completions, sticky interrupt, eviction schedule, limits
-    /// and the compiled lane all survive the round trip (the replayed
+    /// buffered completions, sticky interrupt, limits and the compiled
+    /// lane all survive the round trip (the replayed
     /// stream stays bit-identical to an uninterrupted session).
     ///
     /// # Panics
@@ -993,6 +755,27 @@ mod tests {
     }
 
     #[test]
+    fn unanchored_session_dies_without_a_reachable_accepting_state() {
+        // No state reaches acceptance: the first event's successors are
+        // all dropped, so even an unanchored session dies at once.
+        let mut b = TagBuilder::new();
+        let s0 = b.state("s0");
+        let s1 = b.state("s1");
+        b.start(s0);
+        b.transition(s0, s1, Symbol::Exact(EventType(0)), ClockConstraint::True, vec![]);
+        b.skip_loop(s0);
+        b.skip_loop(s1);
+        let tag = b.build();
+        let mut session = MatchSession::new(&tag);
+        assert_eq!(session.push(ev(0, 2 * DAY)), Push::Advanced { completed: false });
+        assert!(session.is_dead());
+        assert_eq!(session.push(ev(0, 3 * DAY)), Push::Dead);
+        let run = session.finalize();
+        assert_eq!((run.stats.events, run.stats.expansions), (1, 2));
+        assert!(!run.stats.accepted);
+    }
+
+    #[test]
     fn budget_interrupt_is_sticky() {
         let tag = next_day_tag();
         let mut session =
@@ -1008,53 +791,16 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_unreachable_and_merges() {
-        // Eviction must merge rows, preserve every completion, and keep
-        // the live frontier under the Theorem 4 bound.
-        let tag = next_day_tag();
-        // A B every midnight and an A every noon: each B completes with
-        // the previous day's A. The horizon passes land on B events, where
-        // the accepting state holds the new completion (reading 1) next to
-        // older ones (saturated at 2); no guard reads that clock again, so
-        // eviction merges them while plain saturation keeps both.
-        let events: Vec<Event> = (0..400)
-            .flat_map(|i| [ev(1, (2 + i) * DAY), ev(0, (2 + i) * DAY + DAY / 2)])
-            .collect();
-        let mut plain = MatchSession::new(&tag);
-        let mut evicting = MatchSession::new(&tag).with_eviction();
-        let bound = evicting.frontier_bound();
-        for &e in &events {
-            let a = plain.push(e);
-            let b = evicting.push(e);
-            assert_eq!(a.completed(), b.completed(), "at {:?}", e);
-        }
-        let p = plain.stats();
-        let q = evicting.stats();
-        assert_eq!(p.completions, 399, "every B but the first completes");
-        assert_eq!(p.completions, q.completions);
-        assert!(q.evictions > 0, "eviction never triggered");
-        assert!(q.evicted_rows > 0);
-        assert!(q.peak_frontier as u64 <= bound);
-    }
-
-    #[test]
-    fn idle_evicting_session_watermark_settles_at_zero() {
+    fn idle_session_watermark_settles_at_zero() {
         // One out-of-alphabet event per day keeps the frontier idle in the
         // start state, which never compares its clock before resetting it
-        // (fut = −1): once an eviction pass has run, nothing is left to
-        // age, so the lag must read 0 like the plain session's.
+        // (fut = −1): the reading is inert, so nothing is left to age.
         let tag = next_day_tag();
-        let mut plain = MatchSession::new(&tag);
-        let mut evicting = MatchSession::new(&tag).with_eviction();
+        let mut session = MatchSession::new(&tag);
         for day in 2..40 {
-            let e = ev(7, day * DAY);
-            assert_eq!(plain.push(e), evicting.push(e));
-            if evicting.stats().evictions > 0 {
-                assert_eq!(evicting.watermark_lag(), Some(0), "day {day}");
-            }
+            assert_eq!(session.push(ev(7, day * DAY)), Push::Advanced { completed: false });
+            assert_eq!(session.watermark_lag(), Some(0), "day {day}");
         }
-        assert!(evicting.stats().evictions > 0, "eviction never triggered");
-        assert_eq!(plain.watermark_lag(), Some(0));
     }
 
     #[test]

@@ -37,16 +37,34 @@ pub fn build_random_tag(
     bounds: &[(u64, u64)],
     phi_picks: &[u32],
 ) -> Tag {
+    build_random_forked_tag(chain_len, gran_picks, bounds, phi_picks, false)
+}
+
+/// [`build_random_tag`], plus with `fork` a side variable `Y` after `X0`
+/// and before the last chain variable (a diamond): `X0 → Y` takes the
+/// third draw of each parameter (a chain of at most three variables
+/// leaves it unused) and `Y → X_last` the first. The structure then needs
+/// two chains, and the TAG's cross product has states where a clock is
+/// compared only after the other chain advances without resetting it, so
+/// residual guard constants flow through intermediate states.
+pub fn build_random_forked_tag(
+    chain_len: usize,
+    gran_picks: &[usize],
+    bounds: &[(u64, u64)],
+    phi_picks: &[u32],
+    fork: bool,
+) -> Tag {
     let gs = grans();
     let mut b = StructureBuilder::new();
     let vars: Vec<_> = (0..chain_len).map(|i| b.var(format!("X{i}"))).collect();
+    let tcg = |i: usize| {
+        let (lo, w) = bounds[i];
+        Tcg::new(lo, lo + w, gs[gran_picks[i] % gs.len()].clone())
+    };
     for i in 1..chain_len {
-        let (lo, w) = bounds[i - 1];
-        let g = gs[gran_picks[i - 1] % gs.len()].clone();
-        b.constrain(vars[i - 1], vars[i], Tcg::new(lo, lo + w, g));
+        b.constrain(vars[i - 1], vars[i], tcg(i - 1));
     }
-    let s = b.build().unwrap();
-    let phi: Vec<EventType> = (0..chain_len)
+    let mut phi: Vec<EventType> = (0..chain_len)
         .map(|i| {
             if i == 0 {
                 EventType(0)
@@ -55,6 +73,13 @@ pub fn build_random_tag(
             }
         })
         .collect();
+    if fork {
+        let y = b.var("Y");
+        b.constrain(vars[0], y, tcg(2));
+        b.constrain(y, vars[chain_len - 1], tcg(0));
+        phi.push(EventType(phi_picks[2]));
+    }
+    let s = b.build().unwrap();
     build_tag(&ComplexEventType::new(s, phi))
 }
 

@@ -3,11 +3,12 @@
 //!
 //! One `Vec<Option<Tick>>` of clock resets per configuration, each
 //! event's frontier deduplicated by cloning into a `HashSet`. It reads the
-//! TAG only through the public [`Tag`] API, recomputes each clock's cap
-//! (its largest guard constant) from the guards, and repeats the
-//! saturation formula, so it shares no matching code with the crate. It
-//! produces bit-identical [`RunStats`] and occurrence witnesses to
-//! [`Matcher`](tgm_tag::Matcher), and under [`Limits`] polls and
+//! TAG only through the public [`Tag`] API, recomputes the per-state
+//! extrapolation tables (which states can reach acceptance, and each
+//! clock's residual guard constant per state) from the transitions, and
+//! repeats the saturation formula, so it shares no matching code with the
+//! crate. It produces bit-identical [`RunStats`] and occurrence witnesses
+//! to [`Matcher`](tgm_tag::Matcher), and under [`Limits`] polls and
 //! budget-caps at the same points as `Matcher::run_in`.
 
 use std::collections::HashSet;
@@ -29,11 +30,14 @@ struct Config {
 pub struct Reference<'a> {
     tag: &'a Tag,
     anchored: bool,
-    /// Largest constant each clock is compared against in any guard.
-    caps: Vec<i64>,
+    /// Per state: whether a successor there is kept at all.
+    keep: Vec<bool>,
+    /// Per state, per clock: the cap readings saturate at.
+    caps: Vec<Vec<i64>>,
 }
 
 /// Raises `caps` to every constant `guard` compares a clock against.
+/// Constants are non-negative, so a cap of -1 means "never compared".
 fn collect_caps(guard: &ClockConstraint, caps: &mut [i64]) {
     match guard {
         ClockConstraint::True => {}
@@ -50,16 +54,64 @@ fn collect_caps(guard: &ClockConstraint, caps: &mut [i64]) {
 }
 
 impl<'a> Reference<'a> {
-    /// The reference engine of `tag` under `opts`.
+    /// The reference engine of `tag` under `opts`, with location-based
+    /// extrapolation: a successor at a state from which no accepting
+    /// state is reachable is dropped, and a reading is saturated against
+    /// the largest constant its clock meets on a path from the
+    /// successor's state before being reset.
     pub fn new(tag: &'a Tag, opts: MatchOptions) -> Self {
-        let mut caps = vec![0i64; tag.clocks().len()];
-        for tr in tag.transitions() {
-            collect_caps(&tr.guard, &mut caps);
+        let n_states = tag.n_states();
+        let accepting = |s: usize| tag.is_accepting(StateId(s));
+        let mut keep: Vec<bool> = (0..n_states).map(accepting).collect();
+        let mut caps = vec![vec![-1i64; tag.clocks().len()]; n_states];
+        // Both tables are least fixpoints over the transition graph.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for s in 0..n_states {
+                for tr in tag.transitions_from(StateId(s)) {
+                    let to = tr.to.index();
+                    if keep[to] && !keep[s] {
+                        keep[s] = true;
+                        changed = true;
+                    }
+                    // A guard reads the pre-reset value; the target's
+                    // residual constants survive only un-reset clocks.
+                    let mut via = caps[to].clone();
+                    for &x in &tr.resets {
+                        via[x.index()] = -1;
+                    }
+                    collect_caps(&tr.guard, &mut via);
+                    for (x, c) in via.into_iter().enumerate() {
+                        if c > caps[s][x] {
+                            caps[s][x] = c;
+                            changed = true;
+                        }
+                    }
+                }
+            }
         }
         Reference {
             tag,
             anchored: opts.anchored,
+            keep,
             caps,
+        }
+    }
+
+    /// The engine before location-based extrapolation: every successor is
+    /// kept, and every reading saturates against its clock's largest
+    /// guard constant anywhere in the TAG. Its frontier is never smaller.
+    pub fn with_global_caps(tag: &'a Tag, opts: MatchOptions) -> Self {
+        let mut global = vec![0i64; tag.clocks().len()];
+        for tr in tag.transitions() {
+            collect_caps(&tr.guard, &mut global);
+        }
+        Reference {
+            tag,
+            anchored: opts.anchored,
+            keep: vec![true; tag.n_states()],
+            caps: vec![global; tag.n_states()],
         }
     }
 
@@ -73,13 +125,19 @@ impl<'a> Reference<'a> {
             .collect()
     }
 
-    /// Saturates resets whose readings exceed their clock's cap to the
-    /// canonical representative one past the cap, clamped one above the
-    /// lane engine's `i64::MIN` encoding of an undefined reset.
-    fn canonicalize(&self, resets: &mut [Option<Tick>], cur_ticks: &[Option<Tick>]) {
+    /// Saturates resets whose readings exceed their clock's cap at
+    /// `state` to the canonical representative one past the cap, clamped
+    /// one above the lane engine's `i64::MIN` encoding of an undefined
+    /// reset.
+    fn canonicalize(
+        &self,
+        state: StateId,
+        resets: &mut [Option<Tick>],
+        cur_ticks: &[Option<Tick>],
+    ) {
         for (x, r) in resets.iter_mut().enumerate() {
             if let (Some(cur), Some(res)) = (cur_ticks[x], *r) {
-                let cap = self.caps[x];
+                let cap = self.caps[state.index()][x];
                 if cur.saturating_sub(res) > cap {
                     *r = Some(cur.saturating_sub(cap).saturating_sub(1).max(i64::MIN + 1));
                 }
@@ -193,7 +251,7 @@ impl<'a> Reference<'a> {
                         out.reverse();
                         return Some(out);
                     }
-                    if seen.insert(nc.clone()) {
+                    if self.keep[nc.state.index()] && seen.insert(nc.clone()) {
                         arena.push(Node {
                             cfg: nc,
                             parent: node_idx,
@@ -230,7 +288,8 @@ impl<'a> Reference<'a> {
     }
 
     /// The canonical successor of `cfg` when `tr` fires at `e`, or `None`
-    /// when it does not fire.
+    /// when it does not fire. The caller drops a successor whose state is
+    /// not kept.
     fn fire(
         &self,
         cfg: &Config,
@@ -254,7 +313,7 @@ impl<'a> Reference<'a> {
         for &x in &tr.resets {
             resets[x.index()] = cur_ticks[x.index()];
         }
-        self.canonicalize(&mut resets, cur_ticks);
+        self.canonicalize(tr.to, &mut resets, cur_ticks);
         Some(Config {
             state: tr.to,
             started: cfg.started || !tr.is_skip,
@@ -284,6 +343,9 @@ impl<'a> Reference<'a> {
                 stats.expansions += 1;
                 if self.tag.is_accepting(nc.state) && !tr.is_skip {
                     reached_accepting = true;
+                }
+                if !self.keep[nc.state.index()] {
+                    continue;
                 }
                 if next_seen.insert(nc.clone()) {
                     next.push(nc);

@@ -1,20 +1,24 @@
 //! Differential property tests for the lane engine: on randomized TAGs
-//! (built from random chain structures) and randomized event sequences,
+//! (built from random chain structures, some with a side branch) and
+//! randomized event sequences,
 //! [`Matcher::run_in`] must produce *bit-identical* [`RunStats`] — and
 //! [`Matcher::find_occurrence_in`] identical occurrence witnesses — to the
 //! independent reference engine, anchored and unanchored, for direct,
-//! column-reading, early-exit, and suffix-offset runs alike.
+//! column-reading, early-exit, and suffix-offset runs alike. Against the
+//! reference engine with global caps (no location-based extrapolation),
+//! the lane engine answers and completes identically with a frontier that
+//! is never larger.
 //!
 //! [`RunStats`]: tgm_tag::RunStats
 
 mod common;
 
 use common::reference::Reference;
-use common::{all_option_combos, build_random_tag, events_from};
+use common::{all_option_combos, build_random_forked_tag, build_random_tag, events_from};
 use proptest::prelude::*;
 use tgm_events::TickColumns;
 use tgm_granularity::Gran;
-use tgm_tag::{Matcher, MatcherScratch, RunCtx};
+use tgm_tag::{MatchSession, Matcher, MatcherScratch, RunCtx};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -27,8 +31,9 @@ proptest! {
         phi_picks in proptest::collection::vec(0u32..3, 3),
         raw_events in proptest::collection::vec((0u32..4, 0i64..60), 1..40),
         start in 0usize..8,
+        fork in any::<bool>(),
     ) {
-        let tag = build_random_tag(chain_len, &gran_picks, &bounds, &phi_picks);
+        let tag = build_random_forked_tag(chain_len, &gran_picks, &bounds, &phi_picks, fork);
         // Events over ~15 days starting Monday 2000-01-03 (quarter-day
         // steps, so business-day gaps occur), in time order.
         let events = events_from(&raw_events);
@@ -66,6 +71,43 @@ proptest! {
                 "find_occurrence with columns, opts {:?}",
                 opts
             );
+        }
+    }
+
+    /// Location-based extrapolation only merges and drops rows that can
+    /// never decide an answer: against the global-cap engine, acceptance
+    /// (full and early exit) and completions are equal, and the peak
+    /// frontier is never larger.
+    #[test]
+    fn extrapolation_only_shrinks_the_frontier(
+        chain_len in 2usize..4,
+        gran_picks in proptest::collection::vec(0usize..4, 3),
+        bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
+        phi_picks in proptest::collection::vec(0u32..3, 3),
+        raw_events in proptest::collection::vec((0u32..4, 0i64..60), 1..40),
+        fork in any::<bool>(),
+    ) {
+        let tag = build_random_forked_tag(chain_len, &gran_picks, &bounds, &phi_picks, fork);
+        let events = events_from(&raw_events);
+        for opts in all_option_combos() {
+            let m = Matcher::with_options(&tag, opts);
+            let global = Reference::with_global_caps(&tag, opts);
+            for early_exit in [false, true] {
+                let want = global.run(&events, early_exit);
+                let got = m.run(&events, early_exit);
+                prop_assert_eq!(
+                    got.accepted, want.accepted, "early_exit {}, opts {:?}", early_exit, opts
+                );
+                prop_assert!(
+                    got.peak_configs <= want.peak_configs,
+                    "peak {} > global-cap peak {}, early_exit {}, opts {:?}",
+                    got.peak_configs, want.peak_configs, early_exit, opts
+                );
+            }
+            let mut session = MatchSession::with_options(&tag, opts);
+            session.push_batch(&events);
+            let got: Vec<usize> = session.completed().map(|c| c.index as usize).collect();
+            prop_assert_eq!(got, global.completions(&events), "completions, opts {:?}", opts);
         }
     }
 }

@@ -4,18 +4,20 @@
 //! `Reference::run_columns`, `Reference::completions`) and to the batch
 //! entry points, anchored and unanchored, under any push-chunking;
 //! suspending and resuming at any cut point must not change anything; and
-//! horizon eviction must never lose a completion while keeping the
-//! frontier within the Theorem 4 bound.
+//! per-state extrapolation keeps the frontier within the Theorem 4 bound,
+//! merging rows the global caps keep apart.
 
 mod common;
 
 use common::reference::Reference;
-use common::{all_option_combos, build_random_tag, events_from, DAY};
+use common::{
+    all_option_combos, build_random_forked_tag, build_random_tag, events_from, DAY,
+};
 use proptest::prelude::*;
 use tgm_events::{Event, EventType, TickColumns};
 use tgm_granularity::Gran;
 use tgm_limits::{Limits, Verdict};
-use tgm_tag::{MatchSession, Matcher, Push};
+use tgm_tag::{ClockConstraint, MatchOptions, MatchSession, Matcher, Push, Symbol, TagBuilder};
 
 /// Splits `events` into chunks whose sizes cycle through `chunking`
 /// (zero sizes are bumped to one), covering the whole slice.
@@ -49,8 +51,9 @@ proptest! {
         raw_events in proptest::collection::vec((0u32..4, 0i64..60), 1..40),
         chunking in proptest::collection::vec(0usize..7, 1..5),
         start in 0usize..8,
+        fork in any::<bool>(),
     ) {
-        let tag = build_random_tag(chain_len, &gran_picks, &bounds, &phi_picks);
+        let tag = build_random_forked_tag(chain_len, &gran_picks, &bounds, &phi_picks, fork);
         let events = events_from(&raw_events);
         let tag_grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
         let cols = TickColumns::build(&events, &tag_grans);
@@ -95,10 +98,10 @@ proptest! {
     }
 
     /// Suspend/resume is invisible: a session torn into a `SessionState`
-    /// and resumed at random cut points — with eviction on or off, a
-    /// random frontier budget, and direct or column-reading pushes —
-    /// reports the same `Push` per event, the same completions, the same
-    /// `SessionStats` and the same `finish()` as an uninterrupted session.
+    /// and resumed at random cut points — with a random frontier budget,
+    /// and direct or column-reading pushes — reports the same `Push` per
+    /// event, the same completions, the same `SessionStats` and the same
+    /// `finish()` as an uninterrupted session.
     #[test]
     fn suspend_resume_bit_identical_at_any_cut(
         chain_len in 2usize..4,
@@ -107,7 +110,6 @@ proptest! {
         phi_picks in proptest::collection::vec(0u32..3, 3),
         raw_events in proptest::collection::vec((0u32..4, 0i64..200), 1..60),
         opts_pick in 0usize..2,
-        evict in any::<bool>(),
         budget in (any::<bool>(), 0u64..16),
         cuts in proptest::collection::vec(any::<bool>(), 1..8),
         by_row in any::<bool>(),
@@ -119,9 +121,6 @@ proptest! {
         let opts = all_option_combos()[opts_pick];
         let open = || {
             let mut s = MatchSession::with_options(&tag, opts);
-            if evict {
-                s = s.with_eviction();
-            }
             if let (true, b) = budget {
                 s = s.with_limits(Limits::none().with_budget(b));
             }
@@ -156,12 +155,12 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// Eviction soundness: with horizon eviction on, under any
+    /// Longer streams than the replay differential: under any
     /// push-chunking, the session reports exactly the same completion
     /// events as the reference engine — no occurrence is lost or invented
-    /// when frontier rows are aged out.
+    /// when rows are dropped or merged.
     #[test]
-    fn eviction_never_loses_a_completion(
+    fn chunked_push_never_loses_a_completion(
         chain_len in 2usize..4,
         gran_picks in proptest::collection::vec(0usize..4, 3),
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
@@ -174,7 +173,7 @@ proptest! {
 
         for opts in all_option_combos() {
             let expected = Reference::new(&tag, opts).completions(&events);
-            let mut session = MatchSession::with_options(&tag, opts).with_eviction();
+            let mut session = MatchSession::with_options(&tag, opts);
             push_chunked(&mut session, &events, &chunking);
             let got: Vec<usize> = session.completed().map(|c| c.index as usize).collect();
             prop_assert_eq!(&got, &expected, "opts {:?}", opts);
@@ -200,18 +199,17 @@ fn empty_and_unpushed_sessions_match_batch() {
 /// The long-stream memory ceiling of the acceptance criteria: a
 /// 10⁶-event synthetic stream (driven through chunked incremental
 /// `TickColumns::append` + `push_row`, the `tgm stream` pipeline) keeps
-/// peak frontier rows within the Theorem 4 `frontier_bound()` and the
-/// evicting live frontier far below the event count. Run by the CI
-/// `stream-smoke` job with `--ignored --release`.
+/// peak frontier rows within the Theorem 4 `frontier_bound()`, far below
+/// the event count. Run by the CI `stream-smoke` job with `--ignored
+/// --release`.
 #[test]
 #[ignore = "long stream; run in release via the stream-smoke CI job"]
 fn million_event_stream_is_frontier_bounded() {
     let tag = build_random_tag(3, &[1, 3], &[(0, 2), (1, 1)], &[1, 2]);
     let tag_grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
 
-    let session = MatchSession::new(&tag);
+    let mut session = MatchSession::new(&tag);
     let bound = session.frontier_bound();
-    let mut session = session.with_eviction();
 
     // A synthetic year-scale stream: type cycles with a pseudo-random
     // phase, ~87 events/day, timestamps strictly increasing.
@@ -250,8 +248,52 @@ fn million_event_stream_is_frontier_bounded() {
         (peak as u64) <= bound,
         "live frontier peak {peak} exceeded the Theorem 4 bound {bound}"
     );
+}
+
+/// "A then B on the next day" over days, every state with a skip loop.
+fn next_day_tag() -> tgm_tag::Tag {
+    let cal = tgm_granularity::Calendar::standard();
+    let mut b = TagBuilder::new();
+    let x = b.clock("x_day", cal.get("day").unwrap());
+    let s0 = b.state("s0");
+    let s1 = b.state("s1");
+    let s2 = b.state("s2");
+    b.start(s0).accepting(s2);
+    b.transition(s0, s1, Symbol::Exact(EventType(0)), ClockConstraint::True, vec![x]);
+    b.transition(s1, s2, Symbol::Exact(EventType(1)), ClockConstraint::eq(x, 1), vec![]);
+    b.skip_loop(s0);
+    b.skip_loop(s1);
+    b.skip_loop(s2);
+    b.build()
+}
+
+/// A B every midnight and an A every noon: each B completes with the
+/// previous day's A. The accepting state holds the new completion
+/// (reading 1) next to older ones; no guard reads that clock again
+/// (`fut = −1`), so extrapolation merges them where the global caps keep
+/// both apart.
+#[test]
+fn extrapolation_merges_rows_the_global_caps_keep_apart() {
+    let tag = next_day_tag();
+    let events: Vec<Event> = (0..400)
+        .flat_map(|i| {
+            [
+                Event::new(EventType(1), (2 + i) * DAY),
+                Event::new(EventType(0), (2 + i) * DAY + DAY / 2),
+            ]
+        })
+        .collect();
+    let mut session = MatchSession::new(&tag);
+    let bound = session.frontier_bound();
+    assert_eq!(session.push_batch(&events), events.len());
+    let stats = session.stats();
+    assert_eq!(stats.completions, 399, "every B but the first completes");
+    let global = Reference::with_global_caps(&tag, MatchOptions::default()).run(&events, false);
     assert!(
-        stats.evictions > 0,
-        "a year-scale stream must cross the eviction horizon"
+        stats.peak_frontier < global.peak_configs,
+        "peak {} not below the global-cap peak {}",
+        stats.peak_frontier,
+        global.peak_configs
     );
+    assert!(stats.peak_frontier as u64 <= bound);
 }

@@ -1,14 +1,17 @@
-//! Soundness of clock-reading saturation against an independent oracle.
+//! Soundness of location-based clock extrapolation against an independent
+//! oracle.
 //!
 //! Every production engine canonicalizes configurations by saturating
-//! clock readings past their clock's largest guard constant (Theorem 4's
-//! frontier bound). The oracle below is a plain forward simulation over
-//! the public [`Tag`] API that never canonicalizes: a configuration keeps
-//! the exact covering tick of every clock reset, and the frontier is
-//! deduplicated only on exact equality. On randomized TAGs and short
-//! inputs, [`Matcher::run`] acceptance (full and early-exit) and
-//! [`MatchSession`] per-event completions (plain and evicting) must equal
-//! the oracle's, anchored and unanchored.
+//! clock readings past the largest guard constant their clock meets from
+//! the configuration's state, and drops configurations that cannot reach
+//! acceptance (Theorem 4's frontier bound). The oracle below is a plain
+//! forward simulation over the public [`Tag`] API that never
+//! canonicalizes: a configuration keeps the exact covering tick of every
+//! clock reset, and the frontier is deduplicated only on exact equality.
+//! On randomized TAGs (some with two chains) and short inputs,
+//! [`Matcher::run`] acceptance (full and early-exit) and [`MatchSession`]
+//! per-event completions must equal the oracle's, anchored and
+//! unanchored.
 //!
 //! The oracle also implements the paper's *strict* clock updates (§4): a
 //! configuration dies on any event some clock granularity does not cover.
@@ -20,7 +23,7 @@ mod common;
 
 use std::collections::HashSet;
 
-use common::{all_option_combos, build_random_tag, events_from};
+use common::{all_option_combos, build_random_forked_tag, build_random_tag, events_from};
 use proptest::prelude::*;
 use tgm_events::Event;
 use tgm_granularity::{Granularity, Tick};
@@ -122,8 +125,9 @@ proptest! {
         bounds in proptest::collection::vec((0u64..3, 0u64..3), 3),
         phi_picks in proptest::collection::vec(0u32..3, 3),
         raw_events in proptest::collection::vec((0u32..4, 0i64..60), 0..24),
+        fork in any::<bool>(),
     ) {
-        let tag = build_random_tag(chain_len, &gran_picks, &bounds, &phi_picks);
+        let tag = build_random_forked_tag(chain_len, &gran_picks, &bounds, &phi_picks, fork);
         // Events over ~15 days from Monday 2000-01-03 in quarter-day steps,
         // so business-day gaps occur and readings outgrow every guard
         // constant (the saturating engines then merge what the oracle
@@ -139,18 +143,11 @@ proptest! {
                 "early exit, {:?}",
                 opts
             );
-            let plain = MatchSession::with_options(&tag, opts);
+            let session = MatchSession::with_options(&tag, opts);
             prop_assert_eq!(
-                &session_completions(plain, &events),
+                &session_completions(session, &events),
                 &want.completions,
                 "session completions, {:?}",
-                opts
-            );
-            let evicting = MatchSession::with_options(&tag, opts).with_eviction();
-            prop_assert_eq!(
-                &session_completions(evicting, &events),
-                &want.completions,
-                "evicting session completions, {:?}",
                 opts
             );
         }

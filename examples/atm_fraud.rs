@@ -105,8 +105,8 @@ fn main() {
         b.constrain(x0, x1, Tcg::new(0, 4 * HOUR as u64, cal.get("second").unwrap()));
         build_tag(&ComplexEventType::new(b.build().unwrap(), vec![pin_fail, large]))
     };
-    let mut strict = MatchSession::new(&fraud_tag).with_eviction();
-    let mut naive = MatchSession::new(&naive_tag).with_eviction();
+    let mut strict = MatchSession::new(&fraud_tag);
+    let mut naive = MatchSession::new(&naive_tag);
     let mut strict_alerts = Vec::new();
     let mut naive_alerts = Vec::new();
     for chunk in seq.events().chunks(128) {
@@ -122,11 +122,10 @@ fn main() {
         .collect();
     println!(
         "\nlive monitors over {} events: same-day rule raised {} alerts \
-         (frontier peak {}, {} rows evicted); flat 4h rule raised {}",
+         (frontier peak {}); flat 4h rule raised {}",
         strict.stats().events,
         strict_alerts.len(),
         strict.stats().peak_frontier,
-        strict.stats().evicted_rows,
         naive_alerts.len()
     );
     println!(

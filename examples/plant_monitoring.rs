@@ -71,12 +71,12 @@ fn main() {
     // Deploy the discovered cascade as a *live monitor*: one long-lived
     // MatchSession consumes the telemetry feed incrementally (here in
     // day-sized chunks), raising an alert at every completed occurrence.
-    // Horizon eviction keeps the frontier bounded over the unbounded
-    // stream — old partial matches whose clocks have drifted past every
-    // remaining TCG window are aged out deterministically.
+    // Per-state clock extrapolation keeps the frontier bounded over the
+    // unbounded stream — a partial match whose clock has drifted past
+    // every remaining TCG window merges with its equivalents.
     let cet = ComplexEventType::new(monitor_structure, vec![temp, pressure, valve]);
     let tag = build_tag(&cet);
-    let mut monitor = MatchSession::new(&tag).with_eviction();
+    let mut monitor = MatchSession::new(&tag);
     let mut alerts = 0u64;
     for day_chunk in seq.events().chunks(96) {
         monitor.push_batch(day_chunk);
@@ -92,14 +92,8 @@ fn main() {
     }
     let stats = monitor.stats();
     println!(
-        "\nlive monitor: {} events streamed, {} alerts; frontier {} live / {} peak, \
-         {} rows evicted in {} passes",
-        stats.events,
-        alerts,
-        stats.frontier,
-        stats.peak_frontier,
-        stats.evicted_rows,
-        stats.evictions
+        "\nlive monitor: {} events streamed, {} alerts; frontier {} live / {} peak",
+        stats.events, alerts, stats.frontier, stats.peak_frontier
     );
     assert!(alerts > 0, "the embedded cascades must alert the live monitor");
 }

@@ -299,9 +299,8 @@ fn emit_stream_frame(
         "events_per_sec",
         if dt > 0.0 { delta_events as f64 / dt } else { 0.0 },
     );
-    frame.set_gauge("evicted_rows_total", s.evicted_rows as f64);
     // Thm-4 watermark: ticks the slowest live frontier row still has
-    // before its eviction horizon (-1 = no live clocked rows).
+    // before it saturates (-1 = no live clocked rows).
     frame.set_gauge("watermark_lag", lag.unwrap_or(-1.0));
     *last_frame_at = now;
     *last_frame_events = s.events as u64;
@@ -356,7 +355,7 @@ fn cmd_stream(args: &[String]) -> Result<String, String> {
     // per chunk, feed the session by row, drain completions as they fire.
     let grans: Vec<Gran> = tag.clocks().iter().map(|(_, g)| g.clone()).collect();
     let mut cols = TickColumns::with_granularities(&grans);
-    let mut session = MatchSession::new(&tag).with_eviction();
+    let mut session = MatchSession::new(&tag);
     if let (Some(n), Some(scope)) = (stats_every, scope.as_ref()) {
         session = session.with_scope(scope.clone()).with_stats_every(n);
     }
@@ -448,8 +447,8 @@ fn cmd_stream(args: &[String]) -> Result<String, String> {
         }
     }
     out.push_str(&format!(
-        "frontier: {} live rows (peak {}), {} evicted across {} eviction pass(es)\n",
-        stats.frontier, stats.peak_frontier, stats.evicted_rows, stats.evictions
+        "frontier: {} live rows (peak {})\n",
+        stats.frontier, stats.peak_frontier
     ));
     Ok(out)
 }

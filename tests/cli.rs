@@ -264,7 +264,6 @@ fn stream_command_with_live_stats() {
             "\"frontier\":",
             "\"events_total\":",
             "\"events_per_sec\":",
-            "\"evicted_rows_total\":",
             "\"watermark_lag\":",
         ] {
             assert!(f.contains(gauge), "frame missing {gauge}: {f}");
